@@ -35,6 +35,10 @@ class _Infinity:
     def __repr__(self):
         return "INFINITY"
 
+    def __reduce__(self):
+        # Unpickle to the module's singleton, which callers compare by identity.
+        return "INFINITY"
+
 
 INFINITY = _Infinity()
 

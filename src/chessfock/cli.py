@@ -160,7 +160,10 @@ def _cmd_pair_sum(cfg: RunConfig, out) -> int:
 
 def _cmd_scan(cfg: RunConfig, out) -> int:
     if cfg.v is not None:
-        rows = [experiments.scan_row(cfg.v, cfg.w, cfg.p)]
+        try:
+            rows = [experiments.scan_row(cfg.v, cfg.w, cfg.p)]
+        except ArithmeticError as exc:  # a zero pair sum has no valuation row
+            raise ValueError(str(exc)) from exc
     else:
         rows = experiments.general_e_scan(cfg.n_max or 12, cfg.e, cfg.p)
     return _print_rows(rows, cfg.fmt, out)

@@ -20,11 +20,19 @@ and the four generator operators assembled from them:
 
 The series act locally in degree, so on any given input only finitely
 many terms survive and the truncated sum below is exactly the operator.
+
+Each generator is linear, so ``op_generator`` applies it as a sparse
+matrix-vector product: the column of a monomial p_mu (the generator's
+image of p_mu, expanded once from the series) is cached on first use and
+reused by every later input that contains p_mu.  Nothing is built at
+import time.  ``delta.verify_stability`` applies each generator to each
+basis monomial exactly once, so it calls the series directly and leaves
+the cache empty rather than holding columns it never reads again.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 from typing import Iterator
 
 from .partitions import Partition, check_partition, enumerate_partitions, z_mu
@@ -33,6 +41,9 @@ from .tableaux import ResidueWord
 OddPoly = dict[Partition, Fraction]
 
 GENERATORS = ("f0", "f1", "e0", "e1")
+
+#: A monomial as (k, m, k**m) for each distinct part k, m its multiplicity.
+Runs = tuple[tuple[int, int, int], ...]
 
 
 def check_odd_key(mu) -> Partition:
@@ -53,10 +64,10 @@ def top_degree(f: OddPoly) -> int:
     return max((sum(mu) for mu in f), default=-1)
 
 
-def poly_add(f: OddPoly, g: OddPoly) -> OddPoly:
-    out = dict(f)
+def _add_into(out: OddPoly, g: OddPoly, sign: int = 1) -> OddPoly:
+    """out += sign * g in place, for sign +1 or -1, dropping zeros."""
     for mu, c in g.items():
-        s = out.get(mu, Fraction(0)) + c
+        s = out.get(mu, 0) + (c if sign > 0 else -c)
         if s:
             out[mu] = s
         elif mu in out:
@@ -64,8 +75,12 @@ def poly_add(f: OddPoly, g: OddPoly) -> OddPoly:
     return out
 
 
+def poly_add(f: OddPoly, g: OddPoly) -> OddPoly:
+    return _add_into(dict(f), g)
+
+
 def poly_sub(f: OddPoly, g: OddPoly) -> OddPoly:
-    return poly_add(f, poly_scale(g, Fraction(-1)))
+    return _add_into(dict(f), g, -1)
 
 
 def poly_scale(f: OddPoly, c: Fraction) -> OddPoly:
@@ -80,6 +95,35 @@ def mul_monomial(f: OddPoly, mu) -> OddPoly:
     return {tuple(sorted(tau + mu, reverse=True)): c for tau, c in f.items()}
 
 
+def _runs(mu: Partition) -> Runs:
+    return tuple((k, mu.count(k), k ** mu.count(k)) for k in dict.fromkeys(mu))
+
+
+def _adjoint_runs(f: OddPoly, runs: Runs) -> OddPoly:
+    """The adjoint of multiplication by the monomial whose parts are
+    given as ``_runs``; the keys of f are partitions, so removing whole
+    runs of a part leaves them sorted."""
+    out: OddPoly = {}
+    for tau, c in f.items():
+        rest = list(tau)
+        factor = 1
+        for k, m, power in runs:
+            t = rest.count(k)
+            if t < m:
+                break
+            i = rest.index(k)
+            del rest[i:i + m]
+            factor *= power * perm(t, m)
+        else:
+            key = tuple(rest)
+            s = out.get(key, 0) + c * factor
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
 def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
     """Apply the adjoint of multiplication by p_mu.
 
@@ -87,29 +131,7 @@ def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
     monomial of f survives only if it contains mu, and its coefficient
     picks up k^(m_k) times a falling factorial of the multiplicities.
     """
-    mu = check_odd_key(mu)
-    mult_mu = Counter(mu)
-    out: OddPoly = {}
-    for tau, c in f.items():
-        mult_tau = Counter(tau)
-        factor = 1
-        for k, m in mult_mu.items():
-            t = mult_tau[k]
-            if t < m:
-                factor = 0
-                break
-            for step in range(m):
-                factor *= k * (t - step)
-            mult_tau[k] = t - m
-        if not factor:
-            continue
-        rest = tuple(sorted(mult_tau.elements(), reverse=True))
-        s = out.get(rest, Fraction(0)) + c * factor
-        if s:
-            out[rest] = s
-        elif rest in out:
-            del out[rest]
-    return out
+    return _adjoint_runs(f, _runs(check_odd_key(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +167,16 @@ def _q_times(n: int, f: OddPoly) -> OddPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _q_star_items(n: int) -> tuple[tuple[Runs, Fraction], ...]:
+    return tuple((_runs(mu), c) for mu, c in _q_items(n))
+
+
 def _q_star(n: int, f: OddPoly) -> OddPoly:
     """The adjoint of multiplication by q_n, applied to f."""
     out: OddPoly = {}
-    for mu, c in _q_items(n):
-        for key, v in adjoint_monomial(f, mu).items():
+    for runs, c in _q_star_items(n):
+        for key, v in _adjoint_runs(f, runs).items():
             s = out.get(key, Fraction(0)) + c * v
             if s:
                 out[key] = s
@@ -173,8 +200,8 @@ def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
 _QUARTER = Fraction(1, 4)
 
 
-def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
-    """Apply one of the generator operators f0, f1, e0, e1 to f.
+def _op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
+    """Apply the generator ``gen`` (one of GENERATORS) to f by its series.
 
     The series truncation is exact: on input of top degree d the f-series
     terms with n > d and the e-series terms with n + 1 > d annihilate f,
@@ -182,8 +209,6 @@ def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     overrides the truncation point; it exists so tests can confirm that
     pushing the series further never changes the result.
     """
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
     if not f:
         return {}
     d = top_degree(f)
@@ -191,18 +216,47 @@ def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     if gen in ("f0", "f1"):
         last = d if terms is None else terms
         for m in range(1, last + 1):
-            term = _q_times(m + 1, _q_star(m, f))
-            series = poly_add(series, poly_scale(term, Fraction((-1) ** (m + 1))))
+            _add_into(series, _q_times(m + 1, _q_star(m, f)), 1 if m % 2 else -1)
         if gen == "f1":
             return poly_scale(series, _QUARTER)
         return poly_sub(mul_monomial(f, (1,)), poly_scale(series, _QUARTER))
     last = d - 1 if terms is None else terms
     for m in range(1, last + 1):
-        term = _q_times(m, _q_star(m + 1, f))
-        series = poly_add(series, poly_scale(term, Fraction((-1) ** (m + 1))))
+        _add_into(series, _q_times(m, _q_star(m + 1, f)), 1 if m % 2 else -1)
     if gen == "e1":
         return poly_scale(series, _QUARTER)
     return poly_sub(adjoint_monomial(f, (1,)), poly_scale(series, _QUARTER))
+
+
+@lru_cache(maxsize=None)
+def _column(gen: str, mu: Partition) -> tuple[tuple[Partition, Fraction], ...]:
+    """The image of the monomial p_mu under ``gen``, as (key, coefficient)
+    pairs.  By the truncation argument of ``_op_series`` it does not
+    depend on the degrees of the other monomials of an input."""
+    return tuple(_op_series(gen, {mu: Fraction(1)}).items())
+
+
+def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
+    """Apply one of the generator operators f0, f1, e0, e1 to f.
+
+    By default this is the sum of c_mu times the cached column of p_mu
+    over the monomials of f, which equals the series by linearity.  With
+    ``terms`` the series itself is evaluated, truncated there (see
+    ``_op_series``), so tests can compare the two.
+    """
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+    if terms is not None:
+        return _op_series(gen, f, terms)
+    out: OddPoly = {}
+    for mu, c in f.items():
+        for key, v in _column(gen, mu):
+            s = out.get(key, 0) + c * v
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
 
 
 def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
@@ -220,8 +274,7 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
     hi = d - j if terms is None else terms
     out: OddPoly = {}
     for a in range(lo, hi + 1):
-        term = _q_times(a, _q_star(a + j, f))
-        out = poly_add(out, poly_scale(term, Fraction((-1) ** a)))
+        _add_into(out, _q_times(a, _q_star(a + j, f)), -1 if a % 2 else 1)
     return poly_scale(out, Fraction(1, 2))
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -43,6 +45,14 @@ def test_infinity_is_absorbing():
     assert min(INFINITY, 3) == 3
     assert INFINITY == INFINITY
     assert INFINITY != 5
+
+
+def test_infinity_survives_pickling_and_copying():
+    # valuations are compared with `is INFINITY`, so a copy must be the singleton
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
+    assert copy.copy(INFINITY) is INFINITY
+    assert copy.deepcopy([INFINITY])[0] is INFINITY
 
 
 def test_bin_ones():

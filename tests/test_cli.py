@@ -56,6 +56,17 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_scan_zero_pair_sum_is_a_usage_error(capsys):
+    # the library raises ArithmeticError; the CLI reports it as exit 2
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--e", "2", "--p", "2", "--v", "1,0", "--w", "1,0"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the pair sum is 0" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_scan_observational(capsys):
     code, out = run_cli(capsys, "scan", "--n-max", "5", "--e", "3", "--p", "3")
     assert code == 0

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from chessfock.fock import inner, pair_sum, word_images
+from chessfock.delta import verify_stability
 from chessfock.partitions import enumerate_partitions, z_mu
-from chessfock.polyrep import (GENERATORS, adjoint_monomial, apply_word_poly,
-                               inner_poly, mul_monomial, op_a, op_generator,
-                               poly_add, poly_one, poly_scale, poly_sub,
-                               poly_word_images, q, random_poly, top_degree)
+from chessfock.polyrep import (GENERATORS, _column, _op_series,
+                               adjoint_monomial, apply_word_poly, inner_poly,
+                               mul_monomial, op_a, op_generator, poly_add,
+                               poly_one, poly_scale, poly_sub, poly_word_images,
+                               q, random_poly, top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word
 
 F = Fraction
@@ -152,6 +154,39 @@ def test_series_truncation_is_exact():
             assert op_generator(gen, f) == op_generator(gen, f, terms=deep)
         for j in (-2, -1, 0, 1, 2):
             assert op_a(j, f) == op_a(j, f, terms=top_degree(f) + abs(j) + 4)
+
+
+def test_cached_columns_match_the_series():
+    # the mat-vec over cached columns against the series, monomial by monomial
+    for deg in range(11):
+        for mu in enumerate_partitions(deg, "odd"):
+            c = F(-3, 2 * deg + 1)
+            f = {mu: c}
+            for gen in GENERATORS:
+                fast = op_generator(gen, f)
+                assert fast == _op_series(gen, f)
+                assert fast == op_generator(gen, f, terms=deg + 6)
+                assert all(isinstance(v, F) and v for v in fast.values())
+
+
+def test_word_images_match_a_walk_on_the_series():
+    def series_walk(n, f=ONE, prefix=()):
+        if len(prefix) == n:
+            yield prefix, f
+            return
+        for letter in (0, 1):
+            g = _op_series("f0" if letter == 0 else "f1", f)
+            if g:
+                yield from series_walk(n, g, prefix + (letter,))
+
+    for n in range(10):
+        assert list(poly_word_images(n)) == list(series_walk(n))
+
+
+def test_stability_bypasses_the_column_cache():
+    _column.cache_clear()
+    assert verify_stability(8).verdict == "PASS"
+    assert _column.cache_info().currsize == 0
 
 
 def test_apply_word_poly():
