@@ -38,14 +38,14 @@ class RunConfig:
     fmt: str = "csv"
     suite: str = "all"
     seed: int = 0
-    threads: int = 1
     model: str = "both"
 
     def __post_init__(self):
-        for name in ("n_max", "degree_bound", "e", "p", "threads"):
+        for name, flag in (("n_max", "--n-max"), ("degree_bound", "--degree"),
+                           ("e", "--e"), ("p", "--p")):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+                raise ValueError(f"{flag} must be >= 1")
         if (self.v is None) != (self.w is None) and self.command != "word":
             raise ValueError("give both words or neither")
         if self.v is not None and self.w is not None:
@@ -67,10 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tableau counts, their pair sums, and the 2-adic "
                     "divisibility verifiers.",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker-count hint; every result is single-process deterministic "
-             "and does not depend on it (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser(
@@ -136,7 +132,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "format", "csv"),
         suite=getattr(args, "suite", "all"),
         seed=getattr(args, "seed", 0),
-        threads=args.threads,
         model=getattr(args, "model", "both"),
     )
 
@@ -276,8 +271,7 @@ def _run_suite(cfg: RunConfig):
         r = delta.verify_stability(degree)
         yield r.claim, r.verdict, r.to_json()
     if suite in ("generation", "all"):
-        for n in range(1, cap("generation") + 1):
-            r = delta.verify_generation(n)
+        for r in delta.generation_reports(cap("generation")):
             yield r.claim, r.verdict, r.to_json()
     if suite in ("pairing", "all"):
         for n in range(1, cap("pairing") + 1):

@@ -10,11 +10,13 @@ the outcome with witnesses.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import Partition, enumerate_partitions, format_partition
 from .polyrep import (GENERATORS, OddPoly, _op_series, _q_star, _q_times,
-                      inner_poly, poly_word_images)
+                      apply_letter, inner_poly, poly_one)
+from .tableaux import walk_words
 
 
 def delta_valuation(f: OddPoly) -> Valuation:
@@ -185,9 +187,10 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def verify_generation(n: int) -> ValuationReport:
-    """Check that the 2^n length-n f-word images of 1 span the degree-n
-    slice of the lattice over the odd-denominator integers.
+def generation_reports(n_max: int) -> Iterator[ValuationReport]:
+    """Check, for n = 1..n_max, that the 2^n length-n f-word images of 1
+    span the degree-n slice of the lattice over the odd-denominator
+    integers; yields the n = 1..n_max reports from one walk of the words.
 
     Each image is written in lattice-basis coordinates (integral by
     stability -- violations raise), reduced mod 2 to a bit row, and the
@@ -195,14 +198,15 @@ def verify_generation(n: int) -> ValuationReport:
     spanning, so ``required`` is the slice dimension and ``observed_min``
     the achieved rank.
     """
-    if n < 1:
-        raise ValueError(f"generation check needs n >= 1, got {n}")
-    basis_keys = enumerate_partitions(n, "odd")
-    column = {mu: idx for idx, mu in enumerate(basis_keys)}
-    rows: set[int] = set()
-    images = 0
-    for _, f in poly_word_images(n):
-        images += 1
+    if n_max < 1:
+        raise ValueError(f"generation check needs n >= 1, got {n_max}")
+    columns = [{mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
+               for n in range(n_max + 1)]
+    rows: list[set[int]] = [set() for _ in columns]
+    images = [0] * len(columns)
+    for letters, f in walk_words(n_max, 2, apply_letter, poly_one()):
+        n = len(letters)
+        images[n] += 1
         bits = 0
         for mu, c in f.items():
             shift = (n - len(mu)) // 2
@@ -212,34 +216,43 @@ def verify_generation(n: int) -> ValuationReport:
                     f"word image escapes the lattice at {mu} (v2={val} < {shift})"
                 )
             if val == shift:
-                bits |= 1 << column[mu]
+                bits |= 1 << columns[n][mu]
         if bits:
-            rows.add(bits)
-    rank = gf2_rank(sorted(rows))
-    return ValuationReport(
-        claim=f"generation[n={n}]",
-        degree_bound=n,
-        required=len(basis_keys),
-        observed_min=rank,
-        require_tight=True,
-        witnesses=(("nonzero word images", images),
-                   ("distinct mod-2 rows", len(rows))),
-    )
+            rows[n].add(bits)
+    for n in range(1, n_max + 1):
+        yield ValuationReport(
+            claim=f"generation[n={n}]",
+            degree_bound=n,
+            required=len(columns[n]),
+            observed_min=gf2_rank(sorted(rows[n])),
+            require_tight=True,
+            witnesses=(("nonzero word images", images[n]),
+                       ("distinct mod-2 rows", len(rows[n]))),
+        )
+
+
+def verify_generation(n: int) -> ValuationReport:
+    """The generation check at one length n: the last of
+    ``generation_reports(n)``."""
+    *_, last = generation_reports(n)
+    return last
 
 
 def verify_pairing(n: int) -> ValuationReport:
     """Check the pairing bound on the degree-n lattice slice: every pairing
     of basis monomials has 2-adic valuation >= n - tri_count(n), and the
-    bound is attained (tightness)."""
+    bound is attained (tightness).
+
+    Distinct monomials are orthogonal, so only the diagonal pairings are
+    nonzero and only they are computed.
+    """
     if n < 1:
         raise ValueError(f"pairing check needs n >= 1, got {n}")
     required = n - tri_count(n)
-    basis = delta_basis(n)
 
     def observations():
-        for i, (mu, b1) in enumerate(basis):
-            for nu, b2 in basis[i:]:
-                desc = f"({_basis_desc(mu, n)}, {_basis_desc(nu, n)})"
-                yield desc, vp(inner_poly(b1, b2), 2)
+        for mu, b in delta_basis(n):
+            desc = _basis_desc(mu, n)
+            yield f"({desc}, {desc})", vp(inner_poly(b, b), 2)
 
     return _scan_report(f"pairing[n={n}]", n, required, True, observations())

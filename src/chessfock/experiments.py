@@ -106,13 +106,6 @@ def rows_to_jsonl(rows) -> str:
     return "".join(json.dumps(row.to_json(), sort_keys=True) + "\n" for row in rows)
 
 
-def _int_value(x) -> int:
-    value = inner(x, x)
-    if value.denominator != 1:
-        raise ArithmeticError(f"pair sum came out non-integral: {value}")
-    return value.numerator
-
-
 def _row(n: int, value: int, p: int, bound: int | None) -> FactorizationRow:
     v = vp(value, p)
     if v is INFINITY:
@@ -126,16 +119,9 @@ def chess_table(n_max: int) -> list[FactorizationRow]:
     """Rows n = 1..n_max of the alternating-word table: the sum of squared
     chess-tableau counts, its 2-adic valuation, and the bound n - tri_count(n).
 
-    The word image is grown incrementally, one letter per row.
+    This is the e = 2, p = 2 case of ``general_e_scan``.
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    rows = []
-    x = basis(())
-    for n in range(1, n_max + 1):
-        x = apply_f(x, (n - 1) % 2, 2)
-        rows.append(_row(n, _int_value(x), 2, n - tri_count(n)))
-    return rows
+    return general_e_scan(n_max, 2, 2)
 
 
 def _word_text(letters) -> str:
@@ -149,8 +135,7 @@ def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> Valuation
 
     Distinct words often produce identical images, so images are
     deduplicated first; that changes nothing about which pairing values
-    occur.  Coefficients are integral counts, so the scan runs on plain
-    integers after one loud exactness conversion.
+    occur.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -161,14 +146,7 @@ def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> Valuation
     required = n - tri_count(n)
     seen: dict[tuple, tuple[tuple[int, ...], dict]] = {}
     for letters, image in word_images(n, 2):
-        ints = {}
-        for lam, c in image.items():
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integral word image at {lam}: {c}")
-            ints[lam] = c.numerator
-        signature = tuple(sorted(ints.items()))
-        if signature not in seen:
-            seen[signature] = (letters, ints)
+        seen.setdefault(tuple(sorted(image.items())), (letters, image))
     reps = list(seen.values())
 
     observed = INFINITY
@@ -177,12 +155,7 @@ def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> Valuation
     pairings = 0
     for a, (wa, xa) in enumerate(reps):
         for wb, xb in reps[a:]:
-            small, big = (xa, xb) if len(xa) <= len(xb) else (xb, xa)
-            s = 0
-            for lam, c in small.items():
-                d = big.get(lam)
-                if d is not None:
-                    s += c * d
+            s = inner(xa, xb)
             if s == 0:
                 continue
             pairings += 1
@@ -241,7 +214,7 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
     for n in range(1, n_max + 1):
         x = apply_f(x, (n - 1) % e, e)
         bound = n - tri_count(n) if claimed else None
-        rows.append(_row(n, _int_value(x), p, bound))
+        rows.append(_row(n, inner(x, x), p, bound))
     return rows
 
 

@@ -1,27 +1,28 @@
 """The partition-basis model: vectors supported on partitions, with the
 add-cell and remove-cell operators indexed by residues mod e.
 
-A vector is a dict mapping partitions to nonzero Fraction coefficients
+A vector is a dict mapping partitions to nonzero integer coefficients
 (the zero vector is the empty dict), and the partition basis is
 orthonormal for ``inner``.  Applying the length-n word v to the vacuum
 gives the generating vector whose coefficient on each shape counts the
 standard tableaux of that shape with residue sequence v; pairing two such
-vectors sums those counts multiplied shape by shape.
+vectors sums those counts multiplied shape by shape.  The operators and
+the pairing are linear and never divide, so they accept rational
+coefficients as well.
 """
 
-from fractions import Fraction
 from typing import Iterator
 
 from .partitions import (Partition, add_cell, addable_cells, enumerate_partitions,
                          remove_cell, removable_cells)
-from .tableaux import ResidueWord
+from .tableaux import ResidueWord, walk_words
 
-FockVector = dict[Partition, Fraction]
+FockVector = dict[Partition, int]
 
 
 def basis(lam) -> FockVector:
     """The basis vector supported on one partition."""
-    return {tuple(lam): Fraction(1)}
+    return {tuple(lam): 1}
 
 
 def apply_f(x: FockVector, i: int, e: int) -> FockVector:
@@ -60,32 +61,20 @@ def word_images(n: int, e: int = 2) -> Iterator[tuple[tuple[int, ...], FockVecto
     """Yield (letters, image) for every length-n word with nonzero image,
     in lexicographic word order.
 
-    This walks the prefix tree once, so the O(e^n) words share the work of
-    their common prefixes and dead branches are pruned as soon as the
-    running image vanishes.
+    The words come from one prefix-tree walk (``tableaux.walk_words``), so
+    the O(e^n) words share the work of their common prefixes and dead
+    branches are pruned as soon as the running image vanishes.
     """
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
-
-    def walk(depth: int, prefix: list[int], x: FockVector):
-        if depth == n:
-            yield tuple(prefix), x
-            return
-        for i in range(e):
-            y = apply_f(x, i, e)
-            if y:
-                prefix.append(i)
-                yield from walk(depth + 1, prefix, y)
-                prefix.pop()
-
-    yield from walk(0, [], basis(()))
+    for letters, x in walk_words(n, e, lambda x, i: apply_f(x, i, e), basis(())):
+        if len(letters) == n:
+            yield letters, x
 
 
-def inner(x: FockVector, y: FockVector) -> Fraction:
+def inner(x: FockVector, y: FockVector) -> int:
     """The pairing making the partition basis orthonormal."""
     if len(y) < len(x):
         x, y = y, x
-    total = Fraction(0)
+    total = 0
     for lam, c in x.items():
         d = y.get(lam)
         if d is not None:
@@ -96,30 +85,26 @@ def inner(x: FockVector, y: FockVector) -> Fraction:
 def pair_sum(v: ResidueWord, w: ResidueWord) -> int:
     """Sum over all shapes of (tableaux with word v) * (tableaux with word w).
 
-    Computed as the pairing of the two word images.  The result is a count,
-    so a non-integer would mean an arithmetic bug; that is checked loudly.
+    Computed as the pairing of the two word images.
     """
     if v.e != w.e:
         raise ValueError(f"words use different moduli: {v.e} vs {w.e}")
     if len(v) != len(w):
         raise ValueError(f"words differ in length: {len(v)} vs {len(w)}")
-    value = inner(apply_word(v), apply_word(w))
-    if value.denominator != 1:
-        raise ArithmeticError(f"pair sum came out non-integral: {value}")
-    return value.numerator
+    return inner(apply_word(v), apply_word(w))
 
 
 def random_vector(rng, max_degree: int, terms: int = 6) -> FockVector:
-    """A sparse vector with small rational coefficients, drawn from ``rng``.
+    """A sparse vector with small integer coefficients, drawn from ``rng``.
 
-    Used by the randomized self-checks (adjointness, gradedness); exact
-    arithmetic throughout, the randomness is only in which entries appear.
+    Used by the randomized self-checks (adjointness, gradedness), which are
+    linear, so integer inputs test them fully; the randomness is only in
+    which entries appear.
     """
     out: FockVector = {}
     for _ in range(terms):
         n = rng.randrange(max_degree + 1)
         shapes = enumerate_partitions(n)
         lam = shapes[rng.randrange(len(shapes))]
-        coeff = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
-        out[lam] = out.get(lam, Fraction(0)) + coeff
+        out[lam] = out.get(lam, 0) + rng.randint(-9, 9)
     return {k: v for k, v in out.items() if v}

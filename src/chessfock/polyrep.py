@@ -36,7 +36,7 @@ from math import perm
 from typing import Iterator
 
 from .partitions import Partition, check_partition, enumerate_partitions, z_mu
-from .tableaux import ResidueWord
+from .tableaux import ResidueWord, walk_words
 
 OddPoly = dict[Partition, Fraction]
 
@@ -278,6 +278,11 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
     return poly_scale(out, Fraction(1, 2))
 
 
+def apply_letter(f: OddPoly, letter: int) -> OddPoly:
+    """Apply f0 or f1, as named by a residue mod 2."""
+    return op_generator(("f0", "f1")[letter], f)
+
+
 def apply_word_poly(word: ResidueWord) -> OddPoly:
     """Image of 1 under the f-generators named by the word, left to right.
 
@@ -287,7 +292,7 @@ def apply_word_poly(word: ResidueWord) -> OddPoly:
         raise ValueError(f"polynomial model needs e = 2, got e = {word.e}")
     f = poly_one()
     for letter in word.letters:
-        f = op_generator("f0" if letter == 0 else "f1", f)
+        f = apply_letter(f, letter)
         if not f:
             break
     return f
@@ -295,22 +300,11 @@ def apply_word_poly(word: ResidueWord) -> OddPoly:
 
 def poly_word_images(n: int) -> Iterator[tuple[tuple[int, ...], OddPoly]]:
     """Yield (letters, image) for every length-n f-word with nonzero image,
-    in lexicographic word order, sharing work across common prefixes."""
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
-
-    def walk(depth: int, prefix: list[int], f: OddPoly):
-        if depth == n:
-            yield tuple(prefix), f
-            return
-        for letter in (0, 1):
-            g = op_generator("f0" if letter == 0 else "f1", f)
-            if g:
-                prefix.append(letter)
-                yield from walk(depth + 1, prefix, g)
-                prefix.pop()
-
-    yield from walk(0, [], poly_one())
+    in lexicographic word order, sharing work across common prefixes
+    (one ``tableaux.walk_words`` pass)."""
+    for letters, f in walk_words(n, 2, apply_letter, poly_one()):
+        if len(letters) == n:
+            yield letters, f
 
 
 def random_poly(rng, max_degree: int, terms: int = 6) -> OddPoly:

@@ -1,13 +1,15 @@
-"""Brute-force standard-tableau oracles.
+"""Residue words, brute-force standard-tableau oracles, and the prefix-tree
+walk over words that both operator models share.
 
-Everything here enumerates explicitly: tableaux are built cell by cell as
+The oracles enumerate explicitly: tableaux are built cell by cell as
 growth chains of partitions.  That is deliberately naive -- these counts
 are the ground truth that the operator models elsewhere in the package are
-checked against -- so every entry point is guarded by a size cap.
+checked against -- so every oracle is guarded by a size cap.
 """
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable, Iterator
 
 from .partitions import Partition, cell_residue, check_partition
 
@@ -58,6 +60,30 @@ def cyclic_word(n: int, e: int) -> ResidueWord:
     if e < 1:
         raise ValueError(f"modulus must be >= 1, got {e}")
     return ResidueWord(e, tuple(k % e for k in range(n)))
+
+
+def walk_words(n: int, e: int, step: Callable[[dict, int], dict],
+               start: dict) -> Iterator[tuple[tuple[int, ...], dict]]:
+    """Yield (letters, image) for the empty word and every word over Z/eZ
+    of length <= n whose image is nonzero, in prefix order (a word before
+    its extensions, siblings by increasing letter).
+
+    The image of a word is ``start`` acted on by ``step(image, letter)``
+    for each letter in turn.  Words sharing a prefix share its image, a
+    branch is pruned as soon as its image is the empty dict, and the words
+    of one length come out in lexicographic order.
+    """
+    if n < 0:
+        raise ValueError(f"word length must be >= 0, got {n}")
+    stack = [((), start)]
+    while stack:
+        letters, x = stack.pop()
+        yield letters, x
+        if len(letters) < n:
+            for i in reversed(range(e)):
+                y = step(x, i)
+                if y:
+                    stack.append((letters + (i,), y))
 
 
 def _check_size(n: int, limit: int) -> None:

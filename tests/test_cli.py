@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +7,31 @@ from chessfock.cli import RunConfig, build_parser, config_from_args, main
 from chessfock.tableaux import ResidueWord
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: (fixture name, argv, exit code); each fixture is the stdout the command
+#: printed before the Fock layer moved to integer coefficients.
+GOLDEN = [
+    ("chess_table_24_csv", "chess-table --n-max 24", 0),
+    ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
+    ("scan_9", "scan --n-max 9", 0),
+    ("pair_sum_e3", "pair-sum --e 3 --v 0,1,2 --w 0,1,2", 0),
+    ("word_both", "word --v 0,1,0,1,1 --model both", 0),
+    ("verify_all_json", "verify --suite all --format json", 0),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,argv,exit_code", GOLDEN,
+                         ids=[name for name, _, _ in GOLDEN])
+def test_golden_stdout(capsys, name, argv, exit_code):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == exit_code
+    assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
 def test_chess_table_csv(capsys):
@@ -40,20 +63,25 @@ def test_pair_sum(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    for argv in (
-        ["pair-sum", "--v", "0,1"],                      # missing --w
-        ["pair-sum", "--v", "0,1", "--w", "0"],          # length mismatch
-        ["pair-sum", "--v", "0,2", "--w", "0,1"],        # bad letter for e=2
-        ["pair-sum", "--v", "zz", "--w", "0,1"],         # unparsable word
-        ["verify", "--suite", "nonsense"],               # unknown suite
-        ["scan", "--p", "6"],                            # composite prime
-        ["word", "--e", "3", "--v", "0,1,2", "--model", "poly"],
-        ["nonsense"],
+    for argv, message in (
+        (["pair-sum", "--v", "0,1"], ""),                # missing --w
+        (["pair-sum", "--v", "0,1", "--w", "0"], ""),    # length mismatch
+        (["pair-sum", "--v", "0,2", "--w", "0,1"], ""),  # bad letter for e=2
+        (["pair-sum", "--v", "zz", "--w", "0,1"], ""),   # unparsable word
+        (["verify", "--suite", "nonsense"], ""),         # unknown suite
+        (["scan", "--p", "6"], ""),                      # composite prime
+        (["word", "--e", "3", "--v", "0,1,2", "--model", "poly"], ""),
+        (["nonsense"], ""),
+        (["--threads", "4", "chess-table"], ""),         # removed option
+        # range errors name the flag the user typed
+        (["verify", "--degree", "0"], "error: --degree must be >= 1"),
+        (["chess-table", "--n-max", "0"], "error: --n-max must be >= 1"),
+        (["scan", "--e", "0"], "error: --e must be >= 1"),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        capsys.readouterr()
+        assert message in capsys.readouterr().err
 
 
 def test_scan_zero_pair_sum_is_a_usage_error(capsys):
@@ -150,8 +178,3 @@ def test_run_config_validation():
         RunConfig(command="pair-sum", v=ResidueWord(2, (0,)),
                   w=ResidueWord(2, (0, 1)))
 
-
-def test_threads_flag_does_not_change_output(capsys):
-    _, one = run_cli(capsys, "chess-table", "--n-max", "9")
-    _, four = run_cli(capsys, "--threads", "4", "chess-table", "--n-max", "9")
-    assert one == four

@@ -6,11 +6,12 @@ import pytest
 
 from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import (ValuationReport, delta_basis, delta_valuation,
-                             gf2_rank, verify_generation, verify_pairing,
-                             verify_q_image, verify_stability)
+                             generation_reports, gf2_rank, verify_generation,
+                             verify_pairing, verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (inner_poly, poly_scale, q, random_poly)
+from chessfock.polyrep import (inner_poly, poly_scale, poly_word_images, q,
+                               random_poly)
 
 F = Fraction
 
@@ -141,6 +142,17 @@ def test_verify_generation_small():
         assert r.observed_min == dim
     with pytest.raises(ValueError):
         verify_generation(0)
+
+
+def test_generation_reports_from_one_walk():
+    reports = list(generation_reports(7))
+    assert [r.claim for r in reports] == [f"generation[n={n}]" for n in range(1, 8)]
+    for n, r in enumerate(reports, start=1):
+        assert r == verify_generation(n)
+        assert dict(r.witnesses)["nonzero word images"] == \
+            sum(1 for _ in poly_word_images(n))
+    with pytest.raises(ValueError):
+        next(generation_reports(0))
 
 
 def test_verify_pairing_small():

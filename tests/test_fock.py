@@ -93,6 +93,15 @@ def test_word_images_agree_with_apply_word():
                 assert apply_word(ResidueWord(2, letters)) == {}
 
 
+def test_coefficients_are_ints():
+    images = [apply_word(alternating_word(9))]
+    images += [image for _, image in word_images(7, 3)]
+    rng = random.Random(3)
+    images += [random_vector(rng, 8) for _ in range(20)]
+    assert all(type(c) is int for image in images for c in image.values())
+    assert type(pair_sum(alternating_word(9), alternating_word(9))) is int
+
+
 def test_grading():
     rng = random.Random(11)
     for _ in range(20):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chessfock.fock import inner, pair_sum, word_images
+from chessfock.fock import apply_f, basis, inner, pair_sum, word_images
 from chessfock.delta import verify_stability
 from chessfock.partitions import enumerate_partitions, z_mu
 from chessfock.polyrep import (GENERATORS, _column, _op_series,
@@ -11,7 +11,7 @@ from chessfock.polyrep import (GENERATORS, _column, _op_series,
                                mul_monomial, op_a, op_generator, poly_add,
                                poly_one, poly_scale, poly_sub, poly_word_images,
                                q, random_poly, top_degree)
-from chessfock.tableaux import ResidueWord, alternating_word
+from chessfock.tableaux import ResidueWord, alternating_word, walk_words
 
 F = Fraction
 ONE = poly_one()
@@ -63,9 +63,12 @@ def test_inner_poly():
     assert inner_poly({(1, 1): F(1)}, {(1, 1): F(1)}) == 2
     assert inner_poly({(3,): F(1)}, {(3,): F(1)}) == 3
     assert inner_poly({(3,): F(1)}, {(1, 1, 1): F(1)}) == 0
-    for n in range(7):
+    # distinct monomials are orthogonal (delta.verify_pairing relies on it)
+    for n in range(9):
         for mu in enumerate_partitions(n, "odd"):
-            assert inner_poly({mu: F(1)}, {mu: F(1)}) == z_mu(mu)
+            for nu in enumerate_partitions(n, "odd"):
+                expected = z_mu(mu) if mu == nu else 0
+                assert inner_poly({mu: F(1)}, {nu: F(1)}) == expected
 
 
 def test_generators_on_constants():
@@ -169,18 +172,42 @@ def test_cached_columns_match_the_series():
                 assert all(isinstance(v, F) and v for v in fast.values())
 
 
-def test_word_images_match_a_walk_on_the_series():
-    def series_walk(n, f=ONE, prefix=()):
-        if len(prefix) == n:
-            yield prefix, f
-            return
-        for letter in (0, 1):
-            g = _op_series("f0" if letter == 0 else "f1", f)
-            if g:
-                yield from series_walk(n, g, prefix + (letter,))
+def _series_step(f, letter):
+    return _op_series("f0" if letter == 0 else "f1", f)
 
+
+def series_walk(n, f=ONE, prefix=(), step=_series_step, e=2):
+    """The length-n words with nonzero image, by a recursive walk of its
+    own; by default on the polynomial generators' series."""
+    if len(prefix) == n:
+        yield prefix, f
+        return
+    for letter in range(e):
+        g = step(f, letter)
+        if g:
+            yield from series_walk(n, g, prefix + (letter,), step, e)
+
+
+def test_word_images_match_a_walk_on_the_series():
     for n in range(10):
         assert list(poly_word_images(n)) == list(series_walk(n))
+
+
+def test_walk_words_is_every_depth_of_the_per_model_walks():
+    for e in (2, 3):
+        fock_step = lambda x, i: apply_f(x, i, e)
+        walked = list(walk_words(8, e, fock_step, basis(())))
+        for n in range(9):
+            assert [item for item in walked if len(item[0]) == n] == \
+                list(series_walk(n, basis(()), step=fock_step, e=e))
+    walked = list(walk_words(8, 2, _series_step, ONE))
+    for n in range(9):
+        assert [item for item in walked if len(item[0]) == n] == \
+            list(series_walk(n))
+    # a word comes right before its extensions
+    assert [letters for letters, _ in walked][:4] == [(), (0,), (0, 1), (0, 1, 0)]
+    with pytest.raises(ValueError):
+        next(walk_words(-1, 2, _series_step, ONE))
 
 
 def test_stability_bypasses_the_column_cache():
