@@ -279,9 +279,8 @@ def _run_suite(cfg: RunConfig):
             yield r.claim, r.verdict, r.to_json()
     if suite in ("bound", "all"):
         top = cap("bound")
-        for n in range(1, top + 1):
-            r = experiments.exhaustive_bound_check(
-                n, limit=max(top, experiments.DEFAULT_SCAN_LIMIT))
+        for r in experiments.bound_reports(
+                top, limit=max(top, experiments.DEFAULT_SCAN_LIMIT)):
             yield r.claim, r.verdict, r.to_json()
     if suite in ("factorial", "all"):
         for n in range(1, cap("factorial") + 1):

@@ -9,11 +9,14 @@ divisibility pattern is claimed away from e = 2).
 
 import json
 from dataclasses import dataclass
-from math import factorial
+from itertools import chain, compress
+from math import factorial, isqrt
+from typing import Iterator
 
 from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import apply_f, basis, inner, pair_sum, word_images
+from .fock import (apply_f, basis, distinct_word_images, gram_rows, inner,
+                   pair_sum, word_images)
 from .partitions import enumerate_partitions
 from .polyrep import inner_poly, poly_word_images
 from .tableaux import OracleLimitError, ResidueWord, hook_count
@@ -25,25 +28,64 @@ FACTOR_LIMIT = 1_000_000
 DEFAULT_SCAN_LIMIT = 10
 
 
+#: Odd numbers per segment of the prime sieve in _odd_primes.
+_SIEVE_SEGMENT = 1 << 15
+
+
+def _odd_primes(limit: int) -> Iterator[int]:
+    """Yield the odd primes <= limit in increasing order.
+
+    An odd-only bytearray sieve, run one segment at a time as the caller
+    asks for more, so that it holds one segment (32 KB), not one byte per
+    odd number up to the limit; the sieving primes <= sqrt(limit) come
+    from the same generator.
+    """
+    base = list(_odd_primes(isqrt(limit))) if limit >= 9 else []
+    for lo in range(3, limit + 1, 2 * _SIEVE_SEGMENT):
+        odds = range(lo, min(lo + 2 * _SIEVE_SEGMENT, limit + 1), 2)
+        flags = bytearray(b"\x01") * len(odds)
+        for p in base:
+            if p * p > odds[-1]:
+                break
+            first = max(p * p, -(-lo // p) * p)    # first multiple >= lo
+            if first % 2 == 0:
+                first += p
+            at = (first - lo) // 2
+            flags[at::p] = bytes(len(range(at, len(flags), p)))
+        yield from compress(odds, flags)
+
+
 def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Trial-divide value >= 1; returns (factors, cofactor).
+    """Trial-divide value >= 1 by 2 and the odd primes <= limit; returns
+    (factors, cofactor).
 
     cofactor == 1 means the factorization is complete; otherwise it is the
     unfactored remainder (all of whose prime factors exceed the limit).
+    The result is the one trial division by 2 and every odd number <=
+    limit gives: an odd composite divides nothing once its prime factors
+    are gone.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     factors = []
     rest = value
-    d = 2
-    while d <= limit and d * d <= rest:
+    tried = 1
+    bound = min(limit, isqrt(value))
+    for d in chain((2,) if bound >= 2 else (), _odd_primes(bound)):
+        if d * d > rest:
+            break
         if rest % d == 0:
             e = 0
             while rest % d == 0:
                 rest //= d
                 e += 1
             factors.append((d, e))
-        d += 1 if d == 2 else 2
+        tried = d
+    # d is where division by every odd number would have stopped: the
+    # first of 2, 3, 5, 7, 9, ... past the last prime tried and past
+    # min(limit, isqrt(rest)); the remainder is prime if d passed its root.
+    top = max(tried, min(limit, isqrt(rest)))
+    d = 2 if top < 2 else top + 1 + top % 2
     if rest > 1 and d * d > rest:
         factors.append((rest, 1))
         rest = 1
@@ -128,55 +170,63 @@ def _word_text(letters) -> str:
     return ",".join(str(a) for a in letters)
 
 
-def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> ValuationReport:
+def _pair_text(v, w) -> str:
+    return f"v={_word_text(v)} w={_word_text(w)}"
+
+
+def bound_reports(n_max: int, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[ValuationReport]:
     """Pair every nonzero length-n word image with every other (the full
     Gram matrix) and check that each nonzero pairing is divisible by
-    2^(n - tri_count(n)), with the exponent attained by some pair.
+    2^(n - tri_count(n)), with the exponent attained by some pair; yields
+    the n = 1..n_max reports from one pass.
 
-    Distinct words often produce identical images, so images are
-    deduplicated first; that changes nothing about which pairing values
-    occur.
+    Distinct words often produce identical images, and equal images give
+    equal pairings, so only the distinct images are paired, each under its
+    lexicographically least word (``fock.distinct_word_images``, one level
+    per n).  The pairings come a Gram row at a time from
+    ``fock.gram_rows``.  Witness text is built only for a failing pair and
+    for the first pair attaining the bound.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > limit:
+    if n_max < 1:
+        raise ValueError(f"need n >= 1, got {n_max}")
+    if n_max > limit:
         raise OracleLimitError(
-            f"refusing a 2^{n} scan (limit {limit}); raise the limit to force it"
+            f"refusing a 2^{n_max} scan (limit {limit}); raise the limit to force it"
         )
-    required = n - tri_count(n)
-    seen: dict[tuple, tuple[tuple[int, ...], dict]] = {}
-    for letters, image in word_images(n, 2):
-        seen.setdefault(tuple(sorted(image.items())), (letters, image))
-    reps = list(seen.values())
+    for n, reps in enumerate(distinct_word_images(n_max, 2), start=1):
+        required = n - tri_count(n)
+        observed = INFINITY
+        failures = []
+        attained = None
+        pairings = 0
+        for a, row in enumerate(gram_rows([x for _, x in reps])):
+            for b, s in enumerate(row, start=a):
+                if s == 0:
+                    continue
+                pairings += 1
+                val = (s & -s).bit_length() - 1
+                if val < observed:
+                    observed = val
+                if val < required:
+                    failures.append((_pair_text(reps[a][0], reps[b][0]), val))
+                elif val == required and attained is None:
+                    attained = (_pair_text(reps[a][0], reps[b][0]), val)
+        witnesses = tuple(failures + ([attained] if attained else []))
+        yield ValuationReport(
+            claim=f"bound[n={n}]",
+            degree_bound=n,
+            required=required,
+            observed_min=observed,
+            require_tight=True,
+            witnesses=witnesses + (("distinct nonzero images", len(reps)),
+                                   ("nonzero pairings", pairings)),
+        )
 
-    observed = INFINITY
-    failures = []
-    attained = None
-    pairings = 0
-    for a, (wa, xa) in enumerate(reps):
-        for wb, xb in reps[a:]:
-            s = inner(xa, xb)
-            if s == 0:
-                continue
-            pairings += 1
-            val = (s & -s).bit_length() - 1
-            if val < observed:
-                observed = val
-            desc = f"v={_word_text(wa)} w={_word_text(wb)}"
-            if val < required:
-                failures.append((desc, val))
-            elif val == required and attained is None:
-                attained = (desc, val)
-    witnesses = tuple(failures + ([attained] if attained else []))
-    return ValuationReport(
-        claim=f"bound[n={n}]",
-        degree_bound=n,
-        required=required,
-        observed_min=observed,
-        require_tight=True,
-        witnesses=witnesses + (("distinct nonzero images", len(reps)),
-                               ("nonzero pairings", pairings)),
-    )
+
+def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> ValuationReport:
+    """The bound check at one length n: the last of ``bound_reports(n)``."""
+    *_, last = bound_reports(n, limit)
+    return last
 
 
 def factorial_check(n: int) -> bool:
@@ -264,7 +314,7 @@ def cross_model_check(n: int) -> dict:
             rhs = inner_poly(poly_imgs[va], poly_imgs[wb])
             if lhs != rhs and len(mismatches) < 5:
                 mismatches.append(
-                    f"v={_word_text(va)} w={_word_text(wb)}: {lhs} != {rhs}"
+                    f"{_pair_text(va, wb)}: {lhs} != {rhs}"
                 )
     summary["pairs"] = pairs
     summary["mismatches"] = mismatches

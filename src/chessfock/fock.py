@@ -70,6 +70,30 @@ def word_images(n: int, e: int = 2) -> Iterator[tuple[tuple[int, ...], FockVecto
             yield letters, x
 
 
+def distinct_word_images(n_max: int, e: int = 2) -> Iterator[list[tuple[tuple[int, ...], FockVector]]]:
+    """Yield, for n = 1..n_max, the distinct nonzero images of the length-n
+    words as (least word, image) pairs, ordered by least word.
+
+    Level n + 1 applies f_0, f_1, ... in turn to each image of level n, in
+    order, and keeps the first word that reaches each new image.  The
+    least word reaching an image y is min over the pairs (x, i) with
+    f_i x = y of (least word of x) + (i,), and that is the order of the
+    visits, so the kept word is the least one.  The walk visits images,
+    not words: words with equal images share all their extensions.
+    """
+    level = [((), basis(()))]
+    for _ in range(n_max):
+        seen: dict[tuple, tuple[tuple[int, ...], FockVector]] = {}
+        for letters, x in level:
+            for i in range(e):
+                y = apply_f(x, i, e)
+                if y:
+                    seen.setdefault(tuple(sorted(y.items())), (letters + (i,), y))
+        level = list(seen.values())
+        del seen                    # the keys are dead weight while level is paired
+        yield level
+
+
 def inner(x: FockVector, y: FockVector) -> int:
     """The pairing making the partition basis orthonormal."""
     if len(y) < len(x):
@@ -80,6 +104,44 @@ def inner(x: FockVector, y: FockVector) -> int:
         if d is not None:
             total += c * d
     return total
+
+
+def gram_rows(vectors: list[FockVector]) -> Iterator[list[int]]:
+    """Yield row a of the Gram matrix from the diagonal on:
+    ``[inner(vectors[a], vectors[b]) for b in range(a, len(vectors))]``.
+
+    Each partition's column of coefficients is packed into one integer,
+    col_lam = sum_b c_{b,lam} * 2^(b*w), so row a is the single big-int
+    sum  sum_lam c_{a,lam} * col_lam, whose slot b holds the pairing of
+    vectors a and b.  Reading the slots off is exact when no slot carries
+    into the next.  That holds for nonnegative coefficients, which tableau
+    counts are: every partial sum in a slot then lies between 0 and the
+    slot's final pairing, and by Cauchy-Schwarz that pairing is at most
+    the largest squared norm, which a slot one bit wider than that norm
+    holds.  A negative coefficient raises ArithmeticError.
+    """
+    largest = 0
+    for x in vectors:
+        if any(c < 0 for c in x.values()):
+            raise ArithmeticError("gram_rows needs nonnegative coefficients")
+        largest = max(largest, inner(x, x))
+    width = largest.bit_length() // 8 + 1        # bytes per slot
+    bits = 8 * width
+    m = len(vectors)
+    packed: dict[Partition, bytearray] = {}
+    for b, x in enumerate(vectors):
+        at = b * width
+        for lam, c in x.items():
+            col = packed.get(lam)
+            if col is None:
+                col = packed[lam] = bytearray(m * width)
+            col[at:at + width] = c.to_bytes(width, "little")
+    cols = {lam: int.from_bytes(col, "little") for lam, col in packed.items()}
+    del packed
+    mask = (1 << bits) - 1
+    for a, x in enumerate(vectors):
+        row = sum(c * cols[lam] for lam, c in x.items()) >> (a * bits)
+        yield [(row >> shift) & mask for shift in range(0, (m - a) * bits, bits)]
 
 
 def pair_sum(v: ResidueWord, w: ResidueWord) -> int:

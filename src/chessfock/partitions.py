@@ -144,9 +144,24 @@ def _check_residue_args(i: int, e: int) -> None:
 
 
 def addable_cells(lam: Partition, i: int, e: int) -> list[Cell]:
-    """Cells of residue i that can be appended to lam, top row first."""
+    """Cells of residue i that can be appended to lam, top row first.
+
+    One pass over the rows: the cell just past the end of a row is
+    addable when the row above it is longer, which for weakly decreasing
+    parts means that the two differ; past 0-based row r of length ``row``
+    its residue is (r - row) mod e.  ``_addable_corners`` is the slow
+    reference.
+    """
     _check_residue_args(i, e)
-    return [c for c in _addable_corners(lam) if cell_residue(c, e) == i]
+    out = []
+    above = 0
+    for r, row in enumerate(lam):
+        if row != above and (r - row) % e == i:
+            out.append((r + 1, row + 1))
+        above = row
+    if len(lam) % e == i:
+        out.append((len(lam) + 1, 1))
+    return out
 
 
 def removable_cells(lam: Partition, i: int, e: int) -> list[Cell]:

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chessfock.cli import RunConfig, build_parser, config_from_args, main
+from chessfock.cli import (SUITES, RunConfig, build_parser, config_from_args,
+                           main)
 from chessfock.tableaux import ResidueWord
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: (fixture name, argv, exit code); each fixture is the stdout the command
-#: printed before the Fock layer moved to integer coefficients.
+#: printed before a rewrite of the code it runs: the first six before the
+#: Fock layer moved to integer coefficients, the bound one before the bound
+#: suite became one pass over distinct images.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -18,6 +25,7 @@ GOLDEN = [
     ("pair_sum_e3", "pair-sum --e 3 --v 0,1,2 --w 0,1,2", 0),
     ("word_both", "word --v 0,1,0,1,1 --model both", 0),
     ("verify_all_json", "verify --suite all --format json", 0),
+    ("verify_bound_12_json", "verify --suite bound --n-max 12 --format json", 0),
 ]
 
 
@@ -178,3 +186,47 @@ def test_run_config_validation():
         RunConfig(command="pair-sum", v=ResidueWord(2, (0,)),
                   w=ResidueWord(2, (0, 1)))
 
+
+_SMALL = st.integers(-1, 8).map(str)
+_WORD = st.one_of(
+    st.lists(st.integers(-1, 4), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "a", "0,,1", "0;1", " 1", "1.5", "0,1,"]),
+)
+_E = st.integers(-1, 4).map(str)
+_P = st.sampled_from("12345")
+
+
+def _argv(command, required, optional):
+    options = st.fixed_dictionaries(required, optional=optional)
+    return options.map(lambda opts: [command] + [
+        piece for flag, value in opts.items() for piece in (flag, value)])
+
+
+_ARGV = st.one_of(
+    _argv("chess-table", {}, {"--n-max": _SMALL,
+                              "--format": st.sampled_from(["csv", "json", "xml"])}),
+    _argv("pair-sum", {}, {"--e": _E, "--v": _WORD, "--w": _WORD}),
+    _argv("scan", {}, {"--n-max": _SMALL, "--e": _E, "--p": _P, "--v": _WORD,
+                       "--w": _WORD, "--format": st.sampled_from(["csv", "json"])}),
+    # --n-max and --degree are always given: their defaults reach sizes
+    # that take seconds
+    _argv("verify", {"--n-max": _SMALL, "--degree": _SMALL},
+          {"--suite": st.sampled_from(SUITES + ("none",)),
+           "--seed": st.integers(-5, 5).map(str),
+           "--format": st.sampled_from(["text", "json"])}),
+    _argv("word", {}, {"--e": _E, "--v": _WORD,
+                       "--model": st.sampled_from(["fock", "poly", "both"])}),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_ARGV)
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

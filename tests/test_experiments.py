@@ -4,11 +4,12 @@ from math import factorial
 import pytest
 
 from chessfock.arith import tri_count
-from chessfock.experiments import (FactorizationRow, chess_table,
+from chessfock.experiments import (FactorizationRow, bound_reports, chess_table,
                                    cross_model_check, exhaustive_bound_check,
                                    factorial_check, factorize,
                                    general_e_scan, rows_to_csv, rows_to_jsonl,
                                    scan_row)
+from chessfock.fock import apply_f, basis, inner
 from chessfock.tableaux import OracleLimitError, ResidueWord, alternating_word
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -47,6 +48,41 @@ def test_factorize():
     assert cofactor == big
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def reference_factorize(value, limit=1_000_000):
+    """The trial division by 2 and every odd number that ``factorize``
+    replaced, kept verbatim as its reference."""
+    if value < 1:
+        raise ValueError(f"can only factor positive integers, got {value}")
+    factors = []
+    rest = value
+    d = 2
+    while d <= limit and d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if rest > 1 and d * d > rest:
+        factors.append((rest, 1))
+        rest = 1
+    return tuple(factors), rest
+
+
+def test_factorize_matches_trial_division_by_every_odd_number():
+    for limit in (1, 2, 10, 11, 30):
+        for value in range(1, 20_000):
+            assert factorize(value, limit) == reference_factorize(value, limit)
+    # the table values: chess-table and the e = 3 scan up to n = 40
+    for e in (2, 3):
+        x = basis(())
+        for n in range(1, 41):
+            x = apply_f(x, (n - 1) % e, e)
+            value = inner(x, x)
+            assert factorize(value) == reference_factorize(value)
 
 
 def test_row_rendering():
@@ -112,6 +148,18 @@ def test_exhaustive_bound_check_small():
     with pytest.raises(OracleLimitError):
         exhaustive_bound_check(11)
     assert exhaustive_bound_check(3, limit=3).verdict == "PASS"
+
+
+def test_bound_reports_from_one_pass():
+    reports = list(bound_reports(9))
+    assert [r.claim for r in reports] == [f"bound[n={n}]" for n in range(1, 10)]
+    for n in range(1, 10):
+        assert exhaustive_bound_check(n) == reports[n - 1]
+    assert exhaustive_bound_check(12, limit=12) == list(bound_reports(12, 12))[-1]
+    with pytest.raises(OracleLimitError):
+        next(bound_reports(11))
+    with pytest.raises(ValueError):
+        next(bound_reports(0))
 
 
 def test_factorial_check():

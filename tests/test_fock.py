@@ -4,8 +4,9 @@ from math import factorial
 
 import pytest
 
-from chessfock.fock import (apply_e, apply_f, apply_word, basis, inner,
-                            pair_sum, random_vector, word_images)
+from chessfock.fock import (apply_e, apply_f, apply_word, basis,
+                            distinct_word_images, gram_rows, inner, pair_sum,
+                            random_vector, word_images)
 from chessfock.tableaux import ResidueWord, alternating_word
 
 ONE = Fraction(1)
@@ -123,3 +124,36 @@ def test_adjointness_randomized():
         x = random_vector(rng, 9)
         y = random_vector(rng, 9)
         assert inner(apply_f(x, i, e), y) == inner(x, apply_e(y, i, e))
+
+
+def test_distinct_word_images_keep_the_least_word():
+    # the level walk against a dedup of every word, in word order
+    for n, level in enumerate(distinct_word_images(12, 2), start=1):
+        seen = {}
+        for letters, image in word_images(n, 2):
+            seen.setdefault(tuple(sorted(image.items())), (letters, image))
+        assert level == list(seen.values())
+    for n, level in enumerate(distinct_word_images(6, 3), start=1):
+        seen = {}
+        for letters, image in word_images(n, 3):
+            seen.setdefault(tuple(sorted(image.items())), (letters, image))
+        assert level == list(seen.values())
+
+
+def test_gram_rows_match_inner():
+    for level in distinct_word_images(10, 2):
+        vectors = [image for _, image in level]
+        rows = list(gram_rows(vectors))
+        assert len(rows) == len(vectors)
+        for a, row in enumerate(rows):
+            assert row == [inner(vectors[a], y) for y in vectors[a:]]
+    # slots wide enough for a large norm, and an empty support
+    big = [{(1,): 2 ** 40}, {(1,): 3, (2,): 2 ** 39}, {}]
+    assert list(gram_rows(big)) == [[2 ** 80, 3 * 2 ** 40, 0],
+                                    [9 + 2 ** 78, 0], [0]]
+    assert list(gram_rows([])) == []
+
+
+def test_gram_rows_reject_negative_coefficients():
+    with pytest.raises(ArithmeticError):
+        list(gram_rows([{(1,): 2}, {(1,): 1, (2,): -1}]))

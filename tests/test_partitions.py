@@ -121,6 +121,15 @@ def test_boundary_residues_partition_the_corners():
                 assert sorted(rem) == sorted(_removable_corners(lam))
 
 
+def test_addable_cells_match_the_corner_filter():
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            for e in range(1, 5):
+                for i in range(e):
+                    assert addable_cells(lam, i, e) == [
+                        c for c in _addable_corners(lam) if cell_residue(c, e) == i]
+
+
 def test_add_remove_are_inverse():
     for n in range(10):
         for lam in enumerate_partitions(n):
