@@ -287,10 +287,9 @@ def _run_suite(cfg: RunConfig):
             ok = experiments.factorial_check(n)
             yield (f"factorial[n={n}]", "PASS" if ok else "FAIL", {"n": n})
     if suite in ("cross-model", "all"):
-        for n in range(1, cap("cross-model") + 1):
-            summary = experiments.cross_model_check(n)
-            yield (f"cross-model[n={n}]", "PASS" if summary["ok"] else "FAIL",
-                   summary)
+        for summary in experiments.cross_model_reports(cap("cross-model")):
+            yield (f"cross-model[n={summary['n']}]",
+                   "PASS" if summary["ok"] else "FAIL", summary)
     if suite in ("properties", "all"):
         for name, ok, detail in _property_checks(cfg.seed):
             detail = dict(detail, seed=cfg.seed)

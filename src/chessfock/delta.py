@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import Partition, enumerate_partitions, format_partition
-from .polyrep import (GENERATORS, OddPoly, _op_series, _q_star, _q_times,
+from .polyrep import (GENERATORS, OddPoly, _columns, _q_star, _q_times,
                       apply_letter, inner_poly, poly_one)
 from .tableaux import walk_words
 
@@ -157,16 +157,21 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound.
 
-    Each (generator, monomial) pair is applied exactly once, so the series
-    is evaluated directly instead of filling polyrep's column cache.
+    Each (generator, monomial) pair is applied exactly once, so the
+    columns come from ``polyrep._columns`` (one series per f/e pair)
+    instead of filling polyrep's column cache; a basis monomial's image
+    is its column scaled by the basis factor 2^shift.
     """
 
     def observations():
         for d in range(degree_bound + 1):
-            for mu, b in delta_basis(d):
-                for gen in GENERATORS:
-                    yield (f"{gen} {_basis_desc(mu, d)}",
-                           delta_valuation(_op_series(gen, b)))
+            for mu in enumerate_partitions(d, "odd"):
+                scale = 2 ** ((d - len(mu)) // 2)
+                desc = _basis_desc(mu, d)
+                columns = _columns("f", mu) + _columns("e", mu)
+                for gen, (den, col) in zip(GENERATORS, columns):
+                    image = {key: Fraction(scale * v, den) for key, v in col}
+                    yield f"{gen} {desc}", delta_valuation(image)
 
     return _scan_report("stability", degree_bound, 0, False, observations())
 

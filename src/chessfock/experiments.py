@@ -16,10 +16,10 @@ from typing import Iterator
 from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
 from .delta import ValuationReport
 from .fock import (apply_f, basis, distinct_word_images, gram_rows, inner,
-                   pair_sum, word_images)
+                   pair_sum)
 from .partitions import enumerate_partitions
-from .polyrep import inner_poly, poly_word_images
-from .tableaux import OracleLimitError, ResidueWord, hook_count
+from .polyrep import apply_letter, inner_poly, poly_one
+from .tableaux import OracleLimitError, ResidueWord, hook_count, walk_words
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
 FACTOR_LIMIT = 1_000_000
@@ -279,7 +279,23 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     return _row(len(v), value, p, bound)
 
 
-def cross_model_check(n: int) -> dict:
+def cross_model_reports(n_max: int) -> Iterator[dict]:
+    """Yield ``cross_model_check(n)`` for n = 1..n_max from one
+    ``walk_words`` pass per model; each level is handed to the check and
+    then dropped."""
+    if n_max < 1:
+        raise ValueError(f"need n >= 1, got {n_max}")
+    levels = [({}, {}) for _ in range(n_max + 1)]
+    for side, step, start in ((0, lambda x, i: apply_f(x, i, 2), basis(())),
+                              (1, apply_letter, poly_one())):
+        for letters, image in walk_words(n_max, 2, step, start):
+            levels[len(letters)][side][letters] = image
+    for n in range(1, n_max + 1):
+        yield cross_model_check(n, levels[n])
+        levels[n] = None
+
+
+def cross_model_check(n: int, images: tuple[dict, dict] | None = None) -> dict:
     """Compare the two models on every pair of length-n words.
 
     The partition-basis pairing of add-cell images must equal the
@@ -287,11 +303,15 @@ def cross_model_check(n: int) -> dict:
     zero image must vanish in both models (then all their pairings are 0),
     so it is enough that the nonzero supports coincide and that every pair
     of surviving images agrees.
+
+    ``images`` is the pair (Fock images, polynomial images) of the
+    nonzero length-n words, keyed by their letters; by default it comes
+    from ``cross_model_reports(n)``, of which the result is the last.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    fock_imgs = dict(word_images(n, 2))
-    poly_imgs = dict(poly_word_images(n))
+    if images is None:
+        *_, last = cross_model_reports(n)
+        return last
+    fock_imgs, poly_imgs = images
     summary = {
         "n": n,
         "nonzero_words": len(fock_imgs),

@@ -11,28 +11,46 @@ On top of the ring sit the expansion coefficients
 
     q_n = sum over odd-part mu of n of (2^len(mu) / z_mu) * p_mu,   q_0 = 1,
 
-and the four generator operators assembled from them:
+and the four generator operators assembled from two series:
 
-    f0 = p1  - (1/4) sum_{n>=1} (-1)^(n+1) q_{n+1} q_n^*
-    f1 =       (1/4) sum_{n>=1} (-1)^(n+1) q_{n+1} q_n^*
-    e0 = p1^* - (1/4) sum_{n>=1} (-1)^(n+1) q_n q_{n+1}^*
-    e1 =        (1/4) sum_{n>=1} (-1)^(n+1) q_n q_{n+1}^*
+    S_f = sum_{n>=1} (-1)^(n+1) q_{n+1} q_n^*,    f1 = S_f / 4,   f0 = p1   - S_f / 4
+    S_e = sum_{n>=1} (-1)^(n+1) q_n q_{n+1}^*,    e1 = S_e / 4,   e0 = p1^* - S_e / 4
 
 The series act locally in degree, so on any given input only finitely
 many terms survive and the truncated sum below is exactly the operator.
+``_op_series`` evaluates them on Fraction polynomials; it is the
+definition, and it backs ``terms=``, ``op_a`` and the tests.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
-matrix-vector product: the column of a monomial p_mu (the generator's
-image of p_mu, expanded once from the series) is cached on first use and
-reused by every later input that contains p_mu.  Nothing is built at
-import time.  ``delta.verify_stability`` applies each generator to each
-basis monomial exactly once, so it calls the series directly and leaves
-the cache empty rather than holding columns it never reads again.
+matrix-vector product over the images of single monomials (columns),
+and those are computed in integers.  On one monomial the adjoint of q_m
+needs no division: the adjoint of p_nu contributes
+prod_k k^(m_k) * perm(t_k, m_k), and dividing by z_nu leaves binomials,
+
+    q_m^* p_mu = sum over odd nu inside mu with |nu| = m of
+                 2^len(nu) * prod_k C(m_k(mu), m_k(nu)) * p_(mu minus nu),
+
+where m_k counts the parts equal to k.  Multiplying by q_n uses the
+integer numerators of 2^len(kappa) / z_kappa over one common denominator
+per n (``_q_ints``), so a whole series is an int dict over one
+denominator.  One series gives both generators of its pair, and a column
+is (den, ((key, int), ...)) with the gcd of den and the values divided
+out.  ``op_generator`` sums the columns of an input over the lcm of their
+denominators and builds one Fraction per output monomial, which
+normalises, so the result is exactly the series' result.
+
+The columns are cached on first use, one pair per (series, monomial),
+and reused by every later input that contains the monomial.  Nothing is
+built at import time.  ``delta.verify_stability`` applies each generator
+to each basis monomial exactly once, so it calls ``_columns`` directly
+and leaves the cache empty rather than holding columns it never reads
+again.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from itertools import product
+from math import comb, gcd, lcm, perm
 from typing import Iterator
 
 from .partitions import Partition, check_partition, enumerate_partitions, z_mu
@@ -44,6 +62,10 @@ GENERATORS = ("f0", "f1", "e0", "e1")
 
 #: A monomial as (k, m, k**m) for each distinct part k, m its multiplicity.
 Runs = tuple[tuple[int, int, int], ...]
+
+#: A polynomial as (den, ((key, numerator), ...)): the sum of
+#: numerator / den * p_key, with no zero numerator.
+Column = tuple[int, tuple[tuple[Partition, int], ...]]
 
 
 def check_odd_key(mu) -> Partition:
@@ -185,16 +207,33 @@ def _q_star(n: int, f: OddPoly) -> OddPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _q_ints(n: int) -> Column:
+    """q_n over one common denominator Z_n: (Z_n, ((mu, 2^len(mu) * Z_n /
+    z_mu), ...)), in the order of ``_q_items``."""
+    items = _q_items(n)
+    den = lcm(*(c.denominator for _, c in items))
+    return den, tuple((mu, c.numerator * (den // c.denominator))
+                      for mu, c in items)
+
+
+@lru_cache(maxsize=None)
+def _z(mu: Partition) -> int:
+    """``z_mu``, validated on the first call for each key."""
+    return z_mu(mu)
+
+
 def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
-    """The pairing with (p_mu, p_mu) = z_mu and distinct monomials orthogonal."""
+    """The pairing with (p_mu, p_mu) = z_mu and distinct monomials
+    orthogonal, summed in integers over one common denominator."""
     if len(g) < len(f):
         f, g = g, f
-    total = Fraction(0)
-    for mu, c in f.items():
-        d = g.get(mu)
-        if d is not None:
-            total += c * d * z_mu(mu)
-    return total
+    terms = [(c, d, _z(mu)) for mu, c in f.items()
+             if (d := g.get(mu)) is not None]
+    den = lcm(*(c.denominator * d.denominator for c, d, _ in terms))
+    return Fraction(sum(c.numerator * d.numerator * z
+                        * (den // (c.denominator * d.denominator))
+                        for c, d, z in terms), den)
 
 
 _QUARTER = Fraction(1, 4)
@@ -228,35 +267,96 @@ def _op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     return poly_sub(adjoint_monomial(f, (1,)), poly_scale(series, _QUARTER))
 
 
-@lru_cache(maxsize=None)
-def _column(gen: str, mu: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    """The image of the monomial p_mu under ``gen``, as (key, coefficient)
-    pairs.  By the truncation argument of ``_op_series`` it does not
-    depend on the degrees of the other monomials of an input."""
-    return tuple(_op_series(gen, {mu: Fraction(1)}).items())
+def _sub_monomials(mu: Partition) -> Iterator[tuple[int, int, Partition]]:
+    """Yield (|nu|, 2^len(nu) * prod_k C(m_k(mu), m_k(nu)), mu minus nu)
+    for every sub-multiset nu of the odd parts of mu, the empty one first.
+
+    q_m^* p_mu is the sum of weight * p_rest over the items with
+    |nu| = m (see the module docstring).
+    """
+    runs = [(k, mu.count(k)) for k in dict.fromkeys(mu)]
+    for choice in product(*(range(t + 1 if k % 2 else 1) for k, t in runs)):
+        size, weight, rest = 0, 1, ()
+        for (k, t), j in zip(runs, choice):
+            size += j * k
+            weight *= comb(t, j) << j
+            rest += (k,) * (t - j)
+        yield size, weight, rest
+
+
+def _series(family: str, mu: Partition) -> tuple[int, dict[Partition, int]]:
+    """The series S_f (family "f") or S_e (family "e") applied to p_mu, as
+    (D, {key: numerator}) over the lcm D of the q denominators it uses."""
+    # S_f pairs q_m^* with q_{m+1} for m >= 1, S_e pairs q_m^* with
+    # q_{m-1} for m >= 2; the sign is (-1)^(m+1) resp. (-1)^m.
+    step, first = (1, 1) if family == "f" else (-1, 2)
+    terms = [(m, w, rest) for m, w, rest in _sub_monomials(mu) if m >= first]
+    den = lcm(*(_q_ints(m + step)[0] for m, _, _ in terms))
+    acc: dict[Partition, int] = {}
+    for m, w, rest in terms:
+        q_den, items = _q_ints(m + step)
+        scale = w * (den // q_den)
+        if (m + first) % 2:
+            scale = -scale
+        for kappa, a in items:
+            key = tuple(sorted(rest + kappa, reverse=True))
+            acc[key] = acc.get(key, 0) + scale * a
+    return den, acc
+
+
+def _reduced(den: int, values: dict[Partition, int]) -> Column:
+    g = gcd(den, *values.values())
+    return den // g, tuple((key, v // g) for key, v in values.items() if v)
+
+
+def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
+    """The images of p_mu under the two generators of a family, (f0, f1)
+    or (e0, e1), both from one evaluation of the family's series.
+
+    By the truncation argument of ``_op_series`` a column does not depend
+    on the degrees of the other monomials of an input.
+    """
+    den, s = _series(family, mu)
+    den *= 4
+    low = {key: -v for key, v in s.items()}
+    if family == "f":
+        key = mu + (1,)
+        low[key] = low.get(key, 0) + den
+    elif mu and mu[-1] == 1:
+        key = mu[:-1]
+        low[key] = low.get(key, 0) + mu.count(1) * den
+    return _reduced(den, low), _reduced(den, s)
+
+
+#: ``_columns`` cached per (family, monomial): f0 and f1 (e0 and e1)
+#: share one entry.
+_column = lru_cache(maxsize=None)(_columns)
 
 
 def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     """Apply one of the generator operators f0, f1, e0, e1 to f.
 
     By default this is the sum of c_mu times the cached column of p_mu
-    over the monomials of f, which equals the series by linearity.  With
-    ``terms`` the series itself is evaluated, truncated there (see
-    ``_op_series``), so tests can compare the two.
+    over the monomials of f, which equals the series by linearity.  The
+    sum runs in integers over the lcm M of the denominators of the terms
+    c_mu * column, and each nonzero output coefficient is one
+    Fraction(numerator, M).  With ``terms`` the series itself is
+    evaluated, truncated there (see ``_op_series``), so tests can compare
+    the two.
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     if terms is not None:
         return _op_series(gen, f, terms)
-    out: OddPoly = {}
-    for mu, c in f.items():
-        for key, v in _column(gen, mu):
-            s = out.get(key, 0) + c * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    family, which = gen[0], int(gen[1])
+    cols = [(c, _column(family, mu)[which]) for mu, c in f.items()]
+    den = lcm(*(c.denominator * col_den for c, (col_den, _) in cols))
+    acc: dict[Partition, int] = {}
+    for c, (col_den, col) in cols:
+        scale = c.numerator * (den // (c.denominator * col_den))
+        for key, v in col:
+            acc[key] = acc.get(key, 0) + scale * v
+    return {key: Fraction(v, den) for key, v in acc.items() if v}
 
 
 def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:

@@ -17,7 +17,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: (fixture name, argv, exit code); each fixture is the stdout the command
 #: printed before a rewrite of the code it runs: the first six before the
 #: Fock layer moved to integer coefficients, the bound one before the bound
-#: suite became one pass over distinct images.
+#: suite became one pass over distinct images, the stability and
+#: generation ones before the generator columns moved to integers.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -26,6 +27,10 @@ GOLDEN = [
     ("word_both", "word --v 0,1,0,1,1 --model both", 0),
     ("verify_all_json", "verify --suite all --format json", 0),
     ("verify_bound_12_json", "verify --suite bound --n-max 12 --format json", 0),
+    ("verify_stability_14_json",
+     "verify --suite stability --degree 14 --format json", 0),
+    ("verify_generation_12_json",
+     "verify --suite generation --n-max 12 --format json", 0),
 ]
 
 

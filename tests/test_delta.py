@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from chessfock.arith import INFINITY, tri_count, vp
-from chessfock.delta import (ValuationReport, delta_basis, delta_valuation,
+from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
+                             delta_basis, delta_valuation,
                              generation_reports, gf2_rank, verify_generation,
                              verify_pairing, verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (inner_poly, poly_scale, poly_word_images, q,
-                               random_poly)
+from chessfock.polyrep import (GENERATORS, _op_series, inner_poly, poly_scale,
+                               poly_word_images, q, random_poly)
 
 F = Fraction
 
@@ -114,6 +115,17 @@ def test_verify_stability_small():
     assert r.verdict == "PASS"
     assert r.required == 0
     assert r.observed_min == 0  # f0 on 1 already gives valuation 0
+
+
+def test_verify_stability_matches_a_fold_of_the_series():
+    # the integer columns against the Fraction series, witnesses and all
+    observations = []
+    for d in range(13):
+        observations += [(f"{gen} {_basis_desc(mu, d)}",
+                          delta_valuation(_op_series(gen, b)))
+                         for mu, b in delta_basis(d) for gen in GENERATORS]
+        expected = _scan_report("stability", d, 0, False, observations)
+        assert verify_stability(d).to_json() == expected.to_json()
 
 
 def test_gf2_rank():

@@ -5,11 +5,13 @@ import pytest
 
 from chessfock.arith import tri_count
 from chessfock.experiments import (FactorizationRow, bound_reports, chess_table,
-                                   cross_model_check, exhaustive_bound_check,
+                                   cross_model_check, cross_model_reports,
+                                   exhaustive_bound_check,
                                    factorial_check, factorize,
                                    general_e_scan, rows_to_csv, rows_to_jsonl,
                                    scan_row)
-from chessfock.fock import apply_f, basis, inner
+from chessfock.fock import apply_f, basis, inner, word_images
+from chessfock.polyrep import poly_word_images
 from chessfock.tableaux import OracleLimitError, ResidueWord, alternating_word
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -209,3 +211,15 @@ def test_cross_model_check_small():
         assert summary["support_match"]
         m = summary["nonzero_words"]
         assert summary["pairs"] == m * (m + 1) // 2
+
+
+def test_cross_model_reports_match_per_length_walks():
+    reports = list(cross_model_reports(8))
+    assert [r["n"] for r in reports] == list(range(1, 9))
+    for n, summary in enumerate(reports, start=1):
+        images = (dict(word_images(n, 2)), dict(poly_word_images(n)))
+        assert summary == cross_model_check(n, images)
+        assert summary["ok"]
+    assert cross_model_check(8) == reports[-1]
+    with pytest.raises(ValueError):
+        cross_model_check(0)

@@ -1,13 +1,17 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chessfock.fock import apply_f, basis, inner, pair_sum, word_images
 from chessfock.delta import verify_stability
 from chessfock.partitions import enumerate_partitions, z_mu
-from chessfock.polyrep import (GENERATORS, _column, _op_series,
-                               adjoint_monomial, apply_word_poly, inner_poly,
+from chessfock.polyrep import (GENERATORS, _column, _op_series, _q_star,
+                               _sub_monomials, adjoint_monomial,
+                               apply_word_poly, inner_poly,
                                mul_monomial, op_a, op_generator, poly_add,
                                poly_one, poly_scale, poly_sub, poly_word_images,
                                q, random_poly, top_degree)
@@ -69,6 +73,18 @@ def test_inner_poly():
             for nu in enumerate_partitions(n, "odd"):
                 expected = z_mu(mu) if mu == nu else 0
                 assert inner_poly({mu: F(1)}, {nu: F(1)}) == expected
+
+
+def test_inner_poly_matches_a_fraction_sum():
+    rng = random.Random(29)
+    for _ in range(60):
+        f = random_poly(rng, 7, terms=10)
+        g = random_poly(rng, 7, terms=10)
+        expected = sum((c * g[mu] * z_mu(mu) for mu, c in f.items() if mu in g),
+                       F(0))
+        value = inner_poly(f, g)
+        assert isinstance(value, F) and value == expected
+    assert isinstance(inner_poly({}, P1), F) and inner_poly({}, P1) == 0
 
 
 def test_generators_on_constants():
@@ -159,9 +175,22 @@ def test_series_truncation_is_exact():
             assert op_a(j, f) == op_a(j, f, terms=top_degree(f) + abs(j) + 4)
 
 
+def test_q_star_of_a_monomial_is_a_sum_of_binomials():
+    # q_m^* p_mu = sum over nu inside mu, |nu| = m, of
+    # 2^len(nu) prod_k C(m_k(mu), m_k(nu)) p_(mu minus nu)
+    for deg in range(13):
+        for mu in enumerate_partitions(deg, "odd"):
+            subs = list(_sub_monomials(mu))
+            assert subs[0] == (0, 1, mu)
+            for m in range(deg + 1):
+                expected = _q_star(m, {mu: F(1)})
+                got = {rest: w for size, w, rest in subs if size == m}
+                assert got == expected
+
+
 def test_cached_columns_match_the_series():
     # the mat-vec over cached columns against the series, monomial by monomial
-    for deg in range(11):
+    for deg in range(13):
         for mu in enumerate_partitions(deg, "odd"):
             c = F(-3, 2 * deg + 1)
             f = {mu: c}
@@ -214,6 +243,18 @@ def test_stability_bypasses_the_column_cache():
     _column.cache_clear()
     assert verify_stability(8).verdict == "PASS"
     assert _column.cache_info().currsize == 0
+
+
+def test_import_builds_no_cache():
+    # a fresh process, so that no other test has filled the caches
+    code = ("import chessfock.cli\n"
+            "from chessfock import polyrep\n"
+            "caches = (polyrep._column, polyrep._q_ints, polyrep._q_items, polyrep._z)\n"
+            "print([c.cache_info().currsize for c in caches])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout == "[0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
