@@ -8,12 +8,10 @@ for a fixed command line (including --seed).
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import arith, delta, experiments, fock, polyrep
+from . import delta, experiments, fock, polyrep
 from .partitions import format_partition, sort_key
 from .tableaux import ResidueWord
 
@@ -171,7 +169,7 @@ def _cmd_word(cfg: RunConfig, out) -> int:
     for model in models:
         out.write(f"{model}:\n")
         if model == "fock":
-            image = fock.apply_word(cfg.v)
+            image = fock.decode(fock.apply_word(cfg.v))
             lines = [f"  {c} {format_partition(lam)}"
                      for lam, c in sorted(image.items(),
                                           key=lambda kv: sort_key(kv[0]))]
@@ -182,76 +180,6 @@ def _cmd_word(cfg: RunConfig, out) -> int:
                                          key=lambda kv: sort_key(kv[0]))]
         out.write("\n".join(lines) + "\n" if lines else "  0\n")
     return 0
-
-
-def _property_checks(seed: int):
-    """The seeded randomized identities; exact arithmetic on random inputs."""
-    rng = random.Random(seed)
-    results = []
-
-    ok = True
-    for _ in range(25):
-        e = rng.choice((2, 3))
-        x = fock.random_vector(rng, 8)
-        y = fock.random_vector(rng, 8)
-        i = rng.randrange(e)
-        lhs = fock.inner(fock.apply_f(x, i, e), y)
-        rhs = fock.inner(x, fock.apply_e(y, i, e))
-        ok = ok and lhs == rhs
-    results.append(("adjointness-fock", ok, {"trials": 25}))
-
-    ok = True
-    for _ in range(25):
-        f = polyrep.random_poly(rng, 9)
-        g = polyrep.random_poly(rng, 9)
-        keys = [(1,), (3,), (1, 1), (3, 1), (5,), (3, 3)]
-        mu = keys[rng.randrange(len(keys))]
-        lhs = polyrep.inner_poly(polyrep.mul_monomial(f, mu), g)
-        rhs = polyrep.inner_poly(f, polyrep.adjoint_monomial(g, mu))
-        ok = ok and lhs == rhs
-    results.append(("adjointness-poly", ok, {"trials": 25}))
-
-    ok = True
-    for _ in range(10):
-        f = polyrep.random_poly(rng, 8)
-        fsum = polyrep.poly_add(polyrep.op_generator("f0", f),
-                                polyrep.op_generator("f1", f))
-        esum = polyrep.poly_add(polyrep.op_generator("e0", f),
-                                polyrep.op_generator("e1", f))
-        ok = ok and fsum == polyrep.mul_monomial(f, (1,))
-        ok = ok and esum == polyrep.adjoint_monomial(f, (1,))
-    results.append(("generator-sums", ok, {"trials": 10}))
-
-    ok = True
-    for _ in range(10):
-        f = polyrep.random_poly(rng, 6)
-        g = polyrep.random_poly(rng, 6)
-        j = rng.randint(-3, 3)
-        lhs = polyrep.inner_poly(polyrep.op_a(j, f), g)
-        sign = -1 if j % 2 else 1
-        rhs = sign * polyrep.inner_poly(f, polyrep.op_a(-j, g))
-        ok = ok and lhs == rhs
-    results.append(("vertex-contravariance", ok, {"trials": 10}))
-
-    ok = True
-    for _ in range(10):
-        f = polyrep.random_poly(rng, 8)
-        deep = 2 * max(polyrep.top_degree(f), 0) + 4
-        for gen in polyrep.GENERATORS:
-            ok = ok and polyrep.op_generator(gen, f) == \
-                polyrep.op_generator(gen, f, terms=deep)
-    results.append(("series-truncation", ok, {"trials": 10}))
-
-    ok = True
-    for _ in range(40):
-        p = rng.choice((2, 3, 5))
-        qq = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        rr = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        if qq and rr:
-            ok = ok and arith.vp(qq * rr, p) == arith.vp(qq, p) + arith.vp(rr, p)
-        ok = ok and arith.vp(qq + rr, p) >= min(arith.vp(qq, p), arith.vp(rr, p))
-    results.append(("valuation-axioms", ok, {"trials": 40}))
-    return results
 
 
 def _run_suite(cfg: RunConfig):
@@ -291,7 +219,7 @@ def _run_suite(cfg: RunConfig):
             yield (f"cross-model[n={summary['n']}]",
                    "PASS" if summary["ok"] else "FAIL", summary)
     if suite in ("properties", "all"):
-        for name, ok, detail in _property_checks(cfg.seed):
+        for name, ok, detail in experiments.property_checks(cfg.seed):
             detail = dict(detail, seed=cfg.seed)
             yield (f"properties[{name}]", "PASS" if ok else "FAIL", detail)
 

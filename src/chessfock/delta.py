@@ -159,19 +159,23 @@ def verify_stability(degree_bound: int) -> ValuationReport:
 
     Each (generator, monomial) pair is applied exactly once, so the
     columns come from ``polyrep._columns`` (one series per f/e pair)
-    instead of filling polyrep's column cache; a basis monomial's image
-    is its column scaled by the basis factor 2^shift.
+    instead of filling polyrep's column cache.  A basis monomial's image
+    is its column (den, numerators) scaled by the basis factor 2^shift,
+    so its ``delta_valuation`` is read off the integer numerators: the
+    min over keys nu of v2(numerator) - (|nu| - len(nu))/2, plus shift,
+    minus v2(den) (INFINITY for an empty column).
     """
 
     def observations():
         for d in range(degree_bound + 1):
             for mu in enumerate_partitions(d, "odd"):
-                scale = 2 ** ((d - len(mu)) // 2)
+                shift = (d - len(mu)) // 2
                 desc = _basis_desc(mu, d)
                 columns = _columns("f", mu) + _columns("e", mu)
                 for gen, (den, col) in zip(GENERATORS, columns):
-                    image = {key: Fraction(scale * v, den) for key, v in col}
-                    yield f"{gen} {desc}", delta_valuation(image)
+                    low = min(((v & -v).bit_length() - 1 - (sum(nu) - len(nu)) // 2
+                               for nu, v in col), default=INFINITY)
+                    yield f"{gen} {desc}", low + shift - vp(den, 2)
 
     return _scan_report("stability", degree_bound, 0, False, observations())
 

@@ -4,21 +4,26 @@ Everything here is about concrete integers: the alternating-word table
 and its factorizations, the exhaustive Gram-matrix bound check over all
 words of a given length, the factorial sanity column, and the
 observational scans at other moduli (which assert nothing -- no
-divisibility pattern is claimed away from e = 2).
+divisibility pattern is claimed away from e = 2), and the seeded
+randomized property checks.
 """
 
 import json
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress
 from math import factorial, isqrt
 from typing import Iterator
 
 from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (apply_f, basis, distinct_word_images, gram_rows, inner,
-                   pair_sum)
+from .fock import (apply_e, apply_f, basis, distinct_word_images, gram_rows,
+                   inner, pair_sum, random_vector)
 from .partitions import enumerate_partitions
-from .polyrep import apply_letter, inner_poly, poly_one
+from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
+                      mul_monomial, op_a, op_generator, poly_add, poly_one,
+                      random_poly, top_degree)
 from .tableaux import OracleLimitError, ResidueWord, hook_count, walk_words
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
@@ -340,3 +345,71 @@ def cross_model_check(n: int, images: tuple[dict, dict] | None = None) -> dict:
     summary["mismatches"] = mismatches
     summary["ok"] = not mismatches
     return summary
+
+
+def property_checks(seed: int) -> list[tuple[str, bool, dict]]:
+    """The seeded randomized identities, as (name, ok, detail) triples;
+    exact arithmetic on random inputs."""
+    rng = random.Random(seed)
+    results = []
+
+    ok = True
+    for _ in range(25):
+        e = rng.choice((2, 3))
+        x = random_vector(rng, 8)
+        y = random_vector(rng, 8)
+        i = rng.randrange(e)
+        lhs = inner(apply_f(x, i, e), y)
+        rhs = inner(x, apply_e(y, i, e))
+        ok = ok and lhs == rhs
+    results.append(("adjointness-fock", ok, {"trials": 25}))
+
+    ok = True
+    for _ in range(25):
+        f = random_poly(rng, 9)
+        g = random_poly(rng, 9)
+        keys = [(1,), (3,), (1, 1), (3, 1), (5,), (3, 3)]
+        mu = keys[rng.randrange(len(keys))]
+        lhs = inner_poly(mul_monomial(f, mu), g)
+        rhs = inner_poly(f, adjoint_monomial(g, mu))
+        ok = ok and lhs == rhs
+    results.append(("adjointness-poly", ok, {"trials": 25}))
+
+    ok = True
+    for _ in range(10):
+        f = random_poly(rng, 8)
+        fsum = poly_add(op_generator("f0", f), op_generator("f1", f))
+        esum = poly_add(op_generator("e0", f), op_generator("e1", f))
+        ok = ok and fsum == mul_monomial(f, (1,))
+        ok = ok and esum == adjoint_monomial(f, (1,))
+    results.append(("generator-sums", ok, {"trials": 10}))
+
+    ok = True
+    for _ in range(10):
+        f = random_poly(rng, 6)
+        g = random_poly(rng, 6)
+        j = rng.randint(-3, 3)
+        lhs = inner_poly(op_a(j, f), g)
+        sign = -1 if j % 2 else 1
+        rhs = sign * inner_poly(f, op_a(-j, g))
+        ok = ok and lhs == rhs
+    results.append(("vertex-contravariance", ok, {"trials": 10}))
+
+    ok = True
+    for _ in range(10):
+        f = random_poly(rng, 8)
+        deep = 2 * max(top_degree(f), 0) + 4
+        for gen in GENERATORS:
+            ok = ok and op_generator(gen, f) == op_generator(gen, f, terms=deep)
+    results.append(("series-truncation", ok, {"trials": 10}))
+
+    ok = True
+    for _ in range(40):
+        p = rng.choice((2, 3, 5))
+        qq = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+        rr = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+        if qq and rr:
+            ok = ok and vp(qq * rr, p) == vp(qq, p) + vp(rr, p)
+        ok = ok and vp(qq + rr, p) >= min(vp(qq, p), vp(rr, p))
+    results.append(("valuation-axioms", ok, {"trials": 40}))
+    return results

@@ -1,49 +1,70 @@
 """The partition-basis model: vectors supported on partitions, with the
 add-cell and remove-cell operators indexed by residues mod e.
 
-A vector is a dict mapping partitions to nonzero integer coefficients
-(the zero vector is the empty dict), and the partition basis is
-orthonormal for ``inner``.  Applying the length-n word v to the vacuum
-gives the generating vector whose coefficient on each shape counts the
-standard tableaux of that shape with residue sequence v; pairing two such
-vectors sums those counts multiplied shape by shape.  The operators and
-the pairing are linear and never divide, so they accept rational
-coefficients as well.
+A vector is a dict mapping the bead int of each partition
+(``partitions.to_beads``) to a nonzero integer coefficient (the zero
+vector is the empty dict), and the partition basis is orthonormal for
+``inner``.  Keys are decoded to partition tuples only at the edges:
+``basis`` encodes, ``decode`` turns a vector back into tuples.  Applying
+the length-n word v to the vacuum gives the generating vector whose
+coefficient on each shape counts the standard tableaux of that shape with
+residue sequence v; pairing two such vectors sums those counts multiplied
+shape by shape.  The operators and the pairing are linear and never
+divide, so they accept rational coefficients as well.
 """
 
 from typing import Iterator
 
-from .partitions import (Partition, add_cell, addable_cells, enumerate_partitions,
-                         remove_cell, removable_cells)
+from .partitions import (Partition, addable_cells, check_residue,
+                         enumerate_partitions, from_beads, removable_cells,
+                         to_beads)
 from .tableaux import ResidueWord, walk_words
 
-FockVector = dict[Partition, int]
+FockVector = dict[int, int]
 
 
 def basis(lam) -> FockVector:
     """The basis vector supported on one partition."""
-    return {tuple(lam): 1}
+    return {to_beads(lam): 1}
+
+
+def decode(x: FockVector) -> dict[Partition, int]:
+    """x keyed by partition tuples."""
+    return {from_beads(s): c for s, c in x.items()}
 
 
 def apply_f(x: FockVector, i: int, e: int) -> FockVector:
     """Add one cell of residue i in every possible way."""
+    check_residue(i, e)
     out: FockVector = {}
-    for lam, c in x.items():
-        for cell in addable_cells(lam, i, e):
-            grown = add_cell(lam, cell)
-            prev = out.get(grown)
-            out[grown] = c if prev is None else prev + c
+    get = out.get
+    for s, c in x.items():
+        free = addable_cells(s, i, e)
+        while free:
+            low = free & -free
+            grown = s ^ (low * 3)
+            out[grown] = get(grown, 0) + c
+            free ^= low
+        if s.bit_count() % e == i:
+            grown = (s << 1) | 2
+            out[grown] = get(grown, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
 def apply_e(x: FockVector, i: int, e: int) -> FockVector:
     """Remove one cell of residue i in every possible way."""
+    check_residue(i, e)
     out: FockVector = {}
-    for lam, c in x.items():
-        for cell in removable_cells(lam, i, e):
-            shrunk = remove_cell(lam, cell)
-            prev = out.get(shrunk)
-            out[shrunk] = c if prev is None else prev + c
+    get = out.get
+    for s, c in x.items():
+        free = removable_cells(s, i, e)
+        while free:
+            low = free & -free
+            shrunk = s ^ (low | low >> 1)
+            if shrunk & 1:
+                shrunk >>= 1
+            out[shrunk] = get(shrunk, 0) + c
+            free ^= low
     return {k: v for k, v in out.items() if v}
 
 
@@ -128,7 +149,7 @@ def gram_rows(vectors: list[FockVector]) -> Iterator[list[int]]:
     width = largest.bit_length() // 8 + 1        # bytes per slot
     bits = 8 * width
     m = len(vectors)
-    packed: dict[Partition, bytearray] = {}
+    packed: dict[int, bytearray] = {}
     for b, x in enumerate(vectors):
         at = b * width
         for lam, c in x.items():
@@ -167,6 +188,6 @@ def random_vector(rng, max_degree: int, terms: int = 6) -> FockVector:
     for _ in range(terms):
         n = rng.randrange(max_degree + 1)
         shapes = enumerate_partitions(n)
-        lam = shapes[rng.randrange(len(shapes))]
-        out[lam] = out.get(lam, 0) + rng.randint(-9, 9)
+        s = to_beads(shapes[rng.randrange(len(shapes))])
+        out[s] = out.get(s, 0) + rng.randint(-9, 9)
     return {k: v for k, v in out.items() if v}

@@ -5,6 +5,14 @@ A partition is a plain tuple of weakly decreasing positive ints, e.g.
 ``(6, 4, 1)``; the empty partition is ``()``.  A cell of the diagram is a
 1-based ``(row, column)`` pair.
 
+The Fock layer keys its vectors by the bead int of a partition instead
+(its Maya diagram or beta-set: Macdonald, Symmetric Functions and Hall
+Polynomials, I.1 Ex. 8): row r of lam is a bead at bit lam_r - r +
+len(lam).  Adding a cell moves one bead up one position and removing one
+moves a bead down, so ``addable_cells``/``removable_cells`` are mask
+computations on that int.  ``to_beads``/``from_beads`` convert at the
+edges.
+
 Residue convention
 ------------------
 The e-residue of the cell in row i, column j is ``(i - j) mod e``.  Much
@@ -14,6 +22,7 @@ package, including the CLI, uses ``i - j``.
 """
 
 from collections import Counter
+from functools import lru_cache
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -136,54 +145,69 @@ def _removable_corners(lam: Partition) -> list[Cell]:
     return out
 
 
-def _check_residue_args(i: int, e: int) -> None:
+def check_residue(i: int, e: int) -> None:
+    """Raise ValueError unless e >= 1 and i is a residue mod e."""
     if e < 1:
         raise ValueError(f"modulus must be >= 1, got {e}")
     if not 0 <= i < e:
         raise ValueError(f"residue {i} is not in 0..{e - 1}")
 
 
-def addable_cells(lam: Partition, i: int, e: int) -> list[Cell]:
-    """Cells of residue i that can be appended to lam, top row first.
+def to_beads(lam) -> int:
+    """The bead int of a partition: bit lam_r - r + len(lam) is set for
+    each row r = 1..len(lam).  Validates lam; () is 0."""
+    lam = check_partition(lam)
+    s = 0
+    for r, part in enumerate(lam, start=1):
+        s |= 1 << (part - r + len(lam))
+    return s
 
-    One pass over the rows: the cell just past the end of a row is
-    addable when the row above it is longer, which for weakly decreasing
-    parts means that the two differ; past 0-based row r of length ``row``
-    its residue is (r - row) mod e.  ``_addable_corners`` is the slow
-    reference.
+
+def from_beads(s: int) -> Partition:
+    """Inverse of to_beads: each bead is a part, as long as the number of
+    empty positions below it."""
+    if s < 0 or s & 1:
+        raise ValueError(f"not a bead int: {s}")
+    parts = []
+    holes = 0
+    while s:
+        if s & 1:
+            parts.append(holes)
+        else:
+            holes += 1
+        s >>= 1
+    return tuple(reversed(parts))
+
+
+@lru_cache(maxsize=None)
+def _residue_mask(e: int, r: int, width: int) -> int:
+    """The bead positions p < width with p ≡ r (mod e); callers round the
+    width up to 64k - 1, so a few cached masks serve every shape."""
+    return sum(1 << p for p in range(r, width, e))
+
+
+def addable_cells(s: int, i: int, e: int) -> int:
+    """The beads of s that can move up one position by adding a cell of
+    residue i, as a mask; moving the bead at p gives ``s ^ (3 << p)``.
+
+    The bead at p sits in row r = (beads at or above p), so the added cell
+    (r, lam_r + 1) has residue (len(lam) - 1 - p) mod e.  A new row, cell
+    (len(lam) + 1, 1), is not a bead move: it has residue len(lam) mod e
+    and gives ``(s << 1) | 2``.  The caller validates i and e
+    (``check_residue``); ``_addable_corners`` is the slow reference.
     """
-    _check_residue_args(i, e)
-    out = []
-    above = 0
-    for r, row in enumerate(lam):
-        if row != above and (r - row) % e == i:
-            out.append((r + 1, row + 1))
-        above = row
-    if len(lam) % e == i:
-        out.append((len(lam) + 1, 1))
-    return out
+    mask = _residue_mask(e, (s.bit_count() - 1 - i) % e, s.bit_length() | 63)
+    return s & ~(s >> 1) & mask
 
 
-def removable_cells(lam: Partition, i: int, e: int) -> list[Cell]:
-    """Corner cells of residue i that can be deleted from lam, top row first."""
-    _check_residue_args(i, e)
-    return [c for c in _removable_corners(lam) if cell_residue(c, e) == i]
-
-
-def add_cell(lam: Partition, cell: Cell) -> Partition:
-    """lam with an addable corner filled in (the cell must be addable)."""
-    r = cell[0] - 1
-    if r == len(lam):
-        return lam + (1,)
-    return lam[:r] + (lam[r] + 1,) + lam[r + 1:]
-
-
-def remove_cell(lam: Partition, cell: Cell) -> Partition:
-    """lam with a removable corner deleted (the cell must be removable)."""
-    r = cell[0] - 1
-    if lam[r] == 1:
-        return lam[:r] + lam[r + 1:]
-    return lam[:r] + (lam[r] - 1,) + lam[r + 1:]
+def removable_cells(s: int, i: int, e: int) -> int:
+    """The beads of s that can move down one position by removing a cell
+    of residue i, as a mask; moving the bead at p gives
+    ``s ^ (3 << (p - 1))``, shifted right once when that leaves bit 0 set
+    (the last row emptied).  The removed cell (r, lam_r) has residue
+    (len(lam) - p) mod e.  The caller validates i and e."""
+    mask = _residue_mask(e, (s.bit_count() - i) % e, s.bit_length() | 63)
+    return s & ~(s << 1) & mask
 
 
 def z_mu(mu: Partition) -> int:

@@ -13,10 +13,9 @@ from math import factorial
 
 from chessfock import delta, experiments, fock, polyrep, tableaux
 from chessfock.arith import bin_ones, tri_count, vp
-from chessfock.cli import _property_checks
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_distinct_to_odd,
-                                  glaisher_odd_to_distinct, z_mu)
+                                  glaisher_odd_to_distinct, to_beads, z_mu)
 from chessfock.tableaux import ResidueWord
 
 from test_experiments import CHESS_VALUES
@@ -108,7 +107,7 @@ def test_criterion_7_oracle_equivalence_and_factorials():
                 for lam in shapes:
                     count = tableaux.count_by_residue(
                         ResidueWord(2, letters), lam)
-                    assert count == image.get(lam, 0)
+                    assert count == image.get(to_beads(lam), 0)
         for n in range(1, 13):
             assert experiments.factorial_check(n)
             assert vp(factorial(n), 2) == n - bin_ones(n)
@@ -116,7 +115,7 @@ def test_criterion_7_oracle_equivalence_and_factorials():
 
 def test_criterion_8_property_suites_fixed_seed():
     with Criterion(8, "property suites under a fixed seed", 120):
-        for name, ok, detail in _property_checks(seed=0):
+        for name, ok, detail in experiments.property_checks(seed=0):
             assert ok, f"property suite {name} failed: {detail}"
         # Glaisher round trip plus the factored-out key identity, n <= 30
         for n in range(1, 31):

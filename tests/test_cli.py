@@ -18,7 +18,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: printed before a rewrite of the code it runs: the first six before the
 #: Fock layer moved to integer coefficients, the bound one before the bound
 #: suite became one pass over distinct images, the stability and
-#: generation ones before the generator columns moved to integers.
+#: generation ones before the generator columns moved to integers, the
+#: e = 4 scan and the e = 3 word before Fock vectors were keyed by bead ints.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -31,6 +32,8 @@ GOLDEN = [
      "verify --suite stability --degree 14 --format json", 0),
     ("verify_generation_12_json",
      "verify --suite generation --n-max 12 --format json", 0),
+    ("scan_e4_30", "scan --n-max 30 --e 4 --p 2", 0),
+    ("word_fock_e3", "word --e 3 --v 0,2,1,0,2,1,1,0 --model fock", 0),
 ]
 
 

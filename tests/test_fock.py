@@ -4,46 +4,53 @@ from math import factorial
 
 import pytest
 
-from chessfock.fock import (apply_e, apply_f, apply_word, basis,
+from chessfock.fock import (apply_e, apply_f, apply_word, basis, decode,
                             distinct_word_images, gram_rows, inner, pair_sum,
                             random_vector, word_images)
+from chessfock.partitions import (_addable_corners, _removable_corners,
+                                  cell_residue, enumerate_partitions, to_beads)
 from chessfock.tableaux import ResidueWord, alternating_word
 
 ONE = Fraction(1)
 
 
+def encoded(shapes):
+    """A vector given on partition tuples, keyed by bead ints."""
+    return {to_beads(lam): c for lam, c in shapes.items()}
+
+
 def test_apply_f_single_cells():
-    assert apply_f(basis(()), 0, 2) == {(1,): ONE}
+    assert decode(apply_f(basis(()), 0, 2)) == {(1,): ONE}
     assert apply_f(basis(()), 1, 2) == {}
-    assert apply_f(basis((1,)), 1, 2) == {(2,): ONE, (1, 1): ONE}
+    assert decode(apply_f(basis((1,)), 1, 2)) == {(2,): ONE, (1, 1): ONE}
     assert apply_f(basis((1,)), 0, 2) == {}
     # all three corners of (2,1) have residue 0: (1,3), (2,2) and (3,1)
-    assert apply_f(basis((2, 1)), 0, 2) == {
+    assert decode(apply_f(basis((2, 1)), 0, 2)) == {
         (3, 1): ONE, (2, 2): ONE, (2, 1, 1): ONE}
     assert apply_f(basis((2, 1)), 1, 2) == {}
 
 
 def test_apply_e_single_cells():
-    assert apply_e(basis((1,)), 0, 2) == {(): ONE}
+    assert decode(apply_e(basis((1,)), 0, 2)) == {(): ONE}
     assert apply_e(basis((1,)), 1, 2) == {}
-    assert apply_e(basis((2, 1)), 1, 2) == {(1, 1): ONE, (2,): ONE}
+    assert decode(apply_e(basis((2, 1)), 1, 2)) == {(1, 1): ONE, (2,): ONE}
     assert apply_e(basis(()), 0, 2) == {}
 
 
 def test_linearity_and_cancellation():
-    x = {(1,): Fraction(2)}
-    assert apply_f(x, 1, 2) == {(2,): Fraction(2), (1, 1): Fraction(2)}
+    x = encoded({(1,): Fraction(2)})
+    assert decode(apply_f(x, 1, 2)) == {(2,): Fraction(2), (1, 1): Fraction(2)}
     # coefficients that cancel must not leave explicit zeros behind
-    y = {(2,): ONE, (1, 1): -ONE}
+    y = encoded({(2,): ONE, (1, 1): -ONE})
     assert apply_e(y, 1, 2) == {}
 
 
 def test_apply_word():
-    assert apply_word(ResidueWord(2, (0,))) == {(1,): ONE}
+    assert decode(apply_word(ResidueWord(2, (0,)))) == {(1,): ONE}
     assert apply_word(ResidueWord(2, (1, 0))) == {}
-    assert apply_word(ResidueWord(2, (0, 1))) == {(2,): ONE, (1, 1): ONE}
+    assert decode(apply_word(ResidueWord(2, (0, 1)))) == {(2,): ONE, (1, 1): ONE}
     # (2,2) supports no chess filling; the other four shapes have one each
-    image = apply_word(alternating_word(4))
+    image = decode(apply_word(alternating_word(4)))
     assert image == {(4,): ONE, (3, 1): ONE, (2, 1, 1): ONE,
                      (1, 1, 1, 1): ONE}
 
@@ -86,7 +93,7 @@ def test_word_images_agree_with_apply_word():
         for letters, image in images.items():
             assert image == apply_word(ResidueWord(2, letters))
             assert all(c.denominator == 1 and c > 0 for c in image.values())
-            assert all(sum(lam) == n for lam in image)
+            assert all(sum(lam) == n for lam in decode(image))
         # words missing from the tree really have zero image
         import itertools
         for letters in itertools.product(range(2), repeat=n):
@@ -109,9 +116,9 @@ def test_grading():
         x = random_vector(rng, 7)
         for e in (2, 3):
             for i in range(e):
-                up = apply_f(x, i, e)
-                down = apply_e(x, i, e)
-                degrees = {sum(lam) for lam in x}
+                up = decode(apply_f(x, i, e))
+                down = decode(apply_e(x, i, e))
+                degrees = {sum(lam) for lam in decode(x)}
                 assert all(sum(lam) - 1 in degrees for lam in up)
                 assert all(sum(lam) + 1 in degrees for lam in down)
 
@@ -119,11 +126,46 @@ def test_grading():
 def test_adjointness_randomized():
     rng = random.Random(7)
     for _ in range(40):
-        e = rng.choice((2, 3, 5))
+        e = rng.choice((1, 2, 3, 4, 5))
         i = rng.randrange(e)
         x = random_vector(rng, 9)
         y = random_vector(rng, 9)
+        assert all(type(s) is int for s in (*x, *y))
         assert inner(apply_f(x, i, e), y) == inner(x, apply_e(y, i, e))
+
+
+def moved(lam, cell, step):
+    """lam with the corner cell added (step 1) or removed (step -1)."""
+    rows = list(lam) + [0]
+    rows[cell[0] - 1] += step
+    return tuple(part for part in rows if part)
+
+
+def test_operators_match_the_tuple_reference():
+    # conjugation swaps residues i and -i and keeps every norm, so a
+    # residue-sign slip would not show in the tables; compare vectors
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            for e in range(1, 5):
+                for i in range(e):
+                    up = {moved(lam, c, 1): 1 for c in _addable_corners(lam)
+                          if cell_residue(c, e) == i}
+                    down = {moved(lam, c, -1): 1 for c in _removable_corners(lam)
+                            if cell_residue(c, e) == i}
+                    assert decode(apply_f(basis(lam), i, e)) == up
+                    assert decode(apply_e(basis(lam), i, e)) == down
+
+
+def test_operators_and_basis_validate():
+    with pytest.raises(ValueError):
+        basis([3, 5])
+    with pytest.raises(ValueError):
+        basis((2, 0))
+    for bad_i, bad_e in ((2, 2), (-1, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            apply_f(basis((1,)), bad_i, bad_e)
+        with pytest.raises(ValueError):
+            apply_e(basis((1,)), bad_i, bad_e)
 
 
 def test_distinct_word_images_keep_the_least_word():

@@ -3,11 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chessfock.arith import tri_count, vp
-from chessfock.partitions import (add_cell, addable_cells, cell_residue,
-                                  check_partition, enumerate_partitions,
-                                  format_partition, glaisher_distinct_to_odd,
+from chessfock.partitions import (addable_cells, cell_residue,
+                                  check_partition, check_residue,
+                                  enumerate_partitions, format_partition,
+                                  from_beads, glaisher_distinct_to_odd,
                                   glaisher_odd_to_distinct, parse_partition,
-                                  remove_cell, removable_cells, sort_key, z_mu,
+                                  removable_cells, sort_key, to_beads, z_mu,
                                   _addable_corners, _removable_corners)
 
 
@@ -100,23 +101,66 @@ def test_cell_residue():
         cell_residue((1, 1), 0)
 
 
+def bead_cells(s, beads, column_shift):
+    """The cells, top row first, whose addition (column_shift 1) or
+    removal (column_shift 0) moves each bead of the mask ``beads``."""
+    lam = from_beads(s)
+    return [(r, part + column_shift) for r, part in enumerate(lam, start=1)
+            if beads >> (part - r + len(lam)) & 1]
+
+
+def added_cells(lam, i, e):
+    """Every addable cell of residue i, read off the bead masks."""
+    s = to_beads(lam)
+    new_row = [(len(lam) + 1, 1)] if len(lam) % e == i else []
+    return bead_cells(s, addable_cells(s, i, e), 1) + new_row
+
+
+def removed_cells(lam, i, e):
+    s = to_beads(lam)
+    return bead_cells(s, removable_cells(s, i, e), 0)
+
+
+def test_beads_round_trip():
+    assert to_beads(()) == 0
+    assert to_beads((1,)) == 0b10
+    assert to_beads((3, 1)) == 0b10010
+    assert to_beads((2, 2)) == 0b1100
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            s = to_beads(lam)
+            assert s & 1 == 0 and s.bit_count() == len(lam)
+            assert from_beads(s) == lam
+    for bad in ([3, 5], [2, 0], [-1]):
+        with pytest.raises(ValueError):
+            to_beads(bad)
+    for bad in (-2, 1, 0b111):
+        with pytest.raises(ValueError):
+            from_beads(bad)
+
+
 def test_boundary_cells_examples():
-    assert addable_cells((), 0, 2) == [(1, 1)]
-    assert addable_cells((), 1, 2) == []
-    assert addable_cells((1,), 0, 2) == []
-    assert addable_cells((1,), 1, 2) == [(1, 2), (2, 1)]
-    assert removable_cells((2, 1), 1, 2) == [(1, 2), (2, 1)]
-    assert removable_cells((2, 1), 0, 2) == []
+    assert addable_cells(to_beads(()), 0, 2) == 0     # only the new row
+    assert added_cells((), 0, 2) == [(1, 1)]
+    assert added_cells((), 1, 2) == []
+    assert added_cells((1,), 0, 2) == []
+    assert addable_cells(to_beads((1,)), 1, 2) == 0b10
+    assert added_cells((1,), 1, 2) == [(1, 2), (2, 1)]
+    assert removable_cells(to_beads((2, 1)), 1, 2) == 0b1010
+    assert removed_cells((2, 1), 1, 2) == [(1, 2), (2, 1)]
+    assert removed_cells((2, 1), 0, 2) == []
     with pytest.raises(ValueError):
-        addable_cells((1,), 2, 2)
+        check_residue(2, 2)
+    with pytest.raises(ValueError):
+        check_residue(0, 0)
 
 
 def test_boundary_residues_partition_the_corners():
     for n in range(10):
         for lam in enumerate_partitions(n):
             for e in (1, 2, 3):
-                add = [c for i in range(e) for c in addable_cells(lam, i, e)]
-                rem = [c for i in range(e) for c in removable_cells(lam, i, e)]
+                add = [c for i in range(e) for c in added_cells(lam, i, e)]
+                rem = [c for i in range(e) for c in removed_cells(lam, i, e)]
                 assert sorted(add) == sorted(_addable_corners(lam))
                 assert sorted(rem) == sorted(_removable_corners(lam))
 
@@ -126,21 +170,26 @@ def test_addable_cells_match_the_corner_filter():
         for lam in enumerate_partitions(n):
             for e in range(1, 5):
                 for i in range(e):
-                    assert addable_cells(lam, i, e) == [
+                    assert added_cells(lam, i, e) == [
                         c for c in _addable_corners(lam) if cell_residue(c, e) == i]
+                    assert removed_cells(lam, i, e) == [
+                        c for c in _removable_corners(lam) if cell_residue(c, e) == i]
 
 
 def test_add_remove_are_inverse():
     for n in range(10):
         for lam in enumerate_partitions(n):
+            s = to_beads(lam)
             for e in (2, 3):
                 for i in range(e):
-                    for cell in addable_cells(lam, i, e):
-                        bigger = add_cell(lam, cell)
-                        assert check_partition(bigger) == bigger
-                        assert sum(bigger) == n + 1
-                        assert cell in removable_cells(bigger, i, e)
-                        assert remove_cell(bigger, cell) == lam
+                    free = addable_cells(s, i, e)
+                    for p in range(s.bit_length()):
+                        if not free >> p & 1:
+                            continue
+                        bigger = s ^ (3 << p)
+                        assert sum(from_beads(bigger)) == n + 1
+                        assert removable_cells(bigger, i, e) >> (p + 1) & 1
+                        assert bigger ^ (3 << p) == s
 
 
 def test_z_mu():
