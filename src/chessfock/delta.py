@@ -16,7 +16,7 @@ from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import Partition, enumerate_partitions, format_partition
 from .polyrep import (GENERATORS, OddPoly, _columns, _q_star, _q_times,
                       apply_letter, inner_poly, poly_one)
-from .tableaux import walk_words
+from .tableaux import walk_images
 
 
 def delta_valuation(f: OddPoly) -> Valuation:
@@ -199,44 +199,43 @@ def gf2_rank(rows: list[int]) -> int:
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     """Check, for n = 1..n_max, that the 2^n length-n f-word images of 1
     span the degree-n slice of the lattice over the odd-denominator
-    integers; yields the n = 1..n_max reports from one walk of the words.
+    integers; yields the n = 1..n_max reports from one walk of the
+    distinct images (``tableaux.walk_images``).
 
     Each image is written in lattice-basis coordinates (integral by
     stability -- violations raise), reduced mod 2 to a bit row, and the
-    deduplicated rows are eliminated over GF(2).  Full rank lifts to
+    deduplicated rows are eliminated over GF(2).  Equal images give equal
+    rows, so only the distinct images are reduced.  Full rank lifts to
     spanning, so ``required`` is the slice dimension and ``observed_min``
     the achieved rank.
     """
     if n_max < 1:
         raise ValueError(f"generation check needs n >= 1, got {n_max}")
-    columns = [{mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
-               for n in range(n_max + 1)]
-    rows: list[set[int]] = [set() for _ in columns]
-    images = [0] * len(columns)
-    for letters, f in walk_words(n_max, 2, apply_letter, poly_one()):
-        n = len(letters)
-        images[n] += 1
-        bits = 0
-        for mu, c in f.items():
-            shift = (n - len(mu)) // 2
-            val = vp(c, 2)
-            if val < shift:
-                raise ArithmeticError(
-                    f"word image escapes the lattice at {mu} (v2={val} < {shift})"
-                )
-            if val == shift:
-                bits |= 1 << columns[n][mu]
-        if bits:
-            rows[n].add(bits)
-    for n in range(1, n_max + 1):
+    levels = walk_images(n_max, 2, apply_letter, poly_one())
+    for n, level in enumerate(levels, start=1):
+        columns = {mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
+        rows: set[int] = set()
+        for _, f, _ in level:
+            bits = 0
+            for mu, c in f.items():
+                shift = (n - len(mu)) // 2
+                val = vp(c, 2)
+                if val < shift:
+                    raise ArithmeticError(
+                        f"word image escapes the lattice at {mu} (v2={val} < {shift})"
+                    )
+                if val == shift:
+                    bits |= 1 << columns[mu]
+            if bits:
+                rows.add(bits)
         yield ValuationReport(
             claim=f"generation[n={n}]",
             degree_bound=n,
-            required=len(columns[n]),
-            observed_min=gf2_rank(sorted(rows[n])),
+            required=len(columns),
+            observed_min=gf2_rank(sorted(rows)),
             require_tight=True,
-            witnesses=(("nonzero word images", images[n]),
-                       ("distinct mod-2 rows", len(rows[n]))),
+            witnesses=(("nonzero word images", sum(words for _, _, words in level)),
+                       ("distinct mod-2 rows", len(rows))),
         )
 
 

@@ -18,13 +18,13 @@ from typing import Iterator
 
 from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (apply_e, apply_f, basis, distinct_word_images, gram_rows,
-                   inner, pair_sum, random_vector)
+from .fock import (apply_e, apply_f, basis, gram_rows, inner, pair_sum,
+                   random_vector)
 from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
-                      mul_monomial, op_a, op_generator, poly_add, poly_one,
-                      random_poly, top_degree)
-from .tableaux import OracleLimitError, ResidueWord, hook_count, walk_words
+                      mul_monomial, op_a, op_generator, op_series, poly_add,
+                      poly_one, random_poly, top_degree)
+from .tableaux import OracleLimitError, ResidueWord, hook_count, walk_images
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
 FACTOR_LIMIT = 1_000_000
@@ -187,7 +187,7 @@ def bound_reports(n_max: int, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[Valua
 
     Distinct words often produce identical images, and equal images give
     equal pairings, so only the distinct images are paired, each under its
-    lexicographically least word (``fock.distinct_word_images``, one level
+    lexicographically least word (``tableaux.walk_images``, one level
     per n).  The pairings come a Gram row at a time from
     ``fock.gram_rows``.  Witness text is built only for a failing pair and
     for the first pair attaining the bound.
@@ -198,13 +198,14 @@ def bound_reports(n_max: int, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[Valua
         raise OracleLimitError(
             f"refusing a 2^{n_max} scan (limit {limit}); raise the limit to force it"
         )
-    for n, reps in enumerate(distinct_word_images(n_max, 2), start=1):
+    levels = walk_images(n_max, 2, lambda x, i: apply_f(x, i, 2), basis(()))
+    for n, reps in enumerate(levels, start=1):
         required = n - tri_count(n)
         observed = INFINITY
         failures = []
         attained = None
         pairings = 0
-        for a, row in enumerate(gram_rows([x for _, x in reps])):
+        for a, row in enumerate(gram_rows([x for _, x, _ in reps])):
             for b, s in enumerate(row, start=a):
                 if s == 0:
                     continue
@@ -284,65 +285,73 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     return _row(len(v), value, p, bound)
 
 
+def _both_models(state: tuple[dict, dict], letter: int) -> tuple[dict, dict] | None:
+    """One letter applied in both models; None once both images vanish."""
+    x, f = state
+    y, g = apply_f(x, letter, 2), apply_letter(f, letter)
+    return (y, g) if y or g else None
+
+
+def _both_keys(state: tuple[dict, dict]) -> tuple:
+    return tuple(tuple(sorted(image.items())) for image in state)
+
+
 def cross_model_reports(n_max: int) -> Iterator[dict]:
     """Yield ``cross_model_check(n)`` for n = 1..n_max from one
-    ``walk_words`` pass per model; each level is handed to the check and
-    then dropped."""
+    ``walk_images`` pass over the (Fock image, polynomial image) pairs of
+    the words; each level is handed to the check and then dropped."""
     if n_max < 1:
         raise ValueError(f"need n >= 1, got {n_max}")
-    levels = [({}, {}) for _ in range(n_max + 1)]
-    for side, step, start in ((0, lambda x, i: apply_f(x, i, 2), basis(())),
-                              (1, apply_letter, poly_one())):
-        for letters, image in walk_words(n_max, 2, step, start):
-            levels[len(letters)][side][letters] = image
-    for n in range(1, n_max + 1):
-        yield cross_model_check(n, levels[n])
-        levels[n] = None
+    levels = walk_images(n_max, 2, _both_models, (basis(()), poly_one()),
+                         key=_both_keys)
+    for n, level in enumerate(levels, start=1):
+        yield cross_model_check(n, level)
 
 
-def cross_model_check(n: int, images: tuple[dict, dict] | None = None) -> dict:
+def cross_model_check(n: int, level: list | None = None) -> dict:
     """Compare the two models on every pair of length-n words.
 
     The partition-basis pairing of add-cell images must equal the
     z-weighted pairing of the polynomial images, pair by pair.  Words with
     zero image must vanish in both models (then all their pairings are 0),
-    so it is enough that the nonzero supports coincide and that every pair
-    of surviving images agrees.
+    so it is enough that no word is zero in just one model and that every
+    pair of surviving images agrees.
 
-    ``images`` is the pair (Fock images, polynomial images) of the
-    nonzero length-n words, keyed by their letters; by default it comes
-    from ``cross_model_reports(n)``, of which the result is the last.
+    ``level`` is the length-n level of ``walk_images`` over the pairs
+    (Fock image, polynomial image), as (least word, pair, words) triples;
+    by default it comes from ``cross_model_reports(n)``, of which the
+    result is the last.  Each word pairing is a pairing of two distinct
+    pairs, so only those are compared.  That is as strong as comparing
+    every word: two pairs that share a Fock image but not a polynomial
+    image p, p' agree on all three pairings only if (p - p', p - p') = 0,
+    and the polynomial pairing is positive definite.  ``pairs`` still
+    counts the W(W + 1)/2 word pairs of the W nonzero words.  A passing
+    summary is the one a word-by-word comparison gives; a failing one
+    names the least words of the offending distinct pairs as witnesses.
     """
-    if images is None:
+    if level is None:
         *_, last = cross_model_reports(n)
         return last
-    fock_imgs, poly_imgs = images
+    lopsided = [word for word, (x, f), _ in level if not (x and f)]
+    words = sum(count for _, (x, _), count in level if x)
     summary = {
         "n": n,
-        "nonzero_words": len(fock_imgs),
+        "nonzero_words": words,
         "pairs": 0,
-        "support_match": set(fock_imgs) == set(poly_imgs),
-        "mismatches": [],
+        "support_match": not lopsided,
+        "mismatches": [f"support:{_word_text(w)}" for w in lopsided[:5]],
         "ok": False,
     }
-    if not summary["support_match"]:
-        diff = sorted(set(fock_imgs) ^ set(poly_imgs))[:5]
-        summary["mismatches"] = [f"support:{_word_text(w)}" for w in diff]
+    if lopsided:
         return summary
-    words = sorted(fock_imgs)
-    mismatches = []
-    pairs = 0
-    for a, va in enumerate(words):
-        for wb in words[a:]:
-            pairs += 1
-            lhs = inner(fock_imgs[va], fock_imgs[wb])
-            rhs = inner_poly(poly_imgs[va], poly_imgs[wb])
+    mismatches = summary["mismatches"]
+    for a, row in enumerate(gram_rows([x for _, (x, _), _ in level])):
+        for b, lhs in enumerate(row, start=a):
+            rhs = inner_poly(level[a][1][1], level[b][1][1])
             if lhs != rhs and len(mismatches) < 5:
                 mismatches.append(
-                    f"{_pair_text(va, wb)}: {lhs} != {rhs}"
-                )
-    summary["pairs"] = pairs
-    summary["mismatches"] = mismatches
+                    f"{_pair_text(level[a][0], level[b][0])}: {lhs} != {rhs}")
+    summary["pairs"] = words * (words + 1) // 2
     summary["ok"] = not mismatches
     return summary
 
@@ -400,7 +409,7 @@ def property_checks(seed: int) -> list[tuple[str, bool, dict]]:
         f = random_poly(rng, 8)
         deep = 2 * max(top_degree(f), 0) + 4
         for gen in GENERATORS:
-            ok = ok and op_generator(gen, f) == op_generator(gen, f, terms=deep)
+            ok = ok and op_generator(gen, f) == op_series(gen, f, deep)
     results.append(("series-truncation", ok, {"trials": 10}))
 
     ok = True

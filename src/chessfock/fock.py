@@ -9,8 +9,10 @@ vector is the empty dict), and the partition basis is orthonormal for
 the length-n word v to the vacuum gives the generating vector whose
 coefficient on each shape counts the standard tableaux of that shape with
 residue sequence v; pairing two such vectors sums those counts multiplied
-shape by shape.  The operators and the pairing are linear and never
-divide, so they accept rational coefficients as well.
+shape by shape.  ``apply_word`` gives one word's image; the suites that
+need every word's walk the distinct images with ``tableaux.walk_images``
+and pair them with ``gram_rows``.  The operators and the pairing are
+linear and never divide, so they accept rational coefficients as well.
 """
 
 from typing import Iterator
@@ -18,7 +20,7 @@ from typing import Iterator
 from .partitions import (Partition, addable_cells, check_residue,
                          enumerate_partitions, from_beads, removable_cells,
                          to_beads)
-from .tableaux import ResidueWord, walk_words
+from .tableaux import ResidueWord
 
 FockVector = dict[int, int]
 
@@ -76,43 +78,6 @@ def apply_word(word: ResidueWord) -> FockVector:
         if not x:
             break
     return x
-
-
-def word_images(n: int, e: int = 2) -> Iterator[tuple[tuple[int, ...], FockVector]]:
-    """Yield (letters, image) for every length-n word with nonzero image,
-    in lexicographic word order.
-
-    The words come from one prefix-tree walk (``tableaux.walk_words``), so
-    the O(e^n) words share the work of their common prefixes and dead
-    branches are pruned as soon as the running image vanishes.
-    """
-    for letters, x in walk_words(n, e, lambda x, i: apply_f(x, i, e), basis(())):
-        if len(letters) == n:
-            yield letters, x
-
-
-def distinct_word_images(n_max: int, e: int = 2) -> Iterator[list[tuple[tuple[int, ...], FockVector]]]:
-    """Yield, for n = 1..n_max, the distinct nonzero images of the length-n
-    words as (least word, image) pairs, ordered by least word.
-
-    Level n + 1 applies f_0, f_1, ... in turn to each image of level n, in
-    order, and keeps the first word that reaches each new image.  The
-    least word reaching an image y is min over the pairs (x, i) with
-    f_i x = y of (least word of x) + (i,), and that is the order of the
-    visits, so the kept word is the least one.  The walk visits images,
-    not words: words with equal images share all their extensions.
-    """
-    level = [((), basis(()))]
-    for _ in range(n_max):
-        seen: dict[tuple, tuple[tuple[int, ...], FockVector]] = {}
-        for letters, x in level:
-            for i in range(e):
-                y = apply_f(x, i, e)
-                if y:
-                    seen.setdefault(tuple(sorted(y.items())), (letters + (i,), y))
-        level = list(seen.values())
-        del seen                    # the keys are dead weight while level is paired
-        yield level
 
 
 def inner(x: FockVector, y: FockVector) -> int:

@@ -18,8 +18,10 @@ and the four generator operators assembled from two series:
 
 The series act locally in degree, so on any given input only finitely
 many terms survive and the truncated sum below is exactly the operator.
-``_op_series`` evaluates them on Fraction polynomials; it is the
-definition, and it backs ``terms=``, ``op_a`` and the tests.
+``op_series`` evaluates them on Fraction polynomials; it is the
+definition and the public reference that ``op_generator`` is checked
+against, and its ``terms`` argument pushes the truncation further to show
+that the cut is exact.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
@@ -44,7 +46,8 @@ and reused by every later input that contains the monomial.  Nothing is
 built at import time.  ``delta.verify_stability`` applies each generator
 to each basis monomial exactly once, so it calls ``_columns`` directly
 and leaves the cache empty rather than holding columns it never reads
-again.
+again.  Word images come one at a time from ``apply_word_poly``, or all
+at once from ``tableaux.walk_images`` stepping with ``apply_letter``.
 """
 
 from fractions import Fraction
@@ -54,7 +57,7 @@ from math import comb, gcd, lcm, perm
 from typing import Iterator
 
 from .partitions import Partition, check_partition, enumerate_partitions, z_mu
-from .tableaux import ResidueWord, walk_words
+from .tableaux import ResidueWord
 
 OddPoly = dict[Partition, Fraction]
 
@@ -239,13 +242,13 @@ def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
 _QUARTER = Fraction(1, 4)
 
 
-def _op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
+def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     """Apply the generator ``gen`` (one of GENERATORS) to f by its series.
 
     The series truncation is exact: on input of top degree d the f-series
     terms with n > d and the e-series terms with n + 1 > d annihilate f,
     because the adjoint factor lowers degree by more than d.  ``terms``
-    overrides the truncation point; it exists so tests can confirm that
+    overrides the truncation point, so the checks can confirm that
     pushing the series further never changes the result.
     """
     if not f:
@@ -313,7 +316,7 @@ def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
     """The images of p_mu under the two generators of a family, (f0, f1)
     or (e0, e1), both from one evaluation of the family's series.
 
-    By the truncation argument of ``_op_series`` a column does not depend
+    By the truncation argument of ``op_series`` a column does not depend
     on the degrees of the other monomials of an input.
     """
     den, s = _series(family, mu)
@@ -333,21 +336,17 @@ def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
 _column = lru_cache(maxsize=None)(_columns)
 
 
-def op_generator(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
+def op_generator(gen: str, f: OddPoly) -> OddPoly:
     """Apply one of the generator operators f0, f1, e0, e1 to f.
 
-    By default this is the sum of c_mu times the cached column of p_mu
-    over the monomials of f, which equals the series by linearity.  The
-    sum runs in integers over the lcm M of the denominators of the terms
+    This is the sum of c_mu times the cached column of p_mu over the
+    monomials of f, which equals ``op_series`` by linearity.  The sum
+    runs in integers over the lcm M of the denominators of the terms
     c_mu * column, and each nonzero output coefficient is one
-    Fraction(numerator, M).  With ``terms`` the series itself is
-    evaluated, truncated there (see ``_op_series``), so tests can compare
-    the two.
+    Fraction(numerator, M).
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    if terms is not None:
-        return _op_series(gen, f, terms)
     family, which = gen[0], int(gen[1])
     cols = [(c, _column(family, mu)[which]) for mu, c in f.items()]
     den = lcm(*(c.denominator * col_den for c, (col_den, _) in cols))
@@ -396,15 +395,6 @@ def apply_word_poly(word: ResidueWord) -> OddPoly:
         if not f:
             break
     return f
-
-
-def poly_word_images(n: int) -> Iterator[tuple[tuple[int, ...], OddPoly]]:
-    """Yield (letters, image) for every length-n f-word with nonzero image,
-    in lexicographic word order, sharing work across common prefixes
-    (one ``tableaux.walk_words`` pass)."""
-    for letters, f in walk_words(n, 2, apply_letter, poly_one()):
-        if len(letters) == n:
-            yield letters, f
 
 
 def random_poly(rng, max_degree: int, terms: int = 6) -> OddPoly:

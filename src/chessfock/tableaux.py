@@ -1,5 +1,5 @@
-"""Residue words, brute-force standard-tableau oracles, and the prefix-tree
-walk over words that both operator models share.
+"""Residue words, brute-force standard-tableau oracles, and the level walk
+over distinct word images that every word suite runs on.
 
 The oracles enumerate explicitly: tableaux are built cell by cell as
 growth chains of partitions.  That is deliberately naive -- these counts
@@ -62,28 +62,36 @@ def cyclic_word(n: int, e: int) -> ResidueWord:
     return ResidueWord(e, tuple(k % e for k in range(n)))
 
 
-def walk_words(n: int, e: int, step: Callable[[dict, int], dict],
-               start: dict) -> Iterator[tuple[tuple[int, ...], dict]]:
-    """Yield (letters, image) for the empty word and every word over Z/eZ
-    of length <= n whose image is nonzero, in prefix order (a word before
-    its extensions, siblings by increasing letter).
+def walk_images(n_max: int, e: int, step: Callable, start,
+                key: Callable | None = None) -> Iterator[list[tuple]]:
+    """Yield, for n = 1..n_max, the distinct nonzero images of the length-n
+    words over Z/eZ as (least word, image, words) triples, ordered by least
+    word; ``words`` counts the length-n words that reach the image.
 
     The image of a word is ``start`` acted on by ``step(image, letter)``
-    for each letter in turn.  Words sharing a prefix share its image, a
-    branch is pruned as soon as its image is the empty dict, and the words
-    of one length come out in lexicographic order.
+    for each letter in turn, and a falsy step result is the zero image.
+    Images are told apart by ``key`` (by default the sorted item tuple of
+    a dict image).  Level n + 1 applies letters 0, 1, ... in turn to each
+    image of level n, in order, and keeps the first word that reaches each
+    new image.  The least word reaching an image y is min over the pairs
+    (x, i) with step(x, i) = y of (least word of x) + (i,), and that is
+    the order of the visits, so the kept word is the least one.  The walk
+    visits images, not words: words with equal images share all their
+    extensions, and their counts add up.
     """
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
-    stack = [((), start)]
-    while stack:
-        letters, x = stack.pop()
-        yield letters, x
-        if len(letters) < n:
-            for i in reversed(range(e)):
+    if key is None:
+        key = lambda y: tuple(sorted(y.items()))
+    level = [((), start, 1)]
+    for _ in range(n_max):
+        seen: dict = {}
+        for letters, x, words in level:
+            for i in range(e):
                 y = step(x, i)
                 if y:
-                    stack.append((letters + (i,), y))
+                    seen.setdefault(key(y), [letters + (i,), y, 0])[2] += words
+        level = [tuple(state) for state in seen.values()]
+        del seen                    # the keys are dead weight while level is paired
+        yield level
 
 
 def _check_size(n: int, limit: int) -> None:

@@ -100,10 +100,9 @@ def test_criterion_6_pairing_bound_tight_up_to_16():
 def test_criterion_7_oracle_equivalence_and_factorials():
     with Criterion(7, "tableau oracle vs operator model; factorial checks", 300):
         for n in range(1, 9):
-            images = dict(fock.word_images(n, 2))
             shapes = enumerate_partitions(n)
             for letters in product(range(2), repeat=n):
-                image = images.get(letters, {})
+                image = fock.apply_word(ResidueWord(2, letters))
                 for lam in shapes:
                     count = tableaux.count_by_residue(
                         ResidueWord(2, letters), lam)
@@ -126,7 +125,8 @@ def test_criterion_8_property_suites_fixed_seed():
                 assert len(nu) <= tri_count(n)
         # series truncation stability on the images the theorems use
         for n in range(1, 7):
-            for _, f in polyrep.poly_word_images(n):
+            for letters in product(range(2), repeat=n):
+                f = polyrep.apply_word_poly(ResidueWord(2, letters))
                 for gen in polyrep.GENERATORS:
                     assert polyrep.op_generator(gen, f) == \
-                        polyrep.op_generator(gen, f, terms=n + 6)
+                        polyrep.op_series(gen, f, n + 6)

@@ -19,7 +19,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Fock layer moved to integer coefficients, the bound one before the bound
 #: suite became one pass over distinct images, the stability and
 #: generation ones before the generator columns moved to integers, the
-#: e = 4 scan and the e = 3 word before Fock vectors were keyed by bead ints.
+#: e = 4 scan and the e = 3 word before Fock vectors were keyed by bead ints,
+#: the cross-model and generation-to-15 ones before every word suite moved
+#: onto the level walk over distinct images.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -34,6 +36,10 @@ GOLDEN = [
      "verify --suite generation --n-max 12 --format json", 0),
     ("scan_e4_30", "scan --n-max 30 --e 4 --p 2", 0),
     ("word_fock_e3", "word --e 3 --v 0,2,1,0,2,1,1,0 --model fock", 0),
+    ("verify_cross_model_12_json",
+     "verify --suite cross-model --n-max 12 --format json", 0),
+    ("verify_generation_15_json",
+     "verify --suite generation --n-max 15 --format json", 0),
 ]
 
 

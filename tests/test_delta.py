@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,9 @@ from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
                              verify_pairing, verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _op_series, inner_poly, poly_scale,
-                               poly_word_images, q, random_poly)
+from chessfock.polyrep import (GENERATORS, apply_word_poly, inner_poly,
+                               op_series, poly_scale, q, random_poly)
+from chessfock.tableaux import ResidueWord
 
 F = Fraction
 
@@ -122,7 +124,7 @@ def test_verify_stability_matches_a_fold_of_the_series():
     observations = []
     for d in range(13):
         observations += [(f"{gen} {_basis_desc(mu, d)}",
-                          delta_valuation(_op_series(gen, b)))
+                          delta_valuation(op_series(gen, b)))
                          for mu, b in delta_basis(d) for gen in GENERATORS]
         expected = _scan_report("stability", d, 0, False, observations)
         assert verify_stability(d).to_json() == expected.to_json()
@@ -162,7 +164,8 @@ def test_generation_reports_from_one_walk():
     for n, r in enumerate(reports, start=1):
         assert r == verify_generation(n)
         assert dict(r.witnesses)["nonzero word images"] == \
-            sum(1 for _ in poly_word_images(n))
+            sum(1 for letters in product(range(2), repeat=n)
+                if apply_word_poly(ResidueWord(2, letters)))
     with pytest.raises(ValueError):
         next(generation_reports(0))
 

@@ -1,18 +1,22 @@
 import json
+from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 
 from chessfock.arith import tri_count
-from chessfock.experiments import (FactorizationRow, bound_reports, chess_table,
+from chessfock.experiments import (FactorizationRow, _both_keys, _both_models,
+                                   bound_reports, chess_table,
                                    cross_model_check, cross_model_reports,
                                    exhaustive_bound_check,
                                    factorial_check, factorize,
                                    general_e_scan, rows_to_csv, rows_to_jsonl,
                                    scan_row)
-from chessfock.fock import apply_f, basis, inner, word_images
-from chessfock.polyrep import poly_word_images
-from chessfock.tableaux import OracleLimitError, ResidueWord, alternating_word
+from chessfock.fock import apply_f, apply_word, basis, inner
+from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
+from chessfock.tableaux import (OracleLimitError, ResidueWord, alternating_word,
+                                walk_images)
 
 # The first 18 alternating-word pair sums, written as they factor:
 #   1, 2, 2, 2^2, 2^3, 2^4, 2^4*3, 2^5*5, 2^6*7, 2^11, 2^8*5^2, 2^9*61,
@@ -213,13 +217,76 @@ def test_cross_model_check_small():
         assert summary["pairs"] == m * (m + 1) // 2
 
 
+def per_word_check(n):
+    """The cross-model summary by pairing every pair of nonzero words."""
+    fock_imgs, poly_imgs = {}, {}
+    for letters in product(range(2), repeat=n):
+        word = ResidueWord(2, letters)
+        if x := apply_word(word):
+            fock_imgs[letters] = x
+        if f := apply_word_poly(word):
+            poly_imgs[letters] = f
+    assert set(fock_imgs) == set(poly_imgs)
+    words = sorted(fock_imgs)
+    mismatches = []
+    for a, v in enumerate(words):
+        for w in words[a:]:
+            lhs = inner(fock_imgs[v], fock_imgs[w])
+            rhs = inner_poly(poly_imgs[v], poly_imgs[w])
+            if lhs != rhs:
+                mismatches.append(f"v={v} w={w}: {lhs} != {rhs}")
+    m = len(words)
+    return {"n": n, "nonzero_words": m, "pairs": m * (m + 1) // 2,
+            "support_match": True, "mismatches": mismatches,
+            "ok": not mismatches}
+
+
 def test_cross_model_reports_match_per_length_walks():
     reports = list(cross_model_reports(8))
     assert [r["n"] for r in reports] == list(range(1, 9))
     for n, summary in enumerate(reports, start=1):
-        images = (dict(word_images(n, 2)), dict(poly_word_images(n)))
-        assert summary == cross_model_check(n, images)
+        assert summary == per_word_check(n)
         assert summary["ok"]
     assert cross_model_check(8) == reports[-1]
     with pytest.raises(ValueError):
         cross_model_check(0)
+
+
+def both_levels(n_max):
+    return list(walk_images(n_max, 2, _both_models, (basis(()), poly_one()),
+                            key=_both_keys))
+
+
+def test_cross_model_check_reports_a_one_sided_zero():
+    level = both_levels(7)[-1]
+    word, (x, _), count = level[1]
+    level[1] = (word, (x, {}), count)
+    summary = cross_model_check(7, level)
+    assert not summary["support_match"] and not summary["ok"]
+    assert summary["mismatches"] == [f"support:{','.join(map(str, word))}"]
+    assert summary["pairs"] == 0
+
+
+def test_cross_model_check_reports_a_scaled_image():
+    level = both_levels(7)[-1]
+    word, (x, f), count = level[2]
+    level[2] = (word, (x, poly_scale(f, Fraction(2))), count)
+    summary = cross_model_check(7, level)
+    assert summary["support_match"] and not summary["ok"]
+    text = ",".join(map(str, word))
+    square = inner(x, x)
+    assert f"v={text} w={text}: {square} != {4 * square}" in summary["mismatches"]
+
+
+def test_cross_model_check_reports_two_images_on_one_fock_image():
+    # two distinct pairs with one Fock image but different polynomial
+    # images cannot agree on all three of their pairings; with -f in place
+    # of f the two diagonal ones agree, so only the cross pairing shows it
+    level = both_levels(7)[-1]
+    (first, (x, f), _), (word, _, count) = level[0], level[1]
+    level[1] = (word, (x, poly_scale(f, Fraction(-1))), count)
+    summary = cross_model_check(7, level)
+    assert summary["support_match"] and not summary["ok"]
+    v, w = (",".join(map(str, u)) for u in (first, word))
+    square = inner(x, x)
+    assert f"v={v} w={w}: {square} != {-square}" in summary["mismatches"]

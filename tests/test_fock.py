@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,11 +6,10 @@ from math import factorial
 import pytest
 
 from chessfock.fock import (apply_e, apply_f, apply_word, basis, decode,
-                            distinct_word_images, gram_rows, inner, pair_sum,
-                            random_vector, word_images)
+                            gram_rows, inner, pair_sum, random_vector)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
-from chessfock.tableaux import ResidueWord, alternating_word
+from chessfock.tableaux import ResidueWord, alternating_word, walk_images
 
 ONE = Fraction(1)
 
@@ -87,23 +87,29 @@ def test_modulus_one_gives_factorials():
         assert pair_sum(w, w) == factorial(n)
 
 
+def fock_levels(n_max, e=2):
+    return walk_images(n_max, e, lambda x, i: apply_f(x, i, e), basis(()))
+
+
 def test_word_images_agree_with_apply_word():
+    levels = list(fock_levels(6))
     for n in (3, 6):
-        images = dict(word_images(n, 2))
-        for letters, image in images.items():
-            assert image == apply_word(ResidueWord(2, letters))
+        # every word's own image, deduplicated in word order
+        expected = {}
+        for letters in itertools.product(range(2), repeat=n):
+            image = apply_word(ResidueWord(2, letters))
+            if image:
+                key = tuple(sorted(image.items()))
+                expected.setdefault(key, [letters, image, 0])[2] += 1
+        assert levels[n - 1] == [tuple(state) for state in expected.values()]
+        for _, image, _ in levels[n - 1]:
             assert all(c.denominator == 1 and c > 0 for c in image.values())
             assert all(sum(lam) == n for lam in decode(image))
-        # words missing from the tree really have zero image
-        import itertools
-        for letters in itertools.product(range(2), repeat=n):
-            if letters not in images:
-                assert apply_word(ResidueWord(2, letters)) == {}
 
 
 def test_coefficients_are_ints():
     images = [apply_word(alternating_word(9))]
-    images += [image for _, image in word_images(7, 3)]
+    images += [image for level in fock_levels(7, 3) for _, image, _ in level]
     rng = random.Random(3)
     images += [random_vector(rng, 8) for _ in range(20)]
     assert all(type(c) is int for image in images for c in image.values())
@@ -170,21 +176,20 @@ def test_operators_and_basis_validate():
 
 def test_distinct_word_images_keep_the_least_word():
     # the level walk against a dedup of every word, in word order
-    for n, level in enumerate(distinct_word_images(12, 2), start=1):
-        seen = {}
-        for letters, image in word_images(n, 2):
-            seen.setdefault(tuple(sorted(image.items())), (letters, image))
-        assert level == list(seen.values())
-    for n, level in enumerate(distinct_word_images(6, 3), start=1):
-        seen = {}
-        for letters, image in word_images(n, 3):
-            seen.setdefault(tuple(sorted(image.items())), (letters, image))
-        assert level == list(seen.values())
+    for e, n_max in ((2, 12), (3, 6)):
+        for n, level in enumerate(fock_levels(n_max, e), start=1):
+            seen = {}
+            for letters in itertools.product(range(e), repeat=n):
+                image = apply_word(ResidueWord(e, letters))
+                if image:
+                    key = tuple(sorted(image.items()))
+                    seen.setdefault(key, [letters, image, 0])[2] += 1
+            assert level == [tuple(state) for state in seen.values()]
 
 
 def test_gram_rows_match_inner():
-    for level in distinct_word_images(10, 2):
-        vectors = [image for _, image in level]
+    for level in fock_levels(10):
+        vectors = [image for _, image, _ in level]
         rows = list(gram_rows(vectors))
         assert len(rows) == len(vectors)
         for a, row in enumerate(rows):

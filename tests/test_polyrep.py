@@ -2,20 +2,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from chessfock.fock import apply_f, basis, inner, pair_sum, word_images
+from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import verify_stability
 from chessfock.partitions import enumerate_partitions, z_mu
-from chessfock.polyrep import (GENERATORS, _column, _op_series, _q_star,
-                               _sub_monomials, adjoint_monomial,
-                               apply_word_poly, inner_poly,
-                               mul_monomial, op_a, op_generator, poly_add,
-                               poly_one, poly_scale, poly_sub, poly_word_images,
-                               q, random_poly, top_degree)
-from chessfock.tableaux import ResidueWord, alternating_word, walk_words
+from chessfock.polyrep import (GENERATORS, _column, _q_star, _sub_monomials,
+                               adjoint_monomial, apply_letter, apply_word_poly,
+                               inner_poly, mul_monomial, op_a, op_generator,
+                               op_series, poly_add, poly_one, poly_scale,
+                               poly_sub, q, random_poly, top_degree)
+from chessfock.tableaux import ResidueWord, alternating_word, walk_images
 
 F = Fraction
 ONE = poly_one()
@@ -170,7 +170,7 @@ def test_series_truncation_is_exact():
         f = random_poly(rng, 9)
         deep = 2 * max(top_degree(f), 0) + 5
         for gen in GENERATORS:
-            assert op_generator(gen, f) == op_generator(gen, f, terms=deep)
+            assert op_generator(gen, f) == op_series(gen, f, deep)
         for j in (-2, -1, 0, 1, 2):
             assert op_a(j, f) == op_a(j, f, terms=top_degree(f) + abs(j) + 4)
 
@@ -196,13 +196,13 @@ def test_cached_columns_match_the_series():
             f = {mu: c}
             for gen in GENERATORS:
                 fast = op_generator(gen, f)
-                assert fast == _op_series(gen, f)
-                assert fast == op_generator(gen, f, terms=deg + 6)
+                assert fast == op_series(gen, f)
+                assert fast == op_series(gen, f, deg + 6)
                 assert all(isinstance(v, F) and v for v in fast.values())
 
 
 def _series_step(f, letter):
-    return _op_series("f0" if letter == 0 else "f1", f)
+    return op_series("f0" if letter == 0 else "f1", f)
 
 
 def series_walk(n, f=ONE, prefix=(), step=_series_step, e=2):
@@ -217,26 +217,41 @@ def series_walk(n, f=ONE, prefix=(), step=_series_step, e=2):
             yield from series_walk(n, g, prefix + (letter,), step, e)
 
 
+def deduplicated(words):
+    """(least word, image, words) per distinct image of a word-order walk."""
+    seen = {}
+    for letters, image in words:
+        seen.setdefault(tuple(sorted(image.items())), [letters, image, 0])[2] += 1
+    return [tuple(state) for state in seen.values()]
+
+
 def test_word_images_match_a_walk_on_the_series():
-    for n in range(10):
-        assert list(poly_word_images(n)) == list(series_walk(n))
+    # the cached-column generators against the series, along every word
+    levels = list(walk_images(9, 2, apply_letter, ONE))
+    assert len(levels) == 9
+    for n, level in enumerate(levels, start=1):
+        assert level == deduplicated(series_walk(n))
+    # s_(3) + s_(1,1,1) = (p1^3 + 2 p3) / 3, the image of 0,1,0
+    assert levels[2] == [((0, 1, 0), {(1, 1, 1): F(1, 3), (3,): F(2, 3)}, 1),
+                         ((0, 1, 1), {(1, 1, 1): F(2, 3), (3,): F(-2, 3)}, 1)]
 
 
 def test_walk_words_is_every_depth_of_the_per_model_walks():
-    for e in (2, 3):
+    # levels, least words and word counts against every word of each length
+    for e, n_max in ((2, 12), (3, 6)):
         fock_step = lambda x, i: apply_f(x, i, e)
-        walked = list(walk_words(8, e, fock_step, basis(())))
-        for n in range(9):
-            assert [item for item in walked if len(item[0]) == n] == \
-                list(series_walk(n, basis(()), step=fock_step, e=e))
-    walked = list(walk_words(8, 2, _series_step, ONE))
-    for n in range(9):
-        assert [item for item in walked if len(item[0]) == n] == \
-            list(series_walk(n))
-    # a word comes right before its extensions
-    assert [letters for letters, _ in walked][:4] == [(), (0,), (0, 1), (0, 1, 0)]
-    with pytest.raises(ValueError):
-        next(walk_words(-1, 2, _series_step, ONE))
+        levels = list(walk_images(n_max, e, fock_step, basis(())))
+        assert len(levels) == n_max
+        for n, level in enumerate(levels, start=1):
+            assert level == deduplicated(
+                series_walk(n, basis(()), step=fock_step, e=e))
+    levels = list(walk_images(8, 2, _series_step, ONE))
+    for n, level in enumerate(levels, start=1):
+        assert level == deduplicated(series_walk(n))
+        # each level is in the order of its least words
+        assert [letters for letters, _, _ in level] == \
+            sorted(letters for letters, _, _ in level)
+    assert list(walk_images(0, 2, _series_step, ONE)) == []
 
 
 def test_stability_bypasses_the_column_cache():
@@ -267,14 +282,13 @@ def test_apply_word_poly():
 
 def test_models_agree_on_small_words():
     for n in range(1, 7):
-        images = dict(poly_word_images(n))
-        fock_images = dict(word_images(n, 2))
-        assert set(images) == set(fock_images)
-        words = sorted(images)
-        for a, v in enumerate(words):
-            for w in words[a:]:
-                assert inner_poly(images[v], images[w]) == \
-                    inner(fock_images[v], fock_images[w])
+        words = [ResidueWord(2, letters) for letters in product(range(2), repeat=n)]
+        images = [(apply_word(w), apply_word_poly(w)) for w in words]
+        assert all(bool(x) == bool(f) for x, f in images)
+        images = [pair for pair in images if pair[0]]
+        for a, (x, f) in enumerate(images):
+            for y, g in images[a:]:
+                assert inner_poly(f, g) == inner(x, y)
 
 
 def test_pair_sum_via_polynomials_matches_table_values():
