@@ -9,7 +9,6 @@ for a fixed command line (including --seed).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import delta, experiments, fock, polyrep
 from .partitions import format_partition, sort_key
@@ -20,35 +19,6 @@ SUITES = ("q-image", "stability", "generation", "pairing", "bound",
 
 _SUITE_DEFAULT_N = {"q-image": 8, "generation": 10, "pairing": 16,
                     "bound": 10, "factorial": 12, "cross-model": 8}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one CLI run."""
-
-    command: str
-    n_max: int | None = None
-    degree_bound: int = 12
-    e: int = 2
-    p: int = 2
-    v: ResidueWord | None = None
-    w: ResidueWord | None = None
-    fmt: str = "csv"
-    suite: str = "all"
-    seed: int = 0
-    model: str = "both"
-
-    def __post_init__(self):
-        for name, flag in (("n_max", "--n-max"), ("degree_bound", "--degree"),
-                           ("e", "--e"), ("p", "--p")):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{flag} must be >= 1")
-        if (self.v is None) != (self.w is None) and self.command != "word":
-            raise ValueError("give both words or neither")
-        if self.v is not None and self.w is not None:
-            if len(self.v) != len(self.w):
-                raise ValueError("the two words must have the same length")
 
 
 def _parse_word(text: str, e: int) -> ResidueWord:
@@ -112,26 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    e = getattr(args, "e", 2)
-    v = w = None
-    if getattr(args, "v", None) is not None:
-        v = _parse_word(args.v, e)
-    if getattr(args, "w", None) is not None:
-        w = _parse_word(args.w, e)
-    return RunConfig(
-        command=args.command,
-        n_max=getattr(args, "n_max", None),
-        degree_bound=getattr(args, "degree", 12),
-        e=e,
-        p=getattr(args, "p", 2),
-        v=v,
-        w=w,
-        fmt=getattr(args, "format", "csv"),
-        suite=getattr(args, "suite", "all"),
-        seed=getattr(args, "seed", 0),
-        model=getattr(args, "model", "both"),
-    )
+def _validate(args: argparse.Namespace) -> None:
+    """Check what argparse cannot and parse --v/--w into ResidueWords in
+    place; raises ValueError with the message for the user."""
+    for name in ("v", "w"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _parse_word(getattr(args, name), args.e))
+    for name, flag in (("n_max", "--n-max"), ("degree", "--degree"),
+                       ("e", "--e"), ("p", "--p")):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1")
+    v, w = getattr(args, "v", None), getattr(args, "w", None)
+    if args.command == "scan" and (v is None) != (w is None):
+        raise ValueError("give both words or neither")
+    if v is not None and w is not None and len(v) != len(w):
+        raise ValueError("the two words must have the same length")
 
 
 def _print_rows(rows, fmt, out) -> int:
@@ -142,53 +108,49 @@ def _print_rows(rows, fmt, out) -> int:
     return 1 if any(row.verdict == "FAIL" for row in rows) else 0
 
 
-def _cmd_chess_table(cfg: RunConfig, out) -> int:
-    return _print_rows(experiments.chess_table(cfg.n_max or 18), cfg.fmt, out)
+def _cmd_chess_table(args, out) -> int:
+    return _print_rows(experiments.chess_table(args.n_max), args.format, out)
 
 
-def _cmd_pair_sum(cfg: RunConfig, out) -> int:
-    out.write(f"{fock.pair_sum(cfg.v, cfg.w)}\n")
+def _cmd_pair_sum(args, out) -> int:
+    out.write(f"{fock.pair_sum(args.v, args.w)}\n")
     return 0
 
 
-def _cmd_scan(cfg: RunConfig, out) -> int:
-    if cfg.v is not None:
+def _cmd_scan(args, out) -> int:
+    if args.v is not None:
         try:
-            rows = [experiments.scan_row(cfg.v, cfg.w, cfg.p)]
+            rows = [experiments.scan_row(args.v, args.w, args.p)]
         except ArithmeticError as exc:  # a zero pair sum has no valuation row
             raise ValueError(str(exc)) from exc
     else:
-        rows = experiments.general_e_scan(cfg.n_max or 12, cfg.e, cfg.p)
-    return _print_rows(rows, cfg.fmt, out)
+        rows = experiments.general_e_scan(args.n_max, args.e, args.p)
+    return _print_rows(rows, args.format, out)
 
 
-def _cmd_word(cfg: RunConfig, out) -> int:
-    models = ("fock", "poly") if cfg.model == "both" else (cfg.model,)
-    if "poly" in models and cfg.e != 2:
+def _cmd_word(args, out) -> int:
+    models = ("fock", "poly") if args.model == "both" else (args.model,)
+    if "poly" in models and args.e != 2:
         raise ValueError("the polynomial model needs --e 2")
     for model in models:
         out.write(f"{model}:\n")
         if model == "fock":
-            image = fock.decode(fock.apply_word(cfg.v))
-            lines = [f"  {c} {format_partition(lam)}"
-                     for lam, c in sorted(image.items(),
-                                          key=lambda kv: sort_key(kv[0]))]
+            image, prefix = fock.decode(fock.apply_word(args.v)), ""
         else:
-            image = polyrep.apply_word_poly(cfg.v)
-            lines = [f"  {c} p{format_partition(mu)}"
-                     for mu, c in sorted(image.items(),
-                                         key=lambda kv: sort_key(kv[0]))]
+            image, prefix = polyrep.apply_word_poly(args.v), "p"
+        lines = [f"  {c} {prefix}{format_partition(key)}"
+                 for key, c in sorted(image.items(), key=lambda kv: sort_key(kv[0]))]
         out.write("\n".join(lines) + "\n" if lines else "  0\n")
     return 0
 
 
-def _run_suite(cfg: RunConfig):
+def _run_suite(args):
     """Yield (name, verdict, payload) triples for the requested suite."""
-    suite = cfg.suite
-    degree = cfg.degree_bound
+    suite = args.suite
+    degree = args.degree
 
     def cap(name):
-        return cfg.n_max if cfg.n_max is not None else _SUITE_DEFAULT_N[name]
+        return args.n_max if args.n_max is not None else _SUITE_DEFAULT_N[name]
 
     if suite in ("q-image", "all"):
         for n in range(1, cap("q-image") + 1):
@@ -206,9 +168,7 @@ def _run_suite(cfg: RunConfig):
             r = delta.verify_pairing(n)
             yield r.claim, r.verdict, r.to_json()
     if suite in ("bound", "all"):
-        top = cap("bound")
-        for r in experiments.bound_reports(
-                top, limit=max(top, experiments.DEFAULT_SCAN_LIMIT)):
+        for r in experiments.bound_reports(cap("bound")):
             yield r.claim, r.verdict, r.to_json()
     if suite in ("factorial", "all"):
         for n in range(1, cap("factorial") + 1):
@@ -219,15 +179,15 @@ def _run_suite(cfg: RunConfig):
             yield (f"cross-model[n={summary['n']}]",
                    "PASS" if summary["ok"] else "FAIL", summary)
     if suite in ("properties", "all"):
-        for name, ok, detail in experiments.property_checks(cfg.seed):
-            detail = dict(detail, seed=cfg.seed)
+        for name, ok, detail in experiments.property_checks(args.seed):
+            detail = dict(detail, seed=args.seed)
             yield (f"properties[{name}]", "PASS" if ok else "FAIL", detail)
 
 
-def _cmd_verify(cfg: RunConfig, out) -> int:
+def _cmd_verify(args, out) -> int:
     failed = 0
-    for name, verdict, payload in _run_suite(cfg):
-        if cfg.fmt == "json":
+    for name, verdict, payload in _run_suite(args):
+        if args.format == "json":
             record = dict(payload)
             record.setdefault("claim", name)
             record.setdefault("verdict", verdict)
@@ -256,19 +216,16 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig, out=None) -> int:
-    return _COMMANDS[cfg.command](cfg, out if out is not None else sys.stdout)
+def run(args: argparse.Namespace, out=None) -> int:
+    return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return run(cfg)
+        _validate(args)
+        return run(args)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -4,7 +4,9 @@ its valuation, and the machine verifiers built on it.
 A polynomial lies in 2^t times the lattice exactly when its
 ``delta_valuation`` is >= t, so each verifier reduces a containment claim
 to a minimum of integer valuations over a finite set of inputs and reports
-the outcome with witnesses.
+the outcome with witnesses.  The generation suite walks the distinct word
+images once (``generation_reports``) and hands every level to the
+per-length check ``verify_generation``.
 """
 
 import json
@@ -197,53 +199,52 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
-    """Check, for n = 1..n_max, that the 2^n length-n f-word images of 1
-    span the degree-n slice of the lattice over the odd-denominator
-    integers; yields the n = 1..n_max reports from one walk of the
-    distinct images (``tableaux.walk_images``).
-
-    Each image is written in lattice-basis coordinates (integral by
-    stability -- violations raise), reduced mod 2 to a bit row, and the
-    deduplicated rows are eliminated over GF(2).  Equal images give equal
-    rows, so only the distinct images are reduced.  Full rank lifts to
-    spanning, so ``required`` is the slice dimension and ``observed_min``
-    the achieved rank.
-    """
+    """Yield ``verify_generation(n, level)`` for n = 1..n_max from one
+    ``walk_images`` pass over the distinct polynomial images of the words."""
     if n_max < 1:
         raise ValueError(f"generation check needs n >= 1, got {n_max}")
     levels = walk_images(n_max, 2, apply_letter, poly_one())
     for n, level in enumerate(levels, start=1):
-        columns = {mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
-        rows: set[int] = set()
-        for _, f, _ in level:
-            bits = 0
-            for mu, c in f.items():
-                shift = (n - len(mu)) // 2
-                val = vp(c, 2)
-                if val < shift:
-                    raise ArithmeticError(
-                        f"word image escapes the lattice at {mu} (v2={val} < {shift})"
-                    )
-                if val == shift:
-                    bits |= 1 << columns[mu]
-            if bits:
-                rows.add(bits)
-        yield ValuationReport(
-            claim=f"generation[n={n}]",
-            degree_bound=n,
-            required=len(columns),
-            observed_min=gf2_rank(sorted(rows)),
-            require_tight=True,
-            witnesses=(("nonzero word images", sum(words for _, _, words in level)),
-                       ("distinct mod-2 rows", len(rows))),
-        )
+        yield verify_generation(n, level)
 
 
-def verify_generation(n: int) -> ValuationReport:
-    """The generation check at one length n: the last of
-    ``generation_reports(n)``."""
-    *_, last = generation_reports(n)
-    return last
+def verify_generation(n: int, level: list) -> ValuationReport:
+    """Check that the 2^n length-n f-word images of 1 span the degree-n
+    slice of the lattice over the odd-denominator integers.
+
+    ``level`` is the length-n level of ``walk_images`` over the polynomial
+    images, as (least word, image, words) triples.  Each image is written
+    in lattice-basis coordinates (integral by stability -- violations
+    raise), reduced mod 2 to a bit row, and the deduplicated rows are
+    eliminated over GF(2).  Equal images give equal rows, so only the
+    distinct images are reduced.  Full rank lifts to spanning, so
+    ``required`` is the slice dimension and ``observed_min`` the achieved
+    rank.
+    """
+    columns = {mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
+    rows: set[int] = set()
+    for _, f, _ in level:
+        bits = 0
+        for mu, c in f.items():
+            shift = (n - len(mu)) // 2
+            val = vp(c, 2)
+            if val < shift:
+                raise ArithmeticError(
+                    f"word image escapes the lattice at {mu} (v2={val} < {shift})"
+                )
+            if val == shift:
+                bits |= 1 << columns[mu]
+        if bits:
+            rows.add(bits)
+    return ValuationReport(
+        claim=f"generation[n={n}]",
+        degree_bound=n,
+        required=len(columns),
+        observed_min=gf2_rank(sorted(rows)),
+        require_tight=True,
+        witnesses=(("nonzero word images", sum(words for _, _, words in level)),
+                   ("distinct mod-2 rows", len(rows))),
+    )
 
 
 def verify_pairing(n: int) -> ValuationReport:

@@ -1,11 +1,13 @@
 """Headline tables and exhaustive scans.
 
 Everything here is about concrete integers: the alternating-word table
-and its factorizations, the exhaustive Gram-matrix bound check over all
-words of a given length, the factorial sanity column, and the
-observational scans at other moduli (which assert nothing -- no
-divisibility pattern is claimed away from e = 2), and the seeded
-randomized property checks.
+and its factorizations, the factorial sanity column, the observational
+scans at other moduli (which assert nothing -- no divisibility pattern is
+claimed away from e = 2), and the seeded randomized property checks.
+The two word suites, the Gram-matrix bound check and the cross-model
+comparison, each walk the distinct word images once
+(``bound_reports``, ``cross_model_reports``) and hand every level to a
+per-length check (``exhaustive_bound_check``, ``cross_model_check``).
 """
 
 import json
@@ -24,14 +26,10 @@ from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
                       mul_monomial, op_a, op_generator, op_series, poly_add,
                       poly_one, random_poly, top_degree)
-from .tableaux import OracleLimitError, ResidueWord, hook_count, walk_images
+from .tableaux import ResidueWord, hook_count, walk_images
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
 FACTOR_LIMIT = 1_000_000
-
-#: Default cap on exhaustive 2^n scans.
-DEFAULT_SCAN_LIMIT = 10
-
 
 #: Odd numbers per segment of the prime sieve in _odd_primes.
 _SIEVE_SEGMENT = 1 << 15
@@ -179,60 +177,56 @@ def _pair_text(v, w) -> str:
     return f"v={_word_text(v)} w={_word_text(w)}"
 
 
-def bound_reports(n_max: int, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[ValuationReport]:
+def bound_reports(n_max: int) -> Iterator[ValuationReport]:
+    """Yield ``exhaustive_bound_check(n, level)`` for n = 1..n_max from one
+    ``walk_images`` pass over the distinct Fock images of the words."""
+    if n_max < 1:
+        raise ValueError(f"need n >= 1, got {n_max}")
+    levels = walk_images(n_max, 2, lambda x, i: apply_f(x, i, 2), basis(()))
+    for n, level in enumerate(levels, start=1):
+        yield exhaustive_bound_check(n, level)
+
+
+def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     """Pair every nonzero length-n word image with every other (the full
     Gram matrix) and check that each nonzero pairing is divisible by
-    2^(n - tri_count(n)), with the exponent attained by some pair; yields
-    the n = 1..n_max reports from one pass.
+    2^(n - tri_count(n)), with the exponent attained by some pair.
 
-    Distinct words often produce identical images, and equal images give
-    equal pairings, so only the distinct images are paired, each under its
-    lexicographically least word (``tableaux.walk_images``, one level
-    per n).  The pairings come a Gram row at a time from
+    ``level`` is the length-n level of ``walk_images`` over the Fock
+    images, as (least word, image, words) triples.  Distinct words often
+    produce identical images, and equal images give equal pairings, so
+    only the distinct images are paired, each under its lexicographically
+    least word.  The pairings come a Gram row at a time from
     ``fock.gram_rows``.  Witness text is built only for a failing pair and
     for the first pair attaining the bound.
     """
-    if n_max < 1:
-        raise ValueError(f"need n >= 1, got {n_max}")
-    if n_max > limit:
-        raise OracleLimitError(
-            f"refusing a 2^{n_max} scan (limit {limit}); raise the limit to force it"
-        )
-    levels = walk_images(n_max, 2, lambda x, i: apply_f(x, i, 2), basis(()))
-    for n, reps in enumerate(levels, start=1):
-        required = n - tri_count(n)
-        observed = INFINITY
-        failures = []
-        attained = None
-        pairings = 0
-        for a, row in enumerate(gram_rows([x for _, x, _ in reps])):
-            for b, s in enumerate(row, start=a):
-                if s == 0:
-                    continue
-                pairings += 1
-                val = (s & -s).bit_length() - 1
-                if val < observed:
-                    observed = val
-                if val < required:
-                    failures.append((_pair_text(reps[a][0], reps[b][0]), val))
-                elif val == required and attained is None:
-                    attained = (_pair_text(reps[a][0], reps[b][0]), val)
-        witnesses = tuple(failures + ([attained] if attained else []))
-        yield ValuationReport(
-            claim=f"bound[n={n}]",
-            degree_bound=n,
-            required=required,
-            observed_min=observed,
-            require_tight=True,
-            witnesses=witnesses + (("distinct nonzero images", len(reps)),
-                                   ("nonzero pairings", pairings)),
-        )
-
-
-def exhaustive_bound_check(n: int, limit: int = DEFAULT_SCAN_LIMIT) -> ValuationReport:
-    """The bound check at one length n: the last of ``bound_reports(n)``."""
-    *_, last = bound_reports(n, limit)
-    return last
+    required = n - tri_count(n)
+    observed = INFINITY
+    failures = []
+    attained = None
+    pairings = 0
+    for a, row in enumerate(gram_rows([x for _, x, _ in level])):
+        for b, s in enumerate(row, start=a):
+            if s == 0:
+                continue
+            pairings += 1
+            val = (s & -s).bit_length() - 1
+            if val < observed:
+                observed = val
+            if val < required:
+                failures.append((_pair_text(level[a][0], level[b][0]), val))
+            elif val == required and attained is None:
+                attained = (_pair_text(level[a][0], level[b][0]), val)
+    witnesses = tuple(failures + ([attained] if attained else []))
+    return ValuationReport(
+        claim=f"bound[n={n}]",
+        degree_bound=n,
+        required=required,
+        observed_min=observed,
+        require_tight=True,
+        witnesses=witnesses + (("distinct nonzero images", len(level)),
+                               ("nonzero pairings", pairings)),
+    )
 
 
 def factorial_check(n: int) -> bool:
@@ -297,7 +291,7 @@ def _both_keys(state: tuple[dict, dict]) -> tuple:
 
 
 def cross_model_reports(n_max: int) -> Iterator[dict]:
-    """Yield ``cross_model_check(n)`` for n = 1..n_max from one
+    """Yield ``cross_model_check(n, level)`` for n = 1..n_max from one
     ``walk_images`` pass over the (Fock image, polynomial image) pairs of
     the words; each level is handed to the check and then dropped."""
     if n_max < 1:
@@ -308,7 +302,7 @@ def cross_model_reports(n_max: int) -> Iterator[dict]:
         yield cross_model_check(n, level)
 
 
-def cross_model_check(n: int, level: list | None = None) -> dict:
+def cross_model_check(n: int, level: list) -> dict:
     """Compare the two models on every pair of length-n words.
 
     The partition-basis pairing of add-cell images must equal the
@@ -318,10 +312,9 @@ def cross_model_check(n: int, level: list | None = None) -> dict:
     pair of surviving images agrees.
 
     ``level`` is the length-n level of ``walk_images`` over the pairs
-    (Fock image, polynomial image), as (least word, pair, words) triples;
-    by default it comes from ``cross_model_reports(n)``, of which the
-    result is the last.  Each word pairing is a pairing of two distinct
-    pairs, so only those are compared.  That is as strong as comparing
+    (Fock image, polynomial image), as (least word, pair, words) triples.
+    Each word pairing is a pairing of two distinct pairs, so only those
+    are compared.  That is as strong as comparing
     every word: two pairs that share a Fock image but not a polynomial
     image p, p' agree on all three pairings only if (p - p', p - p') = 0,
     and the polynomial pairing is positive definite.  ``pairs`` still
@@ -329,9 +322,6 @@ def cross_model_check(n: int, level: list | None = None) -> dict:
     summary is the one a word-by-word comparison gives; a failing one
     names the least words of the offending distinct pairs as witnesses.
     """
-    if level is None:
-        *_, last = cross_model_reports(n)
-        return last
     lopsided = [word for word, (x, f), _ in level if not (x and f)]
     words = sum(count for _, (x, _), count in level if x)
     summary = {

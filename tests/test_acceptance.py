@@ -53,8 +53,7 @@ def test_criterion_1_chess_table_matches_published_values():
 
 def test_criterion_2_exhaustive_bound_with_tightness():
     with Criterion(2, "exhaustive 2^n bound scan n<=10, tight", 120):
-        for n in range(1, 11):
-            report = experiments.exhaustive_bound_check(n)
+        for n, report in enumerate(experiments.bound_reports(10), start=1):
             assert report.verdict == "PASS", report.to_json()
             assert report.required == n - tri_count(n)
             assert report.observed_min == report.required  # tightness
@@ -62,8 +61,7 @@ def test_criterion_2_exhaustive_bound_with_tightness():
 
 def test_criterion_3_model_equivalence_up_to_length_8():
     with Criterion(3, "fock/polynomial pairings agree, words n<=8", 120):
-        for n in range(1, 9):
-            summary = experiments.cross_model_check(n)
+        for summary in experiments.cross_model_reports(8):
             # support_match certifies the zero images coincide, so pairs
             # involving a vanished word agree trivially; every surviving
             # pair was compared exactly
@@ -83,8 +81,7 @@ def test_criterion_4_q_image_and_stability_at_degree_12():
 
 def test_criterion_5_generation_up_to_10():
     with Criterion(5, "mod-2 spanning of word images n<=10", 120):
-        for n in range(1, 11):
-            report = delta.verify_generation(n)
+        for n, report in enumerate(delta.generation_reports(10), start=1):
             assert report.verdict == "PASS", report.to_json()
             assert report.observed_min == len(enumerate_partitions(n, "odd"))
 

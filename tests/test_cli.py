@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chessfock.cli import (SUITES, RunConfig, build_parser, config_from_args,
-                           main)
-from chessfock.tableaux import ResidueWord
+from chessfock import delta, experiments
+from chessfock.cli import SUITES, _validate, build_parser, main
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -189,16 +188,45 @@ def test_verify_exit_code_reflects_failures(capsys, monkeypatch):
 
 
 def test_run_config_validation():
-    args = build_parser().parse_args(["chess-table", "--n-max", "5"])
-    cfg = config_from_args(args)
-    assert cfg.command == "chess-table" and cfg.n_max == 5
-    with pytest.raises(ValueError):
-        RunConfig(command="chess-table", n_max=0)
-    with pytest.raises(ValueError):
-        RunConfig(command="pair-sum", v=ResidueWord(2, (0,)), w=None)
-    with pytest.raises(ValueError):
-        RunConfig(command="pair-sum", v=ResidueWord(2, (0,)),
-                  w=ResidueWord(2, (0, 1)))
+    def validated(*argv):
+        args = build_parser().parse_args(list(argv))
+        _validate(args)
+        return args
+
+    args = validated("chess-table", "--n-max", "5")
+    assert args.command == "chess-table" and args.n_max == 5
+    with pytest.raises(ValueError, match="--n-max must be >= 1"):
+        validated("chess-table", "--n-max", "0")
+    with pytest.raises(ValueError, match="give both words or neither"):
+        validated("scan", "--v", "0,1")
+    with pytest.raises(ValueError, match="give both words or neither"):
+        validated("scan", "--w", "0,1")
+    with pytest.raises(ValueError, match="the two words must have the same"):
+        validated("scan", "--v", "0,1", "--w", "0")
+    args = validated("scan", "--v", "0,1", "--w", "1,0")
+    assert len(args.v) == len(args.w) == 2
+
+
+@pytest.mark.parametrize("suite,module,check", [
+    ("bound", experiments, "exhaustive_bound_check"),
+    ("generation", delta, "verify_generation"),
+    ("cross-model", experiments, "cross_model_check"),
+], ids=["bound", "generation", "cross-model"])
+def test_verify_calls_the_per_length_check_once_per_n(capsys, monkeypatch,
+                                                      suite, module, check):
+    # the benchmark's tracer counts these names, so the suites must run
+    # through them
+    original = getattr(module, check)
+    seen = []
+
+    def counting(n, level):
+        seen.append(n)
+        return original(n, level)
+
+    monkeypatch.setattr(module, check, counting)
+    code, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "5")
+    assert code == 0
+    assert seen == [1, 2, 3, 4, 5]
 
 
 _SMALL = st.integers(-1, 8).map(str)

@@ -8,7 +8,7 @@ import pytest
 from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
                              delta_basis, delta_valuation,
-                             generation_reports, gf2_rank, verify_generation,
+                             generation_reports, gf2_rank,
                              verify_pairing, verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
@@ -150,19 +150,20 @@ def test_gf2_rank():
 
 def test_verify_generation_small():
     for n, dim in [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 4)]:
-        r = verify_generation(n)
+        *_, r = generation_reports(n)
         assert r.verdict == "PASS"
         assert r.required == dim
         assert r.observed_min == dim
     with pytest.raises(ValueError):
-        verify_generation(0)
+        next(generation_reports(0))
 
 
 def test_generation_reports_from_one_walk():
     reports = list(generation_reports(7))
     assert [r.claim for r in reports] == [f"generation[n={n}]" for n in range(1, 8)]
     for n, r in enumerate(reports, start=1):
-        assert r == verify_generation(n)
+        *_, last = generation_reports(n)
+        assert r == last
         assert dict(r.witnesses)["nonzero word images"] == \
             sum(1 for letters in product(range(2), repeat=n)
                 if apply_word_poly(ResidueWord(2, letters)))

@@ -9,14 +9,12 @@ from chessfock.arith import tri_count
 from chessfock.experiments import (FactorizationRow, _both_keys, _both_models,
                                    bound_reports, chess_table,
                                    cross_model_check, cross_model_reports,
-                                   exhaustive_bound_check,
                                    factorial_check, factorize,
                                    general_e_scan, rows_to_csv, rows_to_jsonl,
                                    scan_row)
 from chessfock.fock import apply_f, apply_word, basis, inner
 from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
-from chessfock.tableaux import (OracleLimitError, ResidueWord, alternating_word,
-                                walk_images)
+from chessfock.tableaux import ResidueWord, alternating_word, walk_images
 
 # The first 18 alternating-word pair sums, written as they factor:
 #   1, 2, 2, 2^2, 2^3, 2^4, 2^4*3, 2^5*5, 2^6*7, 2^11, 2^8*5^2, 2^9*61,
@@ -147,23 +145,19 @@ def test_csv_and_jsonl_golden():
 
 def test_exhaustive_bound_check_small():
     for n in range(1, 9):
-        report = exhaustive_bound_check(n)
+        *_, report = bound_reports(n)
         assert report.verdict == "PASS", report.to_json()
         assert report.required == n - tri_count(n)
         assert report.tight
-    with pytest.raises(OracleLimitError):
-        exhaustive_bound_check(11)
-    assert exhaustive_bound_check(3, limit=3).verdict == "PASS"
 
 
 def test_bound_reports_from_one_pass():
     reports = list(bound_reports(9))
     assert [r.claim for r in reports] == [f"bound[n={n}]" for n in range(1, 10)]
     for n in range(1, 10):
-        assert exhaustive_bound_check(n) == reports[n - 1]
-    assert exhaustive_bound_check(12, limit=12) == list(bound_reports(12, 12))[-1]
-    with pytest.raises(OracleLimitError):
-        next(bound_reports(11))
+        *_, last = bound_reports(n)
+        assert last == reports[n - 1]
+    assert list(bound_reports(12))[:9] == reports
     with pytest.raises(ValueError):
         next(bound_reports(0))
 
@@ -210,7 +204,7 @@ def test_scan_row_explicit_words():
 
 def test_cross_model_check_small():
     for n in range(1, 7):
-        summary = cross_model_check(n)
+        *_, summary = cross_model_reports(n)
         assert summary["ok"], summary
         assert summary["support_match"]
         m = summary["nonzero_words"]
@@ -247,9 +241,9 @@ def test_cross_model_reports_match_per_length_walks():
     for n, summary in enumerate(reports, start=1):
         assert summary == per_word_check(n)
         assert summary["ok"]
-    assert cross_model_check(8) == reports[-1]
+    assert list(cross_model_reports(5)) == reports[:5]
     with pytest.raises(ValueError):
-        cross_model_check(0)
+        next(cross_model_reports(0))
 
 
 def both_levels(n_max):
