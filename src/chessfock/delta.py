@@ -215,19 +215,23 @@ def verify_generation(n: int, level: list) -> ValuationReport:
     ``level`` is the length-n level of ``walk_images`` over the polynomial
     images, as (least word, image, words) triples.  Each image is written
     in lattice-basis coordinates (integral by stability -- violations
-    raise), reduced mod 2 to a bit row, and the deduplicated rows are
-    eliminated over GF(2).  Equal images give equal rows, so only the
-    distinct images are reduced.  Full rank lifts to spanning, so
-    ``required`` is the slice dimension and ``observed_min`` the achieved
-    rank.
+    raise; each coefficient's 2-adic valuation is read off the lowest set
+    bits of its numerator and denominator), reduced mod 2 to a bit row,
+    and the deduplicated rows are eliminated over GF(2).  Equal images
+    give equal rows, so only the distinct images are reduced.  Full rank
+    lifts to spanning, so ``required`` is the slice dimension and
+    ``observed_min`` the achieved rank.
     """
     columns = {mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
     rows: set[int] = set()
     for _, f, _ in level:
         bits = 0
         for mu, c in f.items():
+            num, den = c.numerator, c.denominator
+            if not num:
+                continue
             shift = (n - len(mu)) // 2
-            val = vp(c, 2)
+            val = (num & -num).bit_length() - (den & -den).bit_length()
             if val < shift:
                 raise ArithmeticError(
                     f"word image escapes the lattice at {mu} (v2={val} < {shift})"

@@ -14,8 +14,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from math import factorial, isqrt
+from functools import lru_cache
+from itertools import chain, compress, islice
+from math import factorial, gcd, isqrt, prod
 from typing import Iterator
 
 from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
@@ -34,15 +35,26 @@ FACTOR_LIMIT = 1_000_000
 #: Odd numbers per segment of the prime sieve in _odd_primes.
 _SIEVE_SEGMENT = 1 << 15
 
+#: Odd primes per block in _prime_blocks, and the last prime of the first
+#: block (the 64th odd prime); a remainder below its square never needs one.
+_BLOCK = 64
+_FIRST_BLOCK_END = 313
+
 
 def _odd_primes(limit: int) -> Iterator[int]:
-    """Yield the odd primes <= limit in increasing order.
+    """The odd primes <= limit in increasing order.
 
     An odd-only bytearray sieve, run one segment at a time as the caller
     asks for more, so that it holds one segment (32 KB), not one byte per
     odd number up to the limit; the sieving primes <= sqrt(limit) come
-    from the same generator.
+    from the same sieve.  Within a segment the primes are read in C, with
+    no Python frame per prime.
     """
+    return chain.from_iterable(_sieve_segments(limit))
+
+
+def _sieve_segments(limit: int) -> Iterator[Iterator[int]]:
+    """Yield the odd primes <= limit one sieve segment at a time."""
     base = list(_odd_primes(isqrt(limit))) if limit >= 9 else []
     for lo in range(3, limit + 1, 2 * _SIEVE_SEGMENT):
         odds = range(lo, min(lo + 2 * _SIEVE_SEGMENT, limit + 1), 2)
@@ -55,40 +67,74 @@ def _odd_primes(limit: int) -> Iterator[int]:
                 first += p
             at = (first - lo) // 2
             flags[at::p] = bytes(len(range(at, len(flags), p)))
-        yield from compress(odds, flags)
+        yield compress(odds, flags)
 
 
-def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Trial-divide value >= 1 by 2 and the odd primes <= limit; returns
-    (factors, cofactor).
+@lru_cache(maxsize=None)
+def _prime_blocks(limit: int) -> tuple[tuple[int, int], ...]:
+    """(last prime, product) for each full run of _BLOCK consecutive odd
+    primes <= limit, in increasing order; the odd primes past the last
+    full run are left out."""
+    primes = _odd_primes(limit)
+    blocks = []
+    while len(block := tuple(islice(primes, _BLOCK))) == _BLOCK:
+        blocks.append((block[-1], prod(block)))
+    return tuple(blocks)
 
-    cofactor == 1 means the factorization is complete; otherwise it is the
-    unfactored remainder (all of whose prime factors exceed the limit).
-    The result is the one trial division by 2 and every odd number <=
-    limit gives: an odd composite divides nothing once its prime factors
-    are gone.
-    """
-    if value < 1:
-        raise ValueError(f"can only factor positive integers, got {value}")
-    factors = []
-    rest = value
-    tried = 1
-    bound = min(limit, isqrt(value))
-    for d in chain((2,) if bound >= 2 else (), _odd_primes(bound)):
-        if d * d > rest:
-            break
+
+def _trial(rest: int, factors: list, d: int, stop: int) -> tuple[int, int]:
+    """Divide rest by the odd d, d + 2, ... while d <= stop and d * d <= rest,
+    appending (d, exponent) to factors; returns (rest, first d not tried)."""
+    while d <= stop and d * d <= rest:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
                 rest //= d
                 e += 1
             factors.append((d, e))
-        tried = d
-    # d is where division by every odd number would have stopped: the
-    # first of 2, 3, 5, 7, 9, ... past the last prime tried and past
-    # min(limit, isqrt(rest)); the remainder is prime if d passed its root.
-    top = max(tried, min(limit, isqrt(rest)))
-    d = 2 if top < 2 else top + 1 + top % 2
+        d += 2
+    return rest, d
+
+
+def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Trial-divide value >= 1 by 2 and the odd numbers <= limit; returns
+    (factors, cofactor).
+
+    cofactor == 1 means the factorization is complete; otherwise it is the
+    unfactored remainder (all of whose prime factors exceed the limit).
+    The result is the one trial division by 2 and every odd number d <=
+    limit with d * d <= the remainder gives, and the loop stops at the
+    same d.  It skips whole blocks of _BLOCK odd primes (``_prime_blocks``):
+    when the remainder is at least the square of a block's last prime and
+    one gcd shows it prime to the block's product, no odd number up to
+    that prime divides it, because an odd composite there has its prime
+    factors in this block or in earlier ones, which are divided out.  A
+    block that shares a factor is stepped through one odd number at a
+    time.  The blocks are built once per limit, and only by a call whose
+    odd remainder reaches past the first block.
+    """
+    if value < 1:
+        raise ValueError(f"can only factor positive integers, got {value}")
+    factors = []
+    rest = value
+    d = 2
+    if limit >= 2 and rest >= 4:
+        twos = (rest & -rest).bit_length() - 1
+        if twos:
+            factors.append((2, twos))
+            rest >>= twos
+        d = 3
+        if min(limit, isqrt(rest)) >= _FIRST_BLOCK_END:
+            for hi, product in _prime_blocks(limit):
+                if hi * hi > rest:
+                    break
+                if gcd(rest, product) == 1:
+                    d = hi + 2
+                else:
+                    rest, d = _trial(rest, factors, d, hi)
+        rest, d = _trial(rest, factors, d, limit)
+    # d is where the trial division stopped; the remainder is prime if d
+    # passed its root.
     if rest > 1 and d * d > rest:
         factors.append((rest, 1))
         rest = 1
@@ -251,6 +297,8 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
     For e = 2, p = 2 this reproduces chess_table (bounds and all); for any
     other modulus the rows are purely observational -- the bound column is
     empty and the verdict is OBS, because no divisibility is claimed there.
+    All the sums are computed before any is factored, so the prime blocks
+    that ``factorize`` builds never sit beside the largest Fock vector.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -259,13 +307,20 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
     if not is_prime(p):
         raise ValueError(f"scan prime must be prime, got {p}")
     claimed = (e == 2 and p == 2)
-    rows = []
+    return [_row(n, value, p, n - tri_count(n) if claimed else None)
+            for n, value in enumerate(_cyclic_sums(n_max, e), start=1)]
+
+
+def _cyclic_sums(n_max: int, e: int) -> list[int]:
+    """The pair sums <x, x> of the cyclic words 0, 1, ..., (n - 1) mod e for
+    n = 1..n_max, from one growing Fock vector, which is dropped before
+    ``general_e_scan`` factors the first sum."""
+    sums = []
     x = basis(())
     for n in range(1, n_max + 1):
         x = apply_f(x, (n - 1) % e, e)
-        bound = n - tri_count(n) if claimed else None
-        rows.append(_row(n, inner(x, x), p, bound))
-    return rows
+        sums.append(inner(x, x))
+    return sums
 
 
 def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:

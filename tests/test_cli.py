@@ -20,7 +20,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: generation ones before the generator columns moved to integers, the
 #: e = 4 scan and the e = 3 word before Fock vectors were keyed by bead ints,
 #: the cross-model and generation-to-15 ones before every word suite moved
-#: onto the level walk over distinct images.
+#: onto the level walk over distinct images, the n = 40 chess table and
+#: e = 3 scan before factorize skipped blocks of primes by one gcd.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -39,6 +40,8 @@ GOLDEN = [
      "verify --suite cross-model --n-max 12 --format json", 0),
     ("verify_generation_15_json",
      "verify --suite generation --n-max 15 --format json", 0),
+    ("chess_table_40_csv", "chess-table --n-max 40", 0),
+    ("scan_e3_40", "scan --n-max 40 --e 3 --p 3", 0),
 ]
 
 

@@ -9,7 +9,8 @@ from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
                              delta_basis, delta_valuation,
                              generation_reports, gf2_rank,
-                             verify_pairing, verify_q_image, verify_stability)
+                             verify_generation, verify_pairing,
+                             verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, apply_word_poly, inner_poly,
@@ -169,6 +170,26 @@ def test_generation_reports_from_one_walk():
                 if apply_word_poly(ResidueWord(2, letters)))
     with pytest.raises(ValueError):
         next(generation_reports(0))
+
+
+def test_verify_generation_reads_v2_off_each_coefficient():
+    # n = 3: the basis is 2*p3 and p1^3; 2/3*p3 sits on the first, 4*p1^3
+    # is 0 mod 2, and a zero coefficient is no coefficient
+    level = [((0, 1, 0), {(3,): Fraction(2, 3), (1, 1, 1): Fraction(4)}, 1),
+             ((1, 0, 0), {(3,): Fraction(0), (1, 1, 1): Fraction(5, 7)}, 2)]
+    r = verify_generation(3, level)
+    assert r.observed_min == r.required == 2
+    assert dict(r.witnesses) == {"nonzero word images": 3,
+                                 "distinct mod-2 rows": 2}
+
+
+def test_verify_generation_raises_when_an_image_escapes_the_lattice():
+    with pytest.raises(ArithmeticError,
+                       match=r"escapes the lattice at \(1,\) \(v2=-1 < 0\)"):
+        verify_generation(1, [((0,), {(1,): Fraction(1, 2)}, 1)])
+    with pytest.raises(ArithmeticError,
+                       match=r"escapes the lattice at \(3,\) \(v2=0 < 1\)"):
+        verify_generation(3, [((0, 1, 0), {(3,): Fraction(3, 5)}, 1)])
 
 
 def test_verify_pairing_small():

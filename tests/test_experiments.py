@@ -1,13 +1,19 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chessfock.arith import tri_count
-from chessfock.experiments import (FactorizationRow, _both_keys, _both_models,
-                                   bound_reports, chess_table,
+from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
+                                   _both_keys, _both_models, _odd_primes,
+                                   _prime_blocks, bound_reports, chess_table,
                                    cross_model_check, cross_model_reports,
                                    factorial_check, factorize,
                                    general_e_scan, rows_to_csv, rows_to_jsonl,
@@ -87,6 +93,56 @@ def test_factorize_matches_trial_division_by_every_odd_number():
             x = apply_f(x, (n - 1) % e, e)
             value = inner(x, x)
             assert factorize(value) == reference_factorize(value)
+
+
+def test_factorize_matches_trial_division_at_block_edges():
+    primes = list(_odd_primes(1_000_000))
+    blocks = _prime_blocks(1_000_000)
+    assert [hi for hi, _ in blocks] == primes[_BLOCK - 1::_BLOCK]
+    assert blocks[0][0] == _FIRST_BLOCK_END
+    last = len(blocks) - 1
+    # also the first block whose first prime is its predecessor's last + 2
+    twin = next(k for k in range(1, last)
+                if primes[_BLOCK * k] == primes[_BLOCK * k - 1] + 2)
+    edges = [primes[_BLOCK * k + j]
+             for k in (0, 1, 2, twin, last) for j in (0, _BLOCK - 1)]
+    edges += [999_983, 1_000_003]
+    values = [p * q for p, q in combinations_with_replacement(edges, 2)]
+    values += [2 * v for v in values[:10]] + edges
+    for value in values:
+        assert factorize(value) == reference_factorize(value)
+    # limits that cut a block in the middle, and the edges of those blocks
+    for limit in (100, 314, 1_000, 65_537):
+        near = [p for p in primes if abs(p - limit) < 40] + edges[:6]
+        for value in [p * q for p, q in combinations_with_replacement(near, 2)]:
+            assert factorize(value, limit) == reference_factorize(value, limit)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10 ** 30 - 1), st.sampled_from((1, 2, 9, 30, 1_000, 1_000_000)))
+def test_factorize_matches_trial_division_property(value, limit):
+    assert factorize(value, limit) == reference_factorize(value, limit)
+
+
+def test_odd_primes_match_a_naive_filter():
+    top = 2 * 2 ** 15 + 5
+    naive = [p for p in range(3, top + 1, 2)
+             if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+    for limit in [*range(201), *range(top - 8, top + 1)]:
+        assert list(_odd_primes(limit)) == [p for p in naive if p <= limit]
+
+
+def test_small_values_build_no_prime_blocks():
+    # a fresh process, so that no other test has filled the cache
+    code = ("import chessfock.cli\n"
+            "from chessfock.experiments import _prime_blocks, chess_table, factorize\n"
+            "factorize(48)\n"
+            "chess_table(12)\n"
+            "print(_prime_blocks.cache_info().currsize)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout == "0\n"
 
 
 def test_row_rendering():
