@@ -9,7 +9,6 @@ images once (``generation_reports``) and hands every level to the
 per-length check ``verify_generation``.
 """
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -96,9 +95,6 @@ class ValuationReport:
             "verdict": self.verdict,
             "witnesses": [list(w) for w in self.witnesses],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _scan_report(claim, degree_bound, required, require_tight, observations):

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import factorial, gcd, isqrt, prod
 from typing import Iterator
 
@@ -32,9 +32,6 @@ from .tableaux import ResidueWord, hook_count, walk_images
 #: Trial division gives up above this bound and leaves a flagged cofactor.
 FACTOR_LIMIT = 1_000_000
 
-#: Odd numbers per segment of the prime sieve in _odd_primes.
-_SIEVE_SEGMENT = 1 << 15
-
 #: Odd primes per block in _prime_blocks, and the last prime of the first
 #: block (the 64th odd prime); a remainder below its square never needs one.
 _BLOCK = 64
@@ -44,56 +41,46 @@ _FIRST_BLOCK_END = 313
 def _odd_primes(limit: int) -> Iterator[int]:
     """The odd primes <= limit in increasing order.
 
-    An odd-only bytearray sieve, run one segment at a time as the caller
-    asks for more, so that it holds one segment (32 KB), not one byte per
-    odd number up to the limit; the sieving primes <= sqrt(limit) come
-    from the same sieve.  Within a segment the primes are read in C, with
-    no Python frame per prime.
+    One odd-only bytearray sieve, one byte per odd number (about 500 KB at
+    FACTOR_LIMIT), whose primes are read in C with ``compress``, with no
+    Python frame per prime.  That is enough: only ``_prime_blocks`` asks
+    for the primes to FACTOR_LIMIT, once per process, and
+    ``general_e_scan`` has dropped its Fock vector by then.
     """
-    return chain.from_iterable(_sieve_segments(limit))
-
-
-def _sieve_segments(limit: int) -> Iterator[Iterator[int]]:
-    """Yield the odd primes <= limit one sieve segment at a time."""
-    base = list(_odd_primes(isqrt(limit))) if limit >= 9 else []
-    for lo in range(3, limit + 1, 2 * _SIEVE_SEGMENT):
-        odds = range(lo, min(lo + 2 * _SIEVE_SEGMENT, limit + 1), 2)
-        flags = bytearray(b"\x01") * len(odds)
-        for p in base:
-            if p * p > odds[-1]:
-                break
-            first = max(p * p, -(-lo // p) * p)    # first multiple >= lo
-            if first % 2 == 0:
-                first += p
-            at = (first - lo) // 2
+    odds = range(3, limit + 1, 2)    # odds[i] == 2 * i + 3
+    flags = bytearray(b"\x01") * len(odds)
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[p // 2 - 1]:
+            at = p * p // 2 - 1
             flags[at::p] = bytes(len(range(at, len(flags), p)))
-        yield compress(odds, flags)
+    return compress(odds, flags)
 
 
 @lru_cache(maxsize=None)
-def _prime_blocks(limit: int) -> tuple[tuple[int, int], ...]:
-    """(last prime, product) for each full run of _BLOCK consecutive odd
-    primes <= limit, in increasing order; the odd primes past the last
-    full run are left out."""
+def _prime_blocks(limit: int) -> tuple[tuple[int, int, int], ...]:
+    """(first prime, last prime, product) for each run of _BLOCK
+    consecutive odd primes <= limit, in increasing order; the last run
+    holds the primes that are left and may be shorter."""
     primes = _odd_primes(limit)
     blocks = []
-    while len(block := tuple(islice(primes, _BLOCK))) == _BLOCK:
-        blocks.append((block[-1], prod(block)))
+    while block := tuple(islice(primes, _BLOCK)):
+        blocks.append((block[0], block[-1], prod(block)))
     return tuple(blocks)
 
 
-def _trial(rest: int, factors: list, d: int, stop: int) -> tuple[int, int]:
-    """Divide rest by the odd d, d + 2, ... while d <= stop and d * d <= rest,
-    appending (d, exponent) to factors; returns (rest, first d not tried)."""
-    while d <= stop and d * d <= rest:
+def _divide(rest: int, factors: list, divisors: range) -> int:
+    """Divide rest by each d of divisors, in order, while d * d <= rest,
+    appending (d, exponent) to factors; returns what is left of rest."""
+    for d in divisors:
+        if d * d > rest:
+            break
         if rest % d == 0:
             e = 0
             while rest % d == 0:
                 rest //= d
                 e += 1
             factors.append((d, e))
-        d += 2
-    return rest, d
+    return rest
 
 
 def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -102,40 +89,36 @@ def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, i
 
     cofactor == 1 means the factorization is complete; otherwise it is the
     unfactored remainder (all of whose prime factors exceed the limit).
-    The result is the one trial division by 2 and every odd number d <=
-    limit with d * d <= the remainder gives, and the loop stops at the
-    same d.  It skips whole blocks of _BLOCK odd primes (``_prime_blocks``):
-    when the remainder is at least the square of a block's last prime and
-    one gcd shows it prime to the block's product, no odd number up to
-    that prime divides it, because an odd composite there has its prime
-    factors in this block or in earlier ones, which are divided out.  A
-    block that shares a factor is stepped through one odd number at a
-    time.  The blocks are built once per limit, and only by a call whose
-    odd remainder reaches past the first block.
+    The result is the one trial division by 2 and every odd d <= limit
+    with d * d <= the remainder gives.  An odd composite never divides
+    what is left when it is reached, so a block of ``_prime_blocks`` whose
+    product one gcd shows prime to the remainder is skipped whole, and a
+    block that shares a factor is stepped one odd number at a time.  The
+    blocks are built once per limit, and only by a call whose odd
+    remainder and limit both reach past the first block.  The remainder R
+    is prime exactly when 1 < R < stop * stop, stop the first divisor
+    past the limit: trial division stops before it only when R is 1 or a
+    prime, at a d <= limit with d * d > R.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     factors = []
     rest = value
-    d = 2
-    if limit >= 2 and rest >= 4:
+    if limit >= 2:
         twos = (rest & -rest).bit_length() - 1
         if twos:
             factors.append((2, twos))
             rest >>= twos
-        d = 3
-        if min(limit, isqrt(rest)) >= _FIRST_BLOCK_END:
-            for hi, product in _prime_blocks(limit):
-                if hi * hi > rest:
+        if min(limit, isqrt(rest)) < _FIRST_BLOCK_END:
+            rest = _divide(rest, factors, range(3, limit + 1, 2))
+        else:
+            for lo, hi, product in _prime_blocks(limit):
+                if lo * lo > rest:
                     break
-                if gcd(rest, product) == 1:
-                    d = hi + 2
-                else:
-                    rest, d = _trial(rest, factors, d, hi)
-        rest, d = _trial(rest, factors, d, limit)
-    # d is where the trial division stopped; the remainder is prime if d
-    # passed its root.
-    if rest > 1 and d * d > rest:
+                if gcd(rest, product) != 1:
+                    rest = _divide(rest, factors, range(lo, hi + 1, 2))
+    stop = limit + 1 + limit % 2 if limit >= 2 else 2
+    if 1 < rest < stop * stop:
         factors.append((rest, 1))
         rest = 1
     return tuple(factors), rest

@@ -18,10 +18,11 @@ and the four generator operators assembled from two series:
 
 The series act locally in degree, so on any given input only finitely
 many terms survive and the truncated sum below is exactly the operator.
-``op_series`` evaluates them on Fraction polynomials; it is the
-definition and the public reference that ``op_generator`` is checked
-against, and its ``terms`` argument pushes the truncation further to show
-that the cut is exact.
+``op_series`` evaluates them on Fraction polynomials, through the vertex
+operator components A_-1 and A_1 of ``op_a``; it is the definition and
+the public reference that ``op_generator`` is checked against, and its
+``terms`` argument pushes the truncation further to show that the cut is
+exact.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
@@ -239,35 +240,22 @@ def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
                         for c, d, z in terms), den)
 
 
-_QUARTER = Fraction(1, 4)
-
-
 def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
-    """Apply the generator ``gen`` (one of GENERATORS) to f by its series.
-
-    The series truncation is exact: on input of top degree d the f-series
-    terms with n > d and the e-series terms with n + 1 > d annihilate f,
-    because the adjoint factor lowers degree by more than d.  ``terms``
-    overrides the truncation point, so the checks can confirm that
-    pushing the series further never changes the result.
+    """Apply the generator ``gen`` (one of GENERATORS) to f by its series:
+    f1, f0 = (p1 f +- A_-1 f) / 2 and e0, e1 = (p1^* f +- A_1 f) / 2, with
+    A_j from ``op_a``.  ``terms`` is the last n kept in S_f and S_e (the
+    last a of A_-1 is one more), so the checks can push the cut further.
     """
-    if not f:
-        return {}
-    d = top_degree(f)
-    series: OddPoly = {}
-    if gen in ("f0", "f1"):
-        last = d if terms is None else terms
-        for m in range(1, last + 1):
-            _add_into(series, _q_times(m + 1, _q_star(m, f)), 1 if m % 2 else -1)
-        if gen == "f1":
-            return poly_scale(series, _QUARTER)
-        return poly_sub(mul_monomial(f, (1,)), poly_scale(series, _QUARTER))
-    last = d - 1 if terms is None else terms
-    for m in range(1, last + 1):
-        _add_into(series, _q_times(m, _q_star(m + 1, f)), 1 if m % 2 else -1)
-    if gen == "e1":
-        return poly_scale(series, _QUARTER)
-    return poly_sub(adjoint_monomial(f, (1,)), poly_scale(series, _QUARTER))
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+    if gen[0] == "f":
+        base = mul_monomial(f, (1,))
+        a = op_a(-1, f, None if terms is None else terms + 1)
+    else:
+        base = adjoint_monomial(f, (1,))
+        a = op_a(1, f, terms)
+    sign = 1 if gen in ("f1", "e0") else -1
+    return poly_scale(_add_into(base, a, sign), Fraction(1, 2))
 
 
 def _sub_monomials(mu: Partition) -> Iterator[tuple[int, int, Partition]]:
@@ -316,7 +304,7 @@ def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
     """The images of p_mu under the two generators of a family, (f0, f1)
     or (e0, e1), both from one evaluation of the family's series.
 
-    By the truncation argument of ``op_series`` a column does not depend
+    By the truncation argument of ``op_a`` a column does not depend
     on the degrees of the other monomials of an input.
     """
     den, s = _series(family, mu)
@@ -364,7 +352,11 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
         A_j = (1/2) sum_a (-1)^a q_a q_{a+j}^*,   both subscripts >= 0.
 
     A_{-1} and A_1 are the differences f1 - f0 and e0 - e1; general j is
-    exposed for the contravariance self-checks.
+    exposed for the contravariance self-checks.  The sum stops at a = d - j
+    on input of top degree d, and that is exact: the later terms
+    annihilate f, because their adjoint factor lowers degree by more than
+    d.  ``terms`` overrides the last a, so the checks can confirm that
+    pushing the sum further never changes the result.
     """
     if not f:
         return {}

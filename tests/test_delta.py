@@ -76,12 +76,10 @@ def test_report_verdicts():
 def test_report_json_round_trip():
     r = ValuationReport(claim="c", degree_bound=2, required=1,
                         observed_min=INFINITY, witnesses=(("w", 1),))
-    payload = json.loads(r.to_json_str())
+    payload = json.loads(json.dumps(r.to_json(), sort_keys=True))
     assert payload["observed_min"] == "INFINITY"
     assert payload["verdict"] == "PASS"
     assert payload["witnesses"] == [["w", 1]]
-    # byte stability
-    assert r.to_json_str() == r.to_json_str()
 
 
 def test_verify_q_image_small():

@@ -97,16 +97,18 @@ def test_factorize_matches_trial_division_by_every_odd_number():
 
 def test_factorize_matches_trial_division_at_block_edges():
     primes = list(_odd_primes(1_000_000))
+    assert len(primes) == 78_497 and primes[-1] == 999_983
     blocks = _prime_blocks(1_000_000)
-    assert [hi for hi, _ in blocks] == primes[_BLOCK - 1::_BLOCK]
-    assert blocks[0][0] == _FIRST_BLOCK_END
-    last = len(blocks) - 1
+    assert [lo for lo, _, _ in blocks] == primes[::_BLOCK]
+    assert [hi for _, hi, _ in blocks] == primes[_BLOCK - 1::_BLOCK] + [999_983]
+    assert blocks[0][1] == _FIRST_BLOCK_END
+    last = len(blocks) - 2    # the last full block; the one after is short
     # also the first block whose first prime is its predecessor's last + 2
     twin = next(k for k in range(1, last)
                 if primes[_BLOCK * k] == primes[_BLOCK * k - 1] + 2)
     edges = [primes[_BLOCK * k + j]
              for k in (0, 1, 2, twin, last) for j in (0, _BLOCK - 1)]
-    edges += [999_983, 1_000_003]
+    edges += [primes[_BLOCK * (last + 1)], 999_983, 1_000_003]
     values = [p * q for p, q in combinations_with_replacement(edges, 2)]
     values += [2 * v for v in values[:10]] + edges
     for value in values:
@@ -115,6 +117,19 @@ def test_factorize_matches_trial_division_at_block_edges():
     for limit in (100, 314, 1_000, 65_537):
         near = [p for p in primes if abs(p - limit) < 40] + edges[:6]
         for value in [p * q for p, q in combinations_with_replacement(near, 2)]:
+            assert factorize(value, limit) == reference_factorize(value, limit)
+
+
+def test_factorize_matches_trial_division_at_the_cofactor_edges():
+    # the remainder is reported prime exactly below stop ** 2, where stop
+    # is the first divisor past the limit
+    for limit in (0, 1, 2, 3, 4, 5, 313, 314, 1_000, 1_001, 1_000_000):
+        stop = limit + 1 + limit % 2 if limit >= 2 else 2
+        values = [stop ** 2 - 2, stop ** 2 - 1, stop ** 2, stop ** 2 + 1,
+                  stop * (stop + 2), (stop + 2) ** 2]
+        if limit == 1_000_000:
+            values += [1_000_003 ** 2, 999_983 * 1_000_003, 999_979 * 999_983]
+        for value in values:
             assert factorize(value, limit) == reference_factorize(value, limit)
 
 

@@ -93,8 +93,10 @@ def test_generators_on_constants():
     assert op_generator("e0", ONE) == {}
     assert op_generator("e1", ONE) == {}
     assert op_generator("f0", {}) == {}
-    with pytest.raises(ValueError):
-        op_generator("f2", ONE)
+    for apply in (op_generator, op_series):
+        for gen in ("f2", "zz"):
+            with pytest.raises(ValueError, match="unknown generator"):
+                apply(gen, ONE)
 
 
 def test_generators_degree_one():
