@@ -105,9 +105,3 @@ def tri_count(n: int) -> int:
         raise ValueError(f"tri_count needs n >= 1, got {n}")
     return (isqrt(8 * n + 1) - 1) // 2
 
-
-def v2_factorial(m: int) -> int:
-    """The 2-adic valuation of m!, by Legendre's formula m - bin_ones(m)."""
-    if m < 0:
-        raise ValueError(f"factorials need m >= 0, got {m}")
-    return m - bin_ones(m)

@@ -51,54 +51,32 @@ def format_partition(p: Partition) -> str:
     return "[" + ",".join(str(part) for part in p) + "]"
 
 
-def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"expected [a,b,...], got {text!r}")
-    body = body[1:-1].strip()
-    if not body:
-        return ()
-    try:
-        parts = tuple(int(piece) for piece in body.split(","))
-    except ValueError:
-        raise ValueError(f"expected [a,b,...], got {text!r}") from None
-    return check_partition(parts)
+def check_odd_partition(mu) -> Partition:
+    """Validate a partition whose parts are all odd (an index of the
+    polynomial basis) and return it as a canonical tuple."""
+    mu = check_partition(mu)
+    if any(part % 2 == 0 for part in mu):
+        raise ValueError(f"expected odd parts, got {mu!r}")
+    return mu
 
 
-def multiplicities(p: Partition) -> Counter:
-    """Map each part size to the number of times it occurs."""
-    return Counter(p)
-
-
-def _parts_all(n, cap):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(cap, n), 0, -1):
-        for rest in _parts_all(n - first, first):
-            yield (first,) + rest
-
-
-def _parts_odd(n, cap):
+def _parts(n, cap, odd, distinct):
+    """The partitions of n with parts <= cap, descending lexicographically:
+    with ``odd`` every part is odd, with ``distinct`` parts strictly fall."""
     if n == 0:
         yield ()
         return
     first = min(cap, n)
-    if first % 2 == 0:
+    if odd and first % 2 == 0:
         first -= 1
-    for f in range(first, 0, -2):
-        for rest in _parts_odd(n - f, f):
+    for f in range(first, 0, -2 if odd else -1):
+        for rest in _parts(n - f, f - 1 if distinct else f, odd, distinct):
             yield (f,) + rest
 
 
-def _parts_distinct(n, cap):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(cap, n), 0, -1):
-        for rest in _parts_distinct(n - first, first - 1):
-            yield (first,) + rest
+#: The (odd, distinct) flags of ``_parts`` for each enumeration filter.
+_FILTERS = {"all": (False, False), "odd": (True, False),
+            "distinct": (False, True)}
 
 
 def enumerate_partitions(n: int, parts: str = "all") -> list[Partition]:
@@ -109,15 +87,9 @@ def enumerate_partitions(n: int, parts: str = "all") -> list[Partition]:
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    if parts == "all":
-        gen = _parts_all(n, n)
-    elif parts == "odd":
-        gen = _parts_odd(n, n)
-    elif parts == "distinct":
-        gen = _parts_distinct(n, n)
-    else:
+    if parts not in _FILTERS:
         raise ValueError(f"unknown filter {parts!r}")
-    return list(gen)
+    return list(_parts(n, n, *_FILTERS[parts]))
 
 
 def cell_residue(cell: Cell, e: int) -> int:
@@ -217,11 +189,8 @@ def z_mu(mu: Partition) -> int:
     odd-part mu occur in this package, and even parts are rejected so that
     mixed-parity bugs surface early.
     """
-    mu = check_partition(mu)
-    if any(part % 2 == 0 for part in mu):
-        raise ValueError(f"z_mu expects odd parts, got {mu!r}")
     out = 1
-    for k, m in multiplicities(mu).items():
+    for k, m in Counter(check_odd_partition(mu)).items():
         out *= k ** m * factorial(m)
     return out
 
@@ -232,11 +201,8 @@ def glaisher_odd_to_distinct(mu: Partition) -> Partition:
     A part k occurring m = 2^(r1) + 2^(r2) + ... times (distinct powers)
     becomes the distinct parts 2^(r1)*k, 2^(r2)*k, ...
     """
-    mu = check_partition(mu)
-    if any(part % 2 == 0 for part in mu):
-        raise ValueError(f"expected odd parts, got {mu!r}")
     parts = []
-    for k, m in multiplicities(mu).items():
+    for k, m in Counter(check_odd_partition(mu)).items():
         r = 0
         while m:
             if m & 1:

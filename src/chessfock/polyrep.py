@@ -57,7 +57,8 @@ from itertools import product
 from math import comb, gcd, lcm, perm
 from typing import Iterator
 
-from .partitions import Partition, check_partition, enumerate_partitions, z_mu
+from .partitions import (Partition, check_odd_partition, enumerate_partitions,
+                         z_mu)
 from .tableaux import ResidueWord
 
 OddPoly = dict[Partition, Fraction]
@@ -70,14 +71,6 @@ Runs = tuple[tuple[int, int, int], ...]
 #: A polynomial as (den, ((key, numerator), ...)): the sum of
 #: numerator / den * p_key, with no zero numerator.
 Column = tuple[int, tuple[tuple[Partition, int], ...]]
-
-
-def check_odd_key(mu) -> Partition:
-    """Validate a monomial key: a partition with every part odd."""
-    mu = check_partition(mu)
-    if any(part % 2 == 0 for part in mu):
-        raise ValueError(f"monomial keys need odd parts, got {mu!r}")
-    return mu
 
 
 def poly_one() -> OddPoly:
@@ -105,10 +98,6 @@ def poly_add(f: OddPoly, g: OddPoly) -> OddPoly:
     return _add_into(dict(f), g)
 
 
-def poly_sub(f: OddPoly, g: OddPoly) -> OddPoly:
-    return _add_into(dict(f), g, -1)
-
-
 def poly_scale(f: OddPoly, c: Fraction) -> OddPoly:
     if not c:
         return {}
@@ -117,7 +106,7 @@ def poly_scale(f: OddPoly, c: Fraction) -> OddPoly:
 
 def mul_monomial(f: OddPoly, mu) -> OddPoly:
     """Multiply f by the monomial p_mu (merge the part multisets)."""
-    mu = check_odd_key(mu)
+    mu = check_odd_partition(mu)
     return {tuple(sorted(tau + mu, reverse=True)): c for tau, c in f.items()}
 
 
@@ -157,26 +146,16 @@ def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
     monomial of f survives only if it contains mu, and its coefficient
     picks up k^(m_k) times a falling factorial of the multiplicities.
     """
-    return _adjoint_runs(f, _runs(check_odd_key(mu)))
+    return _adjoint_runs(f, _runs(check_odd_partition(mu)))
 
 
 @lru_cache(maxsize=None)
 def _q_items(n: int) -> tuple[tuple[Partition, Fraction], ...]:
+    """q_n as its (mu, 2^len(mu) / z_mu) terms, computed once per n."""
     return tuple(
         (mu, Fraction(2 ** len(mu), z_mu(mu)))
         for mu in enumerate_partitions(n, "odd")
     )
-
-
-def q(n: int) -> OddPoly:
-    """The degree-n expansion coefficient q_n (q_0 = 1).
-
-    The defining coefficients 2^len(mu) / z_mu are computed once per n and
-    cached; callers get a fresh dict.
-    """
-    if n < 0:
-        raise ValueError(f"q_n needs n >= 0, got {n}")
-    return dict(_q_items(n))
 
 
 def _q_times(n: int, f: OddPoly) -> OddPoly:

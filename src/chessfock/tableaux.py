@@ -55,13 +55,6 @@ def alternating_word(n: int) -> ResidueWord:
     return ResidueWord(2, tuple(k % 2 for k in range(n)))
 
 
-def cyclic_word(n: int, e: int) -> ResidueWord:
-    """The length-n word 0,1,...,e-1,0,1,... over Z/eZ."""
-    if e < 1:
-        raise ValueError(f"modulus must be >= 1, got {e}")
-    return ResidueWord(e, tuple(k % e for k in range(n)))
-
-
 def walk_images(n_max: int, e: int, step: Callable, start,
                 key: Callable | None = None) -> Iterator[list[tuple]]:
     """Yield, for n = 1..n_max, the distinct nonzero images of the length-n

@@ -1,23 +1,12 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chessfock.arith import (INFINITY, bin_ones, is_prime, tri_count,
-                             v2_factorial, vp)
-
-
-def brute_v2(n):
-    """Oracle: count factors of 2 by direct division."""
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+from chessfock.arith import INFINITY, bin_ones, is_prime, tri_count, vp
 
 
 def test_vp_examples():
@@ -83,26 +72,6 @@ def test_tri_count_staircase():
         assert tri_count(m * (m + 1) // 2) == m
         if m > 1:
             assert tri_count(m * (m + 1) // 2 - 1) == m - 1
-
-
-def test_v2_factorial_small_against_brute_force():
-    # frozen: v2(10!) = 8, recomputed here by dividing out the 2s
-    assert brute_v2(factorial(10)) == 8
-    assert v2_factorial(10) == 8
-    assert v2_factorial(0) == 0
-    assert v2_factorial(1) == 0
-    assert v2_factorial(4) == 3
-    for m in (2, 6, 10, 31, 32, 100, 255, 256):
-        assert v2_factorial(m) == brute_v2(factorial(m))
-
-
-def test_v2_factorial_matches_running_valuation_to_2000():
-    # oracle: v2(m!) = sum of v2(k) for k <= m, accumulated directly
-    running = 0
-    for m in range(1, 2001):
-        running += brute_v2(m)
-        assert v2_factorial(m) == running
-        assert v2_factorial(m) <= m - 1
 
 
 def test_is_prime_small():

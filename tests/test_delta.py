@@ -13,8 +13,8 @@ from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
                              verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, apply_word_poly, inner_poly,
-                               op_series, poly_scale, q, random_poly)
+from chessfock.polyrep import (GENERATORS, _q_items, apply_word_poly,
+                               inner_poly, op_series, poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
 F = Fraction
@@ -26,7 +26,7 @@ def test_delta_valuation_basics():
     assert delta_valuation({(3,): F(1)}) == -1
     assert delta_valuation({(3,): F(2)}) == 0
     assert delta_valuation({(5,): F(1)}) == -2
-    assert delta_valuation(q(3)) == 0
+    assert delta_valuation(dict(_q_items(3))) == 0
     assert delta_valuation({(3, 1, 1): F(6)}) == 0
     with pytest.raises(ValueError):
         delta_valuation({(2,): F(1)})

@@ -9,12 +9,13 @@ import pytest
 
 from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import verify_stability
-from chessfock.partitions import enumerate_partitions, z_mu
-from chessfock.polyrep import (GENERATORS, _column, _q_star, _sub_monomials,
-                               adjoint_monomial, apply_letter, apply_word_poly,
-                               inner_poly, mul_monomial, op_a, op_generator,
-                               op_series, poly_add, poly_one, poly_scale,
-                               poly_sub, q, random_poly, top_degree)
+from chessfock.partitions import (enumerate_partitions,
+                                  glaisher_odd_to_distinct, z_mu)
+from chessfock.polyrep import (GENERATORS, _column, _q_items, _q_star,
+                               _sub_monomials, adjoint_monomial, apply_letter,
+                               apply_word_poly, inner_poly, mul_monomial, op_a,
+                               op_generator, op_series, poly_add, poly_one,
+                               poly_scale, random_poly, top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word, walk_images
 
 F = Fraction
@@ -27,7 +28,6 @@ def test_poly_helpers():
     assert top_degree(ONE) == 0
     assert top_degree({(3, 1): F(1), (1,): F(5)}) == 4
     assert poly_add(P1, poly_scale(P1, F(-1))) == {}
-    assert poly_sub({(1,): F(2)}, P1) == P1
 
 
 def test_mul_monomial():
@@ -48,17 +48,20 @@ def test_adjoint_monomial():
     assert adjoint_monomial({(3, 3, 1, 1): F(1)}, (3, 1)) == {(3, 1): F(12)}
 
 
+def test_odd_part_checks_reject_even_parts():
+    for bad in [(2,), (4, 1), (1, 3)]:
+        for check in (z_mu, glaisher_odd_to_distinct,
+                      lambda mu: mul_monomial(ONE, mu),
+                      lambda mu: adjoint_monomial(ONE, mu)):
+            with pytest.raises(ValueError):
+                check(bad)
+
+
 def test_q_small():
-    assert q(0) == {(): F(1)}
-    assert q(1) == {(1,): F(2)}
-    assert q(2) == {(1, 1): F(2)}
-    assert q(3) == {(3,): F(2, 3), (1, 1, 1): F(4, 3)}
-    with pytest.raises(ValueError):
-        q(-1)
-    # the cache hands out fresh dicts
-    a = q(3)
-    a[(3,)] = F(0)
-    assert q(3)[(3,)] == F(2, 3)
+    assert dict(_q_items(0)) == {(): F(1)}
+    assert dict(_q_items(1)) == {(1,): F(2)}
+    assert dict(_q_items(2)) == {(1, 1): F(2)}
+    assert dict(_q_items(3)) == {(3,): F(2, 3), (1, 1, 1): F(4, 3)}
 
 
 def test_inner_poly():
@@ -147,10 +150,10 @@ def test_op_a_examples():
     rng = random.Random(17)
     for _ in range(10):
         f = random_poly(rng, 8)
-        assert op_a(-1, f) == poly_sub(op_generator("f1", f),
-                                       op_generator("f0", f))
-        assert op_a(1, f) == poly_sub(op_generator("e0", f),
-                                      op_generator("e1", f))
+        assert op_a(-1, f) == poly_add(op_generator("f1", f),
+                                       poly_scale(op_generator("f0", f), -1))
+        assert op_a(1, f) == poly_add(op_generator("e0", f),
+                                      poly_scale(op_generator("e1", f), -1))
 
 
 def test_op_a_contravariance():

@@ -6,7 +6,7 @@ import pytest
 from chessfock.partitions import enumerate_partitions
 from chessfock.tableaux import (DEFAULT_ORACLE_LIMIT, OracleLimitError,
                                 ResidueWord, Tableau, alternating_word,
-                                count_by_residue, cyclic_word, enumerate_syt,
+                                count_by_residue, enumerate_syt,
                                 hook_count, is_chess, residue_word)
 
 # the (6,4,1) chess filling used as the running example
@@ -50,8 +50,6 @@ def test_residue_word_validation():
 def test_word_helpers():
     assert alternating_word(4).letters == (0, 1, 0, 1)
     assert alternating_word(0).letters == ()
-    assert cyclic_word(5, 3).letters == (0, 1, 2, 0, 1)
-    assert cyclic_word(3, 1).letters == (0, 0, 0)
 
 
 def test_enumerate_syt_small():
