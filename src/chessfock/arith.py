@@ -88,13 +88,6 @@ def vp(q: Fraction | int, p: int) -> Valuation:
     return v
 
 
-def bin_ones(n: int) -> int:
-    """Number of ones in the binary expansion of n >= 0."""
-    if n < 0:
-        raise ValueError(f"binary digit count needs n >= 0, got {n}")
-    return n.bit_count()
-
-
 def tri_count(n: int) -> int:
     """The largest m with m*(m+1)/2 <= n, for n >= 1.
 

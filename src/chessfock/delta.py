@@ -4,9 +4,9 @@ its valuation, and the machine verifiers built on it.
 A polynomial lies in 2^t times the lattice exactly when its
 ``delta_valuation`` is >= t, so each verifier reduces a containment claim
 to a minimum of integer valuations over a finite set of inputs and reports
-the outcome with witnesses.  The generation suite walks the distinct word
-images once (``generation_reports``) and hands every level to the
-per-length check ``verify_generation``.
+the outcome with witnesses.  The generation suite (``generation_reports``)
+is one ``tableaux.check_levels`` walk over the distinct word images with
+the per-length check ``verify_generation``.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import Partition, enumerate_partitions, format_partition
 from .polyrep import (GENERATORS, OddPoly, _columns, _q_star, _q_times,
                       apply_letter, inner_poly, poly_one)
-from .tableaux import walk_images
+from .tableaux import check_levels
 
 
 def delta_valuation(f: OddPoly) -> Valuation:
@@ -196,12 +196,8 @@ def gf2_rank(rows: list[int]) -> int:
 
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``verify_generation(n, level)`` for n = 1..n_max from one
-    ``walk_images`` pass over the distinct polynomial images of the words."""
-    if n_max < 1:
-        raise ValueError(f"generation check needs n >= 1, got {n_max}")
-    levels = walk_images(n_max, 2, apply_letter, poly_one())
-    for n, level in enumerate(levels, start=1):
-        yield verify_generation(n, level)
+    ``check_levels`` pass over the distinct polynomial images of the words."""
+    return check_levels(n_max, apply_letter, poly_one(), verify_generation)
 
 
 def verify_generation(n: int, level: list) -> ValuationReport:

@@ -5,8 +5,8 @@ and its factorizations, the factorial sanity column, the observational
 scans at other moduli (which assert nothing -- no divisibility pattern is
 claimed away from e = 2), and the seeded randomized property checks.
 The two word suites, the Gram-matrix bound check and the cross-model
-comparison, each walk the distinct word images once
-(``bound_reports``, ``cross_model_reports``) and hand every level to a
+comparison (``bound_reports``, ``cross_model_reports``), are each one
+``tableaux.check_levels`` walk over the distinct word images with its
 per-length check (``exhaustive_bound_check``, ``cross_model_check``).
 """
 
@@ -19,7 +19,7 @@ from itertools import compress, islice
 from math import factorial, gcd, isqrt, prod
 from typing import Iterator
 
-from .arith import INFINITY, bin_ones, is_prime, tri_count, vp
+from .arith import INFINITY, is_prime, tri_count, vp
 from .delta import ValuationReport
 from .fock import (apply_e, apply_f, basis, gram_rows, inner, pair_sum,
                    random_vector)
@@ -27,7 +27,7 @@ from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
                       mul_monomial, op_a, op_generator, op_series, poly_add,
                       poly_one, random_poly, top_degree)
-from .tableaux import ResidueWord, hook_count, walk_images
+from .tableaux import ResidueWord, check_levels, hook_count
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
 FACTOR_LIMIT = 1_000_000
@@ -208,12 +208,9 @@ def _pair_text(v, w) -> str:
 
 def bound_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``exhaustive_bound_check(n, level)`` for n = 1..n_max from one
-    ``walk_images`` pass over the distinct Fock images of the words."""
-    if n_max < 1:
-        raise ValueError(f"need n >= 1, got {n_max}")
-    levels = walk_images(n_max, 2, lambda x, i: apply_f(x, i, 2), basis(()))
-    for n, level in enumerate(levels, start=1):
-        yield exhaustive_bound_check(n, level)
+    ``check_levels`` pass over the distinct Fock images of the words."""
+    return check_levels(n_max, lambda x, i: apply_f(x, i, 2), basis(()),
+                        exhaustive_bound_check)
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
@@ -260,7 +257,7 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
 
 def factorial_check(n: int) -> bool:
     """True iff the squared tableau counts over all shapes of n sum to n!,
-    the 2-adic valuation of n! is n - bin_ones(n), and the modulus-1 word
+    the 2-adic valuation of n! is n - n.bit_count(), and the modulus-1 word
     (every cell has residue 0) reproduces the same sum."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -268,7 +265,7 @@ def factorial_check(n: int) -> bool:
     value = factorial(n)
     if total != value:
         return False
-    if n >= 1 and vp(value, 2) != n - bin_ones(n):
+    if n >= 1 and vp(value, 2) != n - n.bit_count():
         return False
     word = ResidueWord(1, (0,) * n)
     return pair_sum(word, word) == value
@@ -330,14 +327,10 @@ def _both_keys(state: tuple[dict, dict]) -> tuple:
 
 def cross_model_reports(n_max: int) -> Iterator[dict]:
     """Yield ``cross_model_check(n, level)`` for n = 1..n_max from one
-    ``walk_images`` pass over the (Fock image, polynomial image) pairs of
-    the words; each level is handed to the check and then dropped."""
-    if n_max < 1:
-        raise ValueError(f"need n >= 1, got {n_max}")
-    levels = walk_images(n_max, 2, _both_models, (basis(()), poly_one()),
-                         key=_both_keys)
-    for n, level in enumerate(levels, start=1):
-        yield cross_model_check(n, level)
+    ``check_levels`` pass over the (Fock image, polynomial image) pairs of
+    the words."""
+    return check_levels(n_max, _both_models, (basis(()), poly_one()),
+                        cross_model_check, key=_both_keys)
 
 
 def cross_model_check(n: int, level: list) -> dict:

@@ -142,15 +142,15 @@ def pair_sum(v: ResidueWord, w: ResidueWord) -> int:
     return inner(apply_word(v), apply_word(w))
 
 
-def random_vector(rng, max_degree: int, terms: int = 6) -> FockVector:
-    """A sparse vector with small integer coefficients, drawn from ``rng``.
+def random_vector(rng, max_degree: int) -> FockVector:
+    """A sparse vector of six random terms with small integer coefficients.
 
     Used by the randomized self-checks (adjointness, gradedness), which are
     linear, so integer inputs test them fully; the randomness is only in
     which entries appear.
     """
     out: FockVector = {}
-    for _ in range(terms):
+    for _ in range(6):
         n = rng.randrange(max_degree + 1)
         shapes = enumerate_partitions(n)
         s = to_beads(shapes[rng.randrange(len(shapes))])

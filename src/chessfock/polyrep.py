@@ -117,7 +117,7 @@ def _runs(mu: Partition) -> Runs:
 def _adjoint_runs(f: OddPoly, runs: Runs) -> OddPoly:
     """The adjoint of multiplication by the monomial whose parts are
     given as ``_runs``; the keys of f are partitions, so removing whole
-    runs of a part leaves them sorted."""
+    runs of a part leaves them sorted, and distinct, so no terms add up."""
     out: OddPoly = {}
     for tau, c in f.items():
         rest = list(tau)
@@ -130,12 +130,7 @@ def _adjoint_runs(f: OddPoly, runs: Runs) -> OddPoly:
             del rest[i:i + m]
             factor *= power * perm(t, m)
         else:
-            key = tuple(rest)
-            s = out.get(key, 0) + c * factor
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            out[tuple(rest)] = c * factor
     return out
 
 
@@ -164,12 +159,8 @@ def _q_times(n: int, f: OddPoly) -> OddPoly:
     for mu, c in _q_items(n):
         for tau, v in f.items():
             key = tuple(sorted(tau + mu, reverse=True))
-            s = out.get(key, Fraction(0)) + c * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +173,8 @@ def _q_star(n: int, f: OddPoly) -> OddPoly:
     out: OddPoly = {}
     for runs, c in _q_star_items(n):
         for key, v in _adjoint_runs(f, runs).items():
-            s = out.get(key, Fraction(0)) + c * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +361,8 @@ def random_poly(rng, max_degree: int, terms: int = 6) -> OddPoly:
     out: OddPoly = {}
     for _ in range(terms):
         n = rng.randrange(max_degree + 1)
-        keys = enumerate_partitions(n, "odd")
-        mu = keys[rng.randrange(len(keys))]
+        items = _q_items(n)
+        mu, _ = items[rng.randrange(len(items))]
         coeff = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
         out[mu] = out.get(mu, Fraction(0)) + coeff
     return {k: v for k, v in out.items() if v}

@@ -1,5 +1,6 @@
-"""Residue words, brute-force standard-tableau oracles, and the level walk
-over distinct word images that every word suite runs on.
+"""Residue words, brute-force standard-tableau oracles, the level walk
+over distinct word images (``walk_images``), and ``check_levels``, the one
+driver every word suite runs on: it hands each level to a per-length check.
 
 The oracles enumerate explicitly: tableaux are built cell by cell as
 growth chains of partitions.  That is deliberately naive -- these counts
@@ -85,6 +86,17 @@ def walk_images(n_max: int, e: int, step: Callable, start,
         level = [tuple(state) for state in seen.values()]
         del seen                    # the keys are dead weight while level is paired
         yield level
+
+
+def check_levels(n_max: int, step: Callable, start, check: Callable,
+                 key: Callable | None = None) -> Iterator:
+    """Yield ``check(n, level)`` for n = 1..n_max over the levels of one
+    ``walk_images`` pass over the binary words: the driver of the three
+    word suites.  n_max < 1 raises on the first ``next``."""
+    if n_max < 1:
+        raise ValueError(f"need n >= 1, got {n_max}")
+    for n, level in enumerate(walk_images(n_max, 2, step, start, key), start=1):
+        yield check(n, level)
 
 
 def _check_size(n: int, limit: int) -> None:

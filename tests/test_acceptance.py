@@ -12,7 +12,7 @@ from itertools import product
 from math import factorial
 
 from chessfock import delta, experiments, fock, polyrep, tableaux
-from chessfock.arith import bin_ones, tri_count, vp
+from chessfock.arith import tri_count, vp
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_distinct_to_odd,
                                   glaisher_odd_to_distinct, to_beads, z_mu)
@@ -106,7 +106,7 @@ def test_criterion_7_oracle_equivalence_and_factorials():
                     assert count == image.get(to_beads(lam), 0)
         for n in range(1, 13):
             assert experiments.factorial_check(n)
-            assert vp(factorial(n), 2) == n - bin_ones(n)
+            assert vp(factorial(n), 2) == n - n.bit_count()
 
 
 def test_criterion_8_property_suites_fixed_seed():

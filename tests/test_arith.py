@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chessfock.arith import INFINITY, bin_ones, is_prime, tri_count, vp
+from chessfock.arith import INFINITY, is_prime, tri_count, vp
 
 
 def test_vp_examples():
@@ -42,15 +42,6 @@ def test_infinity_survives_pickling_and_copying():
         assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
     assert copy.copy(INFINITY) is INFINITY
     assert copy.deepcopy([INFINITY])[0] is INFINITY
-
-
-def test_bin_ones():
-    assert bin_ones(0) == 0
-    assert bin_ones(7) == 3
-    assert bin_ones(12) == 2
-    assert bin_ones(2 ** 20) == 1
-    with pytest.raises(ValueError):
-        bin_ones(-1)
 
 
 def test_tri_count_examples():

@@ -190,6 +190,23 @@ def test_verify_exit_code_reflects_failures(capsys, monkeypatch):
     assert "FAIL fake[2]" in out
 
 
+def test_verify_text_lists_the_first_three_witnesses_of_a_failure(
+        capsys, monkeypatch):
+    from chessfock import cli as cli_module
+
+    def fake_suite(cfg):
+        yield "fake[1]", "FAIL", {"required": 2, "observed_min": 1,
+                                  "tight": False,
+                                  "witnesses": [["v=0 w=0", 1], ["a", 2],
+                                                ["b", 3], ["c", 4]]}
+
+    monkeypatch.setattr(cli_module, "_run_suite", fake_suite)
+    code, out = run_cli(capsys, "verify", "--suite", "bound")
+    assert code == 1
+    assert out == ("FAIL fake[1] required=2 observed=1 witnesses="
+                   "[['v=0 w=0', 1], ['a', 2], ['b', 3]]\n")
+
+
 def test_run_config_validation():
     def validated(*argv):
         args = build_parser().parse_args(list(argv))

@@ -73,6 +73,15 @@ def test_report_verdicts():
     assert slack.verdict == "FAIL"
 
 
+def test_scan_report_lists_failures_first_in_order():
+    observations = [("a", 3), ("b", 1), ("c", INFINITY), ("d", 2),
+                    ("e", 0), ("f", 2), ("g", 2), ("h", 2), ("i", -1)]
+    r = _scan_report("c", 5, 2, False, iter(observations))
+    assert r.observed_min == -1 and r.verdict == "FAIL"
+    assert r.witnesses == (("b", 1), ("e", 0), ("i", -1),
+                           ("d", 2), ("f", 2), ("g", 2))
+
+
 def test_report_json_round_trip():
     r = ValuationReport(claim="c", degree_bound=2, required=1,
                         observed_min=INFINITY, witnesses=(("w", 1),))

@@ -15,9 +15,9 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    _both_keys, _both_models, _odd_primes,
                                    _prime_blocks, bound_reports, chess_table,
                                    cross_model_check, cross_model_reports,
-                                   factorial_check, factorize,
-                                   general_e_scan, rows_to_csv, rows_to_jsonl,
-                                   scan_row)
+                                   exhaustive_bound_check, factorial_check,
+                                   factorize, general_e_scan, rows_to_csv,
+                                   rows_to_jsonl, scan_row)
 from chessfock.fock import apply_f, apply_word, basis, inner
 from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
 from chessfock.tableaux import ResidueWord, alternating_word, walk_images
@@ -231,6 +231,15 @@ def test_bound_reports_from_one_pass():
     assert list(bound_reports(12))[:9] == reports
     with pytest.raises(ValueError):
         next(bound_reports(0))
+
+
+def test_exhaustive_bound_check_names_a_failing_pair():
+    # n = 3 needs v2 >= 1; a lone image with self-pairing 1 has v2 = 0
+    report = exhaustive_bound_check(3, [((0, 1, 0), basis((3,)), 1)])
+    assert report.verdict == "FAIL" and report.observed_min == 0
+    assert report.witnesses == (("v=0,1,0 w=0,1,0", 0),
+                                ("distinct nonzero images", 1),
+                                ("nonzero pairings", 1))
 
 
 def test_factorial_check():

@@ -12,10 +12,11 @@ from chessfock.delta import verify_stability
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, _column, _q_items, _q_star,
-                               _sub_monomials, adjoint_monomial, apply_letter,
-                               apply_word_poly, inner_poly, mul_monomial, op_a,
-                               op_generator, op_series, poly_add, poly_one,
-                               poly_scale, random_poly, top_degree)
+                               _q_times, _sub_monomials, adjoint_monomial,
+                               apply_letter, apply_word_poly, inner_poly,
+                               mul_monomial, op_a, op_generator, op_series,
+                               poly_add, poly_one, poly_scale, random_poly,
+                               top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word, walk_images
 
 F = Fraction
@@ -178,6 +179,14 @@ def test_series_truncation_is_exact():
             assert op_generator(gen, f) == op_series(gen, f, deep)
         for j in (-2, -1, 0, 1, 2):
             assert op_a(j, f) == op_a(j, f, terms=top_degree(f) + abs(j) + 4)
+
+
+def test_cancelled_terms_are_dropped_not_kept_as_zero():
+    # q_3 = 2/3 p3 + 4/3 p1^3, so q_3^* sends p3 to 2 and p1^3 to 8
+    assert _q_star(3, {(3,): F(4), (1, 1, 1): F(-1)}) == {}
+    assert _q_times(3, {(1, 1, 1): F(2), (3,): F(-1)}) == {
+        (3, 3): F(-2, 3), (1,) * 6: F(8, 3)}
+    assert op_a(3, {(1, 1, 1): F(1), (3,): F(-4)}) == {}   # (1/2) q_3^* f
 
 
 def test_q_star_of_a_monomial_is_a_sum_of_binomials():

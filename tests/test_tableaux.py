@@ -6,7 +6,7 @@ import pytest
 from chessfock.partitions import enumerate_partitions
 from chessfock.tableaux import (DEFAULT_ORACLE_LIMIT, OracleLimitError,
                                 ResidueWord, Tableau, alternating_word,
-                                count_by_residue, enumerate_syt,
+                                check_levels, count_by_residue, enumerate_syt,
                                 hook_count, is_chess, residue_word)
 
 # the (6,4,1) chess filling used as the running example
@@ -158,3 +158,23 @@ def test_counts_sum_to_hook_count():
 
 def test_default_limit_is_fourteen():
     assert DEFAULT_ORACLE_LIMIT == 14
+
+
+def test_check_levels_walks_once_in_word_order():
+    calls = []
+
+    def check(n, level):
+        calls.append(n)
+        return n, level
+
+    # with the image the word itself, each level is every word, in order
+    reports = check_levels(3, lambda x, i: x + (i,), (), check, key=lambda y: y)
+    assert calls == []
+    assert next(reports) == (1, [((0,), (0,), 1), ((1,), (1,), 1)])
+    assert [level for _, level in reports] == [
+        [(w, w, 1) for w in product(range(2), repeat=n)] for n in (2, 3)]
+    assert calls == [1, 2, 3]
+    for bad in (0, -1):
+        reports = check_levels(bad, lambda x, i: x + (i,), (), check)
+        with pytest.raises(ValueError, match=f"need n >= 1, got {bad}"):
+            next(reports)
