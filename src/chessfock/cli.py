@@ -216,8 +216,8 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace, out=None) -> int:
-    return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
+def run(args: argparse.Namespace) -> int:
+    return _COMMANDS[args.command](args, sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -5,8 +5,8 @@ A polynomial lies in 2^t times the lattice exactly when its
 ``delta_valuation`` is >= t, so each verifier reduces a containment claim
 to a minimum of integer valuations over a finite set of inputs and reports
 the outcome with witnesses.  The generation suite (``generation_reports``)
-is one ``tableaux.check_levels`` walk over the distinct word images with
-the per-length check ``verify_generation``.
+is one ``tableaux.check_levels`` walk over the distinct images of the
+binary words, with the per-length check ``verify_generation``.
 """
 
 from dataclasses import dataclass, field
@@ -204,7 +204,7 @@ def verify_generation(n: int, level: list) -> ValuationReport:
     """Check that the 2^n length-n f-word images of 1 span the degree-n
     slice of the lattice over the odd-denominator integers.
 
-    ``level`` is the length-n level of ``walk_images`` over the polynomial
+    ``level`` is the length-n level of ``check_levels`` over the polynomial
     images, as (least word, image, words) triples.  Each image is written
     in lattice-basis coordinates (integral by stability -- violations
     raise; each coefficient's 2-adic valuation is read off the lowest set

@@ -2,12 +2,12 @@
 
 Everything here is about concrete integers: the alternating-word table
 and its factorizations, the factorial sanity column, the observational
-scans at other moduli (which assert nothing -- no divisibility pattern is
-claimed away from e = 2), and the seeded randomized property checks.
-The two word suites, the Gram-matrix bound check and the cross-model
-comparison (``bound_reports``, ``cross_model_reports``), are each one
-``tableaux.check_levels`` walk over the distinct word images with its
-per-length check (``exhaustive_bound_check``, ``cross_model_check``).
+scans at other moduli (``_row`` claims a bound only at e = p = 2), and
+the seeded randomized property checks.  The two word suites, the
+Gram-matrix bound check and the cross-model comparison
+(``bound_reports``, ``cross_model_reports``), are each one
+``tableaux.check_levels`` walk over the distinct binary word images with
+its per-length check (``exhaustive_bound_check``, ``cross_model_check``).
 """
 
 import json
@@ -180,12 +180,14 @@ def rows_to_jsonl(rows) -> str:
     return "".join(json.dumps(row.to_json(), sort_keys=True) + "\n" for row in rows)
 
 
-def _row(n: int, value: int, p: int, bound: int | None) -> FactorizationRow:
-    v = vp(value, p)
-    if v is INFINITY:
-        raise ArithmeticError(f"pair sum vanished at n={n}; nothing to factor")
+def _row(n: int, value: int, e: int, p: int) -> FactorizationRow:
+    """The table row of a pair sum at size n, modulus e and prime p; the
+    bound n - tri_count(n) is claimed only at e = p = 2."""
+    if value == 0:
+        raise ArithmeticError("the pair sum is 0; nothing to factor")
+    bound = n - tri_count(n) if (e == 2 and p == 2) else None
     factors, cofactor = factorize(value)
-    return FactorizationRow(n=n, value=value, v2=v, bound=bound,
+    return FactorizationRow(n=n, value=value, v2=vp(value, p), bound=bound,
                             factors=factors, cofactor=cofactor)
 
 
@@ -218,7 +220,7 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     Gram matrix) and check that each nonzero pairing is divisible by
     2^(n - tri_count(n)), with the exponent attained by some pair.
 
-    ``level`` is the length-n level of ``walk_images`` over the Fock
+    ``level`` is the length-n level of ``check_levels`` over the Fock
     images, as (least word, image, words) triples.  Distinct words often
     produce identical images, and equal images give equal pairings, so
     only the distinct images are paired, each under its lexicographically
@@ -286,8 +288,7 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
         raise ValueError(f"modulus must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"scan prime must be prime, got {p}")
-    claimed = (e == 2 and p == 2)
-    return [_row(n, value, p, n - tri_count(n) if claimed else None)
+    return [_row(n, value, e, p)
             for n, value in enumerate(_cyclic_sums(n_max, e), start=1)]
 
 
@@ -307,11 +308,7 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     """A single observational row for an explicit word pair."""
     if not is_prime(p):
         raise ValueError(f"scan prime must be prime, got {p}")
-    value = pair_sum(v, w)
-    if value == 0:
-        raise ArithmeticError("the pair sum is 0; nothing to factor")
-    bound = len(v) - tri_count(len(v)) if (v.e == 2 and p == 2) else None
-    return _row(len(v), value, p, bound)
+    return _row(len(v), pair_sum(v, w), v.e, p)
 
 
 def _both_models(state: tuple[dict, dict], letter: int) -> tuple[dict, dict] | None:
@@ -342,7 +339,7 @@ def cross_model_check(n: int, level: list) -> dict:
     so it is enough that no word is zero in just one model and that every
     pair of surviving images agrees.
 
-    ``level`` is the length-n level of ``walk_images`` over the pairs
+    ``level`` is the length-n level of ``check_levels`` over the pairs
     (Fock image, polynomial image), as (least word, pair, words) triples.
     Each word pairing is a pairing of two distinct pairs, so only those
     are compared.  That is as strong as comparing

@@ -10,7 +10,7 @@ the length-n word v to the vacuum gives the generating vector whose
 coefficient on each shape counts the standard tableaux of that shape with
 residue sequence v; pairing two such vectors sums those counts multiplied
 shape by shape.  ``apply_word`` gives one word's image; the suites that
-need every word's walk the distinct images with ``tableaux.walk_images``
+need every word's walk the distinct images with ``tableaux.check_levels``
 and pair them with ``gram_rows``.  The operators and the pairing are
 linear and never divide, so they accept rational coefficients as well.
 """

@@ -48,7 +48,7 @@ built at import time.  ``delta.verify_stability`` applies each generator
 to each basis monomial exactly once, so it calls ``_columns`` directly
 and leaves the cache empty rather than holding columns it never reads
 again.  Word images come one at a time from ``apply_word_poly``, or all
-at once from ``tableaux.walk_images`` stepping with ``apply_letter``.
+at once from ``tableaux.check_levels`` stepping with ``apply_letter``.
 """
 
 from fractions import Fraction
@@ -355,11 +355,11 @@ def apply_word_poly(word: ResidueWord) -> OddPoly:
     return f
 
 
-def random_poly(rng, max_degree: int, terms: int = 6) -> OddPoly:
-    """A sparse polynomial with small rational coefficients, drawn from
-    ``rng``; companion to fock.random_vector for the self-checks."""
+def random_poly(rng, max_degree: int) -> OddPoly:
+    """A sparse polynomial of six terms with small rational coefficients,
+    drawn from ``rng``; companion to fock.random_vector for the self-checks."""
     out: OddPoly = {}
-    for _ in range(terms):
+    for _ in range(6):
         n = rng.randrange(max_degree + 1)
         items = _q_items(n)
         mu, _ = items[rng.randrange(len(items))]

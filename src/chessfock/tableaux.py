@@ -1,6 +1,7 @@
-"""Residue words, brute-force standard-tableau oracles, the level walk
-over distinct word images (``walk_images``), and ``check_levels``, the one
-driver every word suite runs on: it hands each level to a per-length check.
+"""Residue words, brute-force standard-tableau oracles, and
+``check_levels``, the one level walk over the distinct images of the
+binary words that every word suite runs on: it hands each level to a
+per-length check.
 
 The oracles enumerate explicitly: tableaux are built cell by cell as
 growth chains of partitions.  That is deliberately naive -- these counts
@@ -56,16 +57,18 @@ def alternating_word(n: int) -> ResidueWord:
     return ResidueWord(2, tuple(k % 2 for k in range(n)))
 
 
-def walk_images(n_max: int, e: int, step: Callable, start,
-                key: Callable | None = None) -> Iterator[list[tuple]]:
-    """Yield, for n = 1..n_max, the distinct nonzero images of the length-n
-    words over Z/eZ as (least word, image, words) triples, ordered by least
-    word; ``words`` counts the length-n words that reach the image.
+def check_levels(n_max: int, step: Callable, start, check: Callable,
+                 key: Callable | None = None) -> Iterator:
+    """Yield ``check(n, level)`` for n = 1..n_max, where ``level`` lists
+    the distinct nonzero images of the length-n binary words as (least
+    word, image, words) triples, ordered by least word; ``words`` counts
+    the length-n words that reach the image.  This is the one walk of the
+    three word suites.  n_max < 1 raises on the first ``next``.
 
     The image of a word is ``start`` acted on by ``step(image, letter)``
     for each letter in turn, and a falsy step result is the zero image.
     Images are told apart by ``key`` (by default the sorted item tuple of
-    a dict image).  Level n + 1 applies letters 0, 1, ... in turn to each
+    a dict image).  Level n + 1 applies letters 0 and 1 in turn to each
     image of level n, in order, and keeps the first word that reaches each
     new image.  The least word reaching an image y is min over the pairs
     (x, i) with step(x, i) = y of (least word of x) + (i,), and that is
@@ -73,29 +76,20 @@ def walk_images(n_max: int, e: int, step: Callable, start,
     visits images, not words: words with equal images share all their
     extensions, and their counts add up.
     """
+    if n_max < 1:
+        raise ValueError(f"need n >= 1, got {n_max}")
     if key is None:
         key = lambda y: tuple(sorted(y.items()))
     level = [((), start, 1)]
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         seen: dict = {}
         for letters, x, words in level:
-            for i in range(e):
+            for i in range(2):
                 y = step(x, i)
                 if y:
                     seen.setdefault(key(y), [letters + (i,), y, 0])[2] += words
         level = [tuple(state) for state in seen.values()]
-        del seen                    # the keys are dead weight while level is paired
-        yield level
-
-
-def check_levels(n_max: int, step: Callable, start, check: Callable,
-                 key: Callable | None = None) -> Iterator:
-    """Yield ``check(n, level)`` for n = 1..n_max over the levels of one
-    ``walk_images`` pass over the binary words: the driver of the three
-    word suites.  n_max < 1 raises on the first ``next``."""
-    if n_max < 1:
-        raise ValueError(f"need n >= 1, got {n_max}")
-    for n, level in enumerate(walk_images(n_max, 2, step, start, key), start=1):
+        del seen                    # the keys are dead weight during the check
         yield check(n, level)
 
 

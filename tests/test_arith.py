@@ -36,6 +36,11 @@ def test_infinity_is_absorbing():
     assert INFINITY != 5
 
 
+def test_infinity_is_at_most_only_itself():
+    assert not (INFINITY <= 5)
+    assert INFINITY <= INFINITY
+
+
 def test_infinity_survives_pickling_and_copying():
     # valuations are compared with `is INFINITY`, so a copy must be the singleton
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -54,6 +54,13 @@ def test_delta_basis():
             assert delta_valuation(b) == 0
 
 
+def test_basis_and_pairing_reject_sizes_below_range():
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        delta_basis(-1)
+    with pytest.raises(ValueError, match="needs n >= 1, got 0"):
+        verify_pairing(0)
+
+
 def test_basis_diagonal_valuations_follow_glaisher():
     # v2 of the self-pairing of a basis monomial is n - len(glaisher(mu))
     for n in range(1, 13):

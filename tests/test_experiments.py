@@ -20,7 +20,7 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    rows_to_jsonl, scan_row)
 from chessfock.fock import apply_f, apply_word, basis, inner
 from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
-from chessfock.tableaux import ResidueWord, alternating_word, walk_images
+from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 # The first 18 alternating-word pair sums, written as they factor:
 #   1, 2, 2, 2^2, 2^3, 2^4, 2^4*3, 2^5*5, 2^6*7, 2^11, 2^8*5^2, 2^9*61,
@@ -282,6 +282,17 @@ def test_scan_row_explicit_words():
         scan_row(ResidueWord(2, (0, 0)), ResidueWord(2, (0, 0)), 2)
 
 
+def test_tables_reject_out_of_range_arguments():
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        factorial_check(-1)
+    with pytest.raises(ValueError, match="need n_max >= 1, got 0"):
+        general_e_scan(0, 2, 2)
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        general_e_scan(5, 0, 2)
+    with pytest.raises(ValueError, match="scan prime must be prime, got 4"):
+        scan_row(alternating_word(3), alternating_word(3), 4)
+
+
 def test_cross_model_check_small():
     for n in range(1, 7):
         *_, summary = cross_model_reports(n)
@@ -327,8 +338,8 @@ def test_cross_model_reports_match_per_length_walks():
 
 
 def both_levels(n_max):
-    return list(walk_images(n_max, 2, _both_models, (basis(()), poly_one()),
-                            key=_both_keys))
+    return list(check_levels(n_max, _both_models, (basis(()), poly_one()),
+                             lambda n, level: level, key=_both_keys))
 
 
 def test_cross_model_check_reports_a_one_sided_zero():

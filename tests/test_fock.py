@@ -9,7 +9,7 @@ from chessfock.fock import (apply_e, apply_f, apply_word, basis, decode,
                             gram_rows, inner, pair_sum, random_vector)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
-from chessfock.tableaux import ResidueWord, alternating_word, walk_images
+from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 ONE = Fraction(1)
 
@@ -87,8 +87,9 @@ def test_modulus_one_gives_factorials():
         assert pair_sum(w, w) == factorial(n)
 
 
-def fock_levels(n_max, e=2):
-    return walk_images(n_max, e, lambda x, i: apply_f(x, i, e), basis(()))
+def fock_levels(n_max):
+    return check_levels(n_max, lambda x, i: apply_f(x, i, 2), basis(()),
+                        lambda n, level: level)
 
 
 def test_word_images_agree_with_apply_word():
@@ -109,7 +110,8 @@ def test_word_images_agree_with_apply_word():
 
 def test_coefficients_are_ints():
     images = [apply_word(alternating_word(9))]
-    images += [image for level in fock_levels(7, 3) for _, image, _ in level]
+    images += [apply_word(ResidueWord(3, letters))
+               for letters in itertools.product(range(3), repeat=7)]
     rng = random.Random(3)
     images += [random_vector(rng, 8) for _ in range(20)]
     assert all(type(c) is int for image in images for c in image.values())
@@ -174,17 +176,16 @@ def test_operators_and_basis_validate():
             apply_e(basis((1,)), bad_i, bad_e)
 
 
-def test_distinct_word_images_keep_the_least_word():
+def test_check_levels_keeps_the_least_word():
     # the level walk against a dedup of every word, in word order
-    for e, n_max in ((2, 12), (3, 6)):
-        for n, level in enumerate(fock_levels(n_max, e), start=1):
-            seen = {}
-            for letters in itertools.product(range(e), repeat=n):
-                image = apply_word(ResidueWord(e, letters))
-                if image:
-                    key = tuple(sorted(image.items()))
-                    seen.setdefault(key, [letters, image, 0])[2] += 1
-            assert level == [tuple(state) for state in seen.values()]
+    for n, level in enumerate(fock_levels(12), start=1):
+        seen = {}
+        for letters in itertools.product(range(2), repeat=n):
+            image = apply_word(ResidueWord(2, letters))
+            if image:
+                key = tuple(sorted(image.items()))
+                seen.setdefault(key, [letters, image, 0])[2] += 1
+        assert level == [tuple(state) for state in seen.values()]
 
 
 def test_gram_rows_match_inner():

@@ -37,6 +37,11 @@ def test_counts_match_pentagonal_recurrence():
         assert len(enumerate_partitions(n)) == partition_count(n)
 
 
+def test_enumeration_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="cannot partition -1"):
+        enumerate_partitions(-1)
+
+
 def test_enumeration_order_is_descending_lex():
     assert enumerate_partitions(4) == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -17,7 +17,7 @@ from chessfock.polyrep import (GENERATORS, _column, _q_items, _q_star,
                                mul_monomial, op_a, op_generator, op_series,
                                poly_add, poly_one, poly_scale, random_poly,
                                top_degree)
-from chessfock.tableaux import ResidueWord, alternating_word, walk_images
+from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 F = Fraction
 ONE = poly_one()
@@ -29,6 +29,10 @@ def test_poly_helpers():
     assert top_degree(ONE) == 0
     assert top_degree({(3, 1): F(1), (1,): F(5)}) == 4
     assert poly_add(P1, poly_scale(P1, F(-1))) == {}
+
+
+def test_scaling_by_zero_gives_the_zero_poly():
+    assert poly_scale({(3, 1): F(2), (1,): F(5)}, F(0)) == {}
 
 
 def test_mul_monomial():
@@ -82,8 +86,8 @@ def test_inner_poly():
 def test_inner_poly_matches_a_fraction_sum():
     rng = random.Random(29)
     for _ in range(60):
-        f = random_poly(rng, 7, terms=10)
-        g = random_poly(rng, 7, terms=10)
+        f = poly_add(random_poly(rng, 7), random_poly(rng, 7))
+        g = poly_add(random_poly(rng, 7), random_poly(rng, 7))
         expected = sum((c * g[mu] * z_mu(mu) for mu, c in f.items() if mu in g),
                        F(0))
         value = inner_poly(f, g)
@@ -219,16 +223,16 @@ def _series_step(f, letter):
     return op_series("f0" if letter == 0 else "f1", f)
 
 
-def series_walk(n, f=ONE, prefix=(), step=_series_step, e=2):
+def series_walk(n, f=ONE, prefix=(), step=_series_step):
     """The length-n words with nonzero image, by a recursive walk of its
     own; by default on the polynomial generators' series."""
     if len(prefix) == n:
         yield prefix, f
         return
-    for letter in range(e):
+    for letter in range(2):
         g = step(f, letter)
         if g:
-            yield from series_walk(n, g, prefix + (letter,), step, e)
+            yield from series_walk(n, g, prefix + (letter,), step)
 
 
 def deduplicated(words):
@@ -241,7 +245,7 @@ def deduplicated(words):
 
 def test_word_images_match_a_walk_on_the_series():
     # the cached-column generators against the series, along every word
-    levels = list(walk_images(9, 2, apply_letter, ONE))
+    levels = list(check_levels(9, apply_letter, ONE, lambda n, level: level))
     assert len(levels) == 9
     for n, level in enumerate(levels, start=1):
         assert level == deduplicated(series_walk(n))
@@ -250,22 +254,21 @@ def test_word_images_match_a_walk_on_the_series():
                          ((0, 1, 1), {(1, 1, 1): F(2, 3), (3,): F(-2, 3)}, 1)]
 
 
-def test_walk_words_is_every_depth_of_the_per_model_walks():
+def test_check_levels_is_every_depth_of_the_per_model_walks():
     # levels, least words and word counts against every word of each length
-    for e, n_max in ((2, 12), (3, 6)):
-        fock_step = lambda x, i: apply_f(x, i, e)
-        levels = list(walk_images(n_max, e, fock_step, basis(())))
-        assert len(levels) == n_max
-        for n, level in enumerate(levels, start=1):
-            assert level == deduplicated(
-                series_walk(n, basis(()), step=fock_step, e=e))
-    levels = list(walk_images(8, 2, _series_step, ONE))
-    for n, level in enumerate(levels, start=1):
+    def levels(n_max, step, start):
+        return list(check_levels(n_max, step, start, lambda n, level: level))
+
+    fock_step = lambda x, i: apply_f(x, i, 2)
+    fock_levels = levels(12, fock_step, basis(()))
+    assert len(fock_levels) == 12
+    for n, level in enumerate(fock_levels, start=1):
+        assert level == deduplicated(series_walk(n, basis(()), step=fock_step))
+    for n, level in enumerate(levels(8, _series_step, ONE), start=1):
         assert level == deduplicated(series_walk(n))
         # each level is in the order of its least words
         assert [letters for letters, _, _ in level] == \
             sorted(letters for letters, _, _ in level)
-    assert list(walk_images(0, 2, _series_step, ONE)) == []
 
 
 def test_stability_bypasses_the_column_cache():
