@@ -14,11 +14,10 @@ from . import delta, experiments, fock, polyrep
 from .partitions import format_partition, sort_key
 from .tableaux import ResidueWord
 
-SUITES = ("q-image", "stability", "generation", "pairing", "bound",
-          "factorial", "cross-model", "properties", "all")
-
-_SUITE_DEFAULT_N = {"q-image": 8, "generation": 10, "pairing": 16,
-                    "bound": 10, "factorial": 12, "cross-model": 8}
+#: Each verify suite's default --n-max (None: no size), in the order of "all".
+_SUITE_N = {"q-image": 8, "stability": None, "generation": 10, "pairing": 16,
+            "bound": 10, "factorial": 12, "cross-model": 8, "properties": None}
+SUITES = (*_SUITE_N, "all")
 
 
 def _parse_word(text: str, e: int) -> ResidueWord:
@@ -85,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace) -> None:
     """Check what argparse cannot and parse --v/--w into ResidueWords in
     place; raises ValueError with the message for the user."""
-    for name in ("v", "w"):
-        if getattr(args, name, None) is not None:
-            setattr(args, name, _parse_word(getattr(args, name), args.e))
     for name, flag in (("n_max", "--n-max"), ("degree", "--degree"),
                        ("e", "--e"), ("p", "--p")):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1")
+    for name in ("v", "w"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _parse_word(getattr(args, name), args.e))
     v, w = getattr(args, "v", None), getattr(args, "w", None)
     if args.command == "scan" and (v is None) != (w is None):
         raise ValueError("give both words or neither")
@@ -100,109 +99,103 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("the two words must have the same length")
 
 
-def _print_rows(rows, fmt, out) -> int:
+def _print_rows(rows, fmt) -> int:
     if fmt == "json":
-        out.write(experiments.rows_to_jsonl(rows))
+        sys.stdout.write(experiments.rows_to_jsonl(rows))
     else:
-        out.write(experiments.rows_to_csv(rows))
+        sys.stdout.write(experiments.rows_to_csv(rows))
     return 1 if any(row.verdict == "FAIL" for row in rows) else 0
 
 
-def _cmd_chess_table(args, out) -> int:
-    return _print_rows(experiments.chess_table(args.n_max), args.format, out)
+def _cmd_chess_table(args) -> int:
+    return _print_rows(experiments.chess_table(args.n_max), args.format)
 
 
-def _cmd_pair_sum(args, out) -> int:
-    out.write(f"{fock.pair_sum(args.v, args.w)}\n")
+def _cmd_pair_sum(args) -> int:
+    sys.stdout.write(f"{fock.pair_sum(args.v, args.w)}\n")
     return 0
 
 
-def _cmd_scan(args, out) -> int:
+def _cmd_scan(args) -> int:
     if args.v is not None:
-        try:
-            rows = [experiments.scan_row(args.v, args.w, args.p)]
-        except ArithmeticError as exc:  # a zero pair sum has no valuation row
-            raise ValueError(str(exc)) from exc
+        rows = [experiments.scan_row(args.v, args.w, args.p)]
     else:
         rows = experiments.general_e_scan(args.n_max, args.e, args.p)
-    return _print_rows(rows, args.format, out)
+    return _print_rows(rows, args.format)
 
 
-def _cmd_word(args, out) -> int:
+def _cmd_word(args) -> int:
     models = ("fock", "poly") if args.model == "both" else (args.model,)
     if "poly" in models and args.e != 2:
         raise ValueError("the polynomial model needs --e 2")
     for model in models:
-        out.write(f"{model}:\n")
+        sys.stdout.write(f"{model}:\n")
         if model == "fock":
             image, prefix = fock.decode(fock.apply_word(args.v)), ""
         else:
             image, prefix = polyrep.apply_word_poly(args.v), "p"
         lines = [f"  {c} {prefix}{format_partition(key)}"
                  for key, c in sorted(image.items(), key=lambda kv: sort_key(kv[0]))]
-        out.write("\n".join(lines) + "\n" if lines else "  0\n")
+        sys.stdout.write("\n".join(lines) + "\n" if lines else "  0\n")
     return 0
 
 
+def _record(claim: str, ok: bool, payload: dict) -> dict:
+    """``payload`` with the claim and verdict of a check that returns a bool."""
+    return {**payload, "claim": claim, "verdict": "PASS" if ok else "FAIL"}
+
+
 def _run_suite(args):
-    """Yield (name, verdict, payload) triples for the requested suite."""
-    suite = args.suite
-    degree = args.degree
-
-    def cap(name):
-        return args.n_max if args.n_max is not None else _SUITE_DEFAULT_N[name]
-
-    if suite in ("q-image", "all"):
-        for n in range(1, cap("q-image") + 1):
-            for side in ("multiply", "adjoint"):
-                r = delta.verify_q_image(n, degree, side)
-                yield r.claim, r.verdict, r.to_json()
-    if suite in ("stability", "all"):
-        r = delta.verify_stability(degree)
-        yield r.claim, r.verdict, r.to_json()
-    if suite in ("generation", "all"):
-        for r in delta.generation_reports(cap("generation")):
-            yield r.claim, r.verdict, r.to_json()
-    if suite in ("pairing", "all"):
-        for n in range(1, cap("pairing") + 1):
-            r = delta.verify_pairing(n)
-            yield r.claim, r.verdict, r.to_json()
-    if suite in ("bound", "all"):
-        for r in experiments.bound_reports(cap("bound")):
-            yield r.claim, r.verdict, r.to_json()
-    if suite in ("factorial", "all"):
-        for n in range(1, cap("factorial") + 1):
-            ok = experiments.factorial_check(n)
-            yield (f"factorial[n={n}]", "PASS" if ok else "FAIL", {"n": n})
-    if suite in ("cross-model", "all"):
-        for summary in experiments.cross_model_reports(cap("cross-model")):
-            yield (f"cross-model[n={summary['n']}]",
-                   "PASS" if summary["ok"] else "FAIL", summary)
-    if suite in ("properties", "all"):
-        for name, ok, detail in experiments.property_checks(args.seed):
-            detail = dict(detail, seed=args.seed)
-            yield (f"properties[{name}]", "PASS" if ok else "FAIL", detail)
+    """Yield the JSON record, with claim and verdict, of every check in the
+    requested suites.  Suite functions are looked up on their modules when
+    they run, never stored at import: bench/tracer.py rebinds them to spans."""
+    for suite, default in _SUITE_N.items():
+        if args.suite not in (suite, "all"):
+            continue
+        n_max = default if args.n_max is None else args.n_max
+        sizes = range(1, n_max + 1) if n_max else ()
+        if suite == "q-image":
+            records = (delta.verify_q_image(n, args.degree, side).to_json()
+                       for n in sizes for side in ("multiply", "adjoint"))
+        elif suite == "stability":
+            records = [delta.verify_stability(args.degree).to_json()]
+        elif suite == "generation":
+            records = (r.to_json() for r in delta.generation_reports(n_max))
+        elif suite == "pairing":
+            records = (delta.verify_pairing(n).to_json() for n in sizes)
+        elif suite == "bound":
+            records = (r.to_json() for r in experiments.bound_reports(n_max))
+        elif suite == "factorial":
+            records = (_record(f"factorial[n={n}]",
+                               experiments.factorial_check(n), {"n": n})
+                       for n in sizes)
+        elif suite == "cross-model":
+            records = (_record(f"cross-model[n={s['n']}]", s["ok"], s)
+                       for s in experiments.cross_model_reports(n_max))
+        else:
+            records = (_record(f"properties[{name}]", ok,
+                               dict(detail, seed=args.seed))
+                       for name, ok, detail in
+                       experiments.property_checks(args.seed))
+        yield from records
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> int:
     failed = 0
-    for name, verdict, payload in _run_suite(args):
+    for record in _run_suite(args):
         if args.format == "json":
-            record = dict(payload)
-            record.setdefault("claim", name)
-            record.setdefault("verdict", verdict)
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
         else:
             extra = ""
-            if "required" in payload:
-                extra = (f" required={payload['required']}"
-                         f" observed={payload['observed_min']}")
-                if payload.get("tight"):
+            if "required" in record:
+                extra = (f" required={record['required']}"
+                         f" observed={record['observed_min']}")
+                if record.get("tight"):
                     extra += " tight"
-            if verdict == "FAIL" and payload.get("witnesses"):
-                extra += f" witnesses={payload['witnesses'][:3]!r}"
-            out.write(f"{verdict} {name}{extra}\n")
-        if verdict == "FAIL":
+            if record["verdict"] == "FAIL" and record.get("witnesses"):
+                extra += f" witnesses={record['witnesses'][:3]!r}"
+            sys.stdout.write(f"{record['verdict']} {record['claim']}{extra}\n")
+        if record["verdict"] == "FAIL":
             failed += 1
     return 1 if failed else 0
 
@@ -217,7 +210,7 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    return _COMMANDS[args.command](args, sys.stdout)
+    return _COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

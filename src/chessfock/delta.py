@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .arith import INFINITY, Valuation, tri_count, vp
-from .partitions import Partition, enumerate_partitions, format_partition
+from .partitions import (Partition, check_odd_partition, enumerate_partitions,
+                         format_partition)
 from .polyrep import (GENERATORS, OddPoly, _columns, _q_star, _q_times,
                       apply_letter, inner_poly, poly_one)
 from .tableaux import check_levels
@@ -28,10 +29,8 @@ def delta_valuation(f: OddPoly) -> Valuation:
     """
     best: Valuation = INFINITY
     for mu, c in f.items():
-        shift, odd = divmod(sum(mu) - len(mu), 2)
-        if odd:
-            raise ValueError(f"key {mu!r} has even parts; not in the odd ring")
-        val = vp(c, 2) - shift
+        mu = check_odd_partition(mu)
+        val = vp(c, 2) - (sum(mu) - len(mu)) // 2
         if val < best:
             best = val
     return best

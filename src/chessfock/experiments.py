@@ -184,7 +184,7 @@ def _row(n: int, value: int, e: int, p: int) -> FactorizationRow:
     """The table row of a pair sum at size n, modulus e and prime p; the
     bound n - tri_count(n) is claimed only at e = p = 2."""
     if value == 0:
-        raise ArithmeticError("the pair sum is 0; nothing to factor")
+        raise ValueError("the pair sum is 0; nothing to factor")
     bound = n - tri_count(n) if (e == 2 and p == 2) else None
     factors, cofactor = factorize(value)
     return FactorizationRow(n=n, value=value, v2=vp(value, p), bound=bound,

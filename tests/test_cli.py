@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -12,6 +13,10 @@ from chessfock.cli import SUITES, _validate, build_parser, main
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+#: bench/golden.json: the stdout sha256 and exit code the benchmark checks
+#: for each command it runs.
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
 
 #: (fixture name, argv, exit code); each fixture is the stdout the command
 #: printed before a rewrite of the code it runs: the first six before the
@@ -21,7 +26,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: e = 4 scan and the e = 3 word before Fock vectors were keyed by bead ints,
 #: the cross-model and generation-to-15 ones before every word suite moved
 #: onto the level walk over distinct images, the n = 40 chess table and
-#: e = 3 scan before factorize skipped blocks of primes by one gcd.
+#: e = 3 scan before factorize skipped blocks of primes by one gcd, the two
+#: text-mode verify runs before the CLI printed the suites' records as is.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -42,6 +48,8 @@ GOLDEN = [
      "verify --suite generation --n-max 15 --format json", 0),
     ("chess_table_40_csv", "chess-table --n-max 40", 0),
     ("scan_e3_40", "scan --n-max 40 --e 3 --p 3", 0),
+    ("verify_all_text", "verify --suite all", 0),
+    ("verify_q_image_9_text", "verify --suite q-image --n-max 9 --degree 2", 0),
 ]
 
 
@@ -56,6 +64,17 @@ def test_golden_stdout(capsys, name, argv, exit_code):
     code, out = run_cli(capsys, *argv.split())
     assert code == exit_code
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv", BENCH_DIGESTS, ids=list(BENCH_DIGESTS))
+def test_bench_golden_digests(capsys, argv):
+    # the benchmark rejects a run whose stdout digest or exit code moves
+    expected = BENCH_DIGESTS[argv]
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == expected["exit"]
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == expected["sha256"]
 
 
 def test_chess_table_csv(capsys):
@@ -101,6 +120,12 @@ def test_usage_errors_exit_two(capsys):
         (["verify", "--degree", "0"], "error: --degree must be >= 1"),
         (["chess-table", "--n-max", "0"], "error: --n-max must be >= 1"),
         (["scan", "--e", "0"], "error: --e must be >= 1"),
+        # ... also when words are given, which are parsed after the ranges
+        (["pair-sum", "--e", "0", "--v", "0", "--w", "0"],
+         "error: --e must be >= 1"),
+        (["word", "--e", "0", "--v", "0"], "error: --e must be >= 1"),
+        (["scan", "--e", "0", "--v", "0", "--w", "0"],
+         "error: --e must be >= 1"),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -109,7 +134,7 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_scan_zero_pair_sum_is_a_usage_error(capsys):
-    # the library raises ArithmeticError; the CLI reports it as exit 2
+    # the library raises ValueError, which the CLI reports as exit 2
     with pytest.raises(SystemExit) as err:
         main(["scan", "--e", "2", "--p", "2", "--v", "1,0", "--w", "1,0"])
     assert err.value.code == 2
@@ -181,8 +206,8 @@ def test_verify_exit_code_reflects_failures(capsys, monkeypatch):
     from chessfock import cli as cli_module
 
     def fake_suite(cfg):
-        yield "fake[1]", "PASS", {"claim": "fake[1]"}
-        yield "fake[2]", "FAIL", {"claim": "fake[2]"}
+        yield {"claim": "fake[1]", "verdict": "PASS"}
+        yield {"claim": "fake[2]", "verdict": "FAIL"}
 
     monkeypatch.setattr(cli_module, "_run_suite", fake_suite)
     code, out = run_cli(capsys, "verify", "--suite", "all")
@@ -195,16 +220,33 @@ def test_verify_text_lists_the_first_three_witnesses_of_a_failure(
     from chessfock import cli as cli_module
 
     def fake_suite(cfg):
-        yield "fake[1]", "FAIL", {"required": 2, "observed_min": 1,
-                                  "tight": False,
-                                  "witnesses": [["v=0 w=0", 1], ["a", 2],
-                                                ["b", 3], ["c", 4]]}
+        yield {"claim": "fake[1]", "verdict": "FAIL", "required": 2,
+               "observed_min": 1, "tight": False,
+               "witnesses": [["v=0 w=0", 1], ["a", 2], ["b", 3], ["c", 4]]}
 
     monkeypatch.setattr(cli_module, "_run_suite", fake_suite)
     code, out = run_cli(capsys, "verify", "--suite", "bound")
     assert code == 1
     assert out == ("FAIL fake[1] required=2 observed=1 witnesses="
                    "[['v=0 w=0', 1], ['a', 2], ['b', 3]]\n")
+
+
+def test_verify_records_carry_the_verdict_of_a_bool_check(capsys,
+                                                          monkeypatch):
+    # suite functions are looked up on their modules as the suite runs, so
+    # the patched checks are the ones the CLI calls
+    monkeypatch.setattr(experiments, "factorial_check", lambda n: n != 2)
+    code, out = run_cli(capsys, "verify", "--suite", "factorial", "--n-max", "3")
+    assert code == 1
+    assert out == ("PASS factorial[n=1]\nFAIL factorial[n=2]\n"
+                   "PASS factorial[n=3]\n")
+    monkeypatch.setattr(experiments, "property_checks",
+                        lambda seed: [("fake", False, {"trials": 1})])
+    code, out = run_cli(capsys, "verify", "--suite", "properties",
+                        "--seed", "4", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"claim": "properties[fake]", "seed": 4,
+                               "trials": 1, "verdict": "FAIL"}
 
 
 def test_run_config_validation():

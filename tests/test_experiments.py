@@ -278,7 +278,7 @@ def test_scan_row_explicit_words():
     assert row.value == 48 and row.v2 == 4 and row.bound == 4
     row = scan_row(alternating_word(7), alternating_word(7), 3)
     assert row.bound is None and row.v2 == 1
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match="the pair sum is 0"):
         scan_row(ResidueWord(2, (0, 0)), ResidueWord(2, (0, 0)), 2)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
-from chessfock.delta import verify_stability
+from chessfock.delta import delta_valuation, verify_stability
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, _column, _q_items, _q_star,
@@ -54,10 +54,11 @@ def test_adjoint_monomial():
 
 
 def test_odd_part_checks_reject_even_parts():
-    for bad in [(2,), (4, 1), (1, 3)]:
+    for bad in [(2,), (4, 1), (1, 3), (2, 2)]:
         for check in (z_mu, glaisher_odd_to_distinct,
                       lambda mu: mul_monomial(ONE, mu),
-                      lambda mu: adjoint_monomial(ONE, mu)):
+                      lambda mu: adjoint_monomial(ONE, mu),
+                      lambda mu: delta_valuation({mu: F(1)})):
             with pytest.raises(ValueError):
                 check(bad)
 
