@@ -9,9 +9,8 @@ is one ``tableaux.check_levels`` walk over the distinct images of the
 binary words, with the per-length check ``verify_generation``.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
@@ -53,8 +52,7 @@ def _basis_desc(mu: Partition, n: int) -> str:
     return f"{prefix}p{format_partition(mu)}"
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     """Outcome of one verifier run.
 
     ``observed_min`` is compared against ``required``; when the claim also
@@ -69,7 +67,7 @@ class ValuationReport:
     required: int
     observed_min: Valuation
     require_tight: bool = False
-    witnesses: tuple[tuple[str, int], ...] = field(default=())
+    witnesses: tuple[tuple[str, int], ...] = ()
 
     @property
     def tight(self) -> bool:

@@ -12,12 +12,11 @@ its per-length check (``exhaustive_bound_check``, ``cross_model_check``).
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from math import factorial, gcd, isqrt, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, is_prime, tri_count, vp
 from .delta import ValuationReport
@@ -124,8 +123,7 @@ def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, i
     return tuple(factors), rest
 
 
-@dataclass(frozen=True)
-class FactorizationRow:
+class FactorizationRow(NamedTuple):
     """One line of a value table: the pair sum at size n, its valuation at
     the scan prime, the proved bound (None for observational rows), and a
     trial factorization."""
@@ -216,36 +214,45 @@ def bound_reports(n_max: int) -> Iterator[ValuationReport]:
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
-    """Pair every nonzero length-n word image with every other (the full
-    Gram matrix) and check that each nonzero pairing is divisible by
-    2^(n - tri_count(n)), with the exponent attained by some pair.
+    """Pair the nonzero length-n word images and check that each nonzero
+    pairing is divisible by 2^(n - tri_count(n)), with the exponent
+    attained by some pair.
 
     ``level`` is the length-n level of ``check_levels`` over the Fock
-    images, as (least word, image, words) triples.  Distinct words often
-    produce identical images, and equal images give equal pairings, so
-    only the distinct images are paired, each under its lexicographically
-    least word.  The pairings come a Gram row at a time from
-    ``fock.gram_rows``.  Witness text is built only for a failing pair and
-    for the first pair attaining the bound.
+    images, as (least word, image, words) triples; equal images give equal
+    pairings, so each distinct image is paired once, under its least word.
+    An image's partitions have as many residue-1 cells as its word has 1s,
+    so images of different letter content pair to 0: only equal contents
+    are paired, one ``fock.gram_rows`` matrix each.  The witnesses are those
+    of a row-major walk over the whole level: every failing pair, then the
+    first pair attaining the bound.
     """
     required = n - tri_count(n)
+    groups: dict[int, list[int]] = {}
+    for a, (word, _, _) in enumerate(level):
+        groups.setdefault(sum(word), []).append(a)
     observed = INFINITY
     failures = []
     attained = None
     pairings = 0
-    for a, row in enumerate(gram_rows([x for _, x, _ in level])):
-        for b, s in enumerate(row, start=a):
-            if s == 0:
-                continue
-            pairings += 1
-            val = (s & -s).bit_length() - 1
-            if val < observed:
-                observed = val
-            if val < required:
-                failures.append((_pair_text(level[a][0], level[b][0]), val))
-            elif val == required and attained is None:
-                attained = (_pair_text(level[a][0], level[b][0]), val)
-    witnesses = tuple(failures + ([attained] if attained else []))
+    for group in groups.values():
+        rows = gram_rows([level[a][1] for a in group])
+        for i, (a, row) in enumerate(zip(group, rows)):
+            for b, s in zip(group[i:], row):
+                if s == 0:
+                    continue
+                pairings += 1
+                val = (s & -s).bit_length() - 1
+                if val < observed:
+                    observed = val
+                if val < required:
+                    failures.append((a, b, val))
+                elif val == required and (attained is None
+                                          or (a, b) < attained):
+                    attained = (a, b)
+    pairs = sorted(failures) + ([(*attained, required)] if attained else [])
+    witnesses = tuple((_pair_text(level[a][0], level[b][0]), val)
+                      for a, b, val in pairs)
     return ValuationReport(
         claim=f"bound[n={n}]",
         degree_bound=n,

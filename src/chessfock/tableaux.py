@@ -9,7 +9,6 @@ are the ground truth that the operator models elsewhere in the package are
 checked against -- so every oracle is guarded by a size cap.
 """
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterator
 
@@ -26,24 +25,44 @@ class OracleLimitError(RuntimeError):
     """A brute-force enumeration exceeded its configured size cap."""
 
 
-@dataclass(frozen=True)
 class ResidueWord:
     """A word over Z/eZ: the residues of the cells that received 1, 2, ...
 
     in a growing tableau.  ``ResidueWord(2, (0, 1, 0))`` is the length-3
-    alternating word.
+    alternating word.  Immutable, equal and hashed by (e, letters); not a
+    dataclass, the largest module the CLI's import would otherwise load.
     """
 
-    e: int
-    letters: tuple[int, ...]
+    __slots__ = ("e", "letters")
 
-    def __post_init__(self):
-        if self.e < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.e}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
-            if not (isinstance(a, int) and 0 <= a < self.e):
-                raise ValueError(f"letter {a!r} is not a residue mod {self.e}")
+    def __init__(self, e: int, letters):
+        if e < 1:
+            raise ValueError(f"modulus must be >= 1, got {e}")
+        letters = tuple(letters)
+        for a in letters:
+            if not (isinstance(a, int) and 0 <= a < e):
+                raise ValueError(f"letter {a!r} is not a residue mod {e}")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ResidueWord is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ResidueWord, (self.e, self.letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e, self.letters) == (other.e, other.letters)
+
+    def __hash__(self):
+        return hash((self.e, self.letters))
+
+    def __repr__(self):
+        return f"ResidueWord(e={self.e!r}, letters={self.letters!r})"
 
     def __len__(self):
         return len(self.letters)

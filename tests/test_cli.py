@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,3 +336,16 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_start_up_imports_no_dataclasses():
+    # a fresh interpreter, as every command-line run starts; dataclasses,
+    # with the inspect, ast, dis and tokenize it loads, was the largest
+    # part of the package's import
+    code = ("import sys, chessfock.cli\n"
+            "chessfock.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout == "[]\n"

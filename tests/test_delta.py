@@ -80,6 +80,23 @@ def test_report_verdicts():
     assert slack.verdict == "FAIL"
 
 
+def test_report_defaults_equality_and_immutability():
+    r = ValuationReport("c", 3, 2, 1)
+    assert r.require_tight is False and r.witnesses == ()
+    assert r == ValuationReport(claim="c", degree_bound=3, required=2,
+                                observed_min=1, require_tight=False,
+                                witnesses=())
+    assert hash(r) == hash(ValuationReport("c", 3, 2, 1))
+    assert r != ValuationReport("c", 3, 2, 1, require_tight=True)
+    assert r != ValuationReport("c", 3, 2, 1, witnesses=(("w", 1),))
+    assert repr(r) == ("ValuationReport(claim='c', degree_bound=3, required=2, "
+                       "observed_min=1, require_tight=False, witnesses=())")
+    for name in ("claim", "observed_min", "witnesses", "verdict", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    assert r.observed_min == 1 and r.verdict == "FAIL"
+
+
 def test_scan_report_lists_failures_first_in_order():
     observations = [("a", 3), ("b", 1), ("c", INFINITY), ("d", 2),
                     ("e", 0), ("f", 2), ("g", 2), ("h", 2), ("i", -1)]

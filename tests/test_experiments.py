@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chessfock.arith import tri_count
+from chessfock.arith import INFINITY, tri_count, vp
+from chessfock.delta import ValuationReport
 from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    _both_keys, _both_models, _odd_primes,
                                    _prime_blocks, bound_reports, chess_table,
@@ -173,6 +174,12 @@ def test_row_rendering():
     assert flagged.factorization() == "2*[7]"
     one = FactorizationRow(n=1, value=1, v2=0, bound=0, factors=())
     assert one.factorization() == "1"
+    assert one.cofactor == 1
+    assert one == FactorizationRow(1, 1, 0, 0, (), 1)
+    assert repr(one) == ("FactorizationRow(n=1, value=1, v2=0, bound=0, "
+                         "factors=(), cofactor=1)")
+    with pytest.raises(AttributeError):
+        one.cofactor = 3
 
 
 def test_chess_table_values():
@@ -240,6 +247,49 @@ def test_exhaustive_bound_check_names_a_failing_pair():
     assert report.witnesses == (("v=0,1,0 w=0,1,0", 0),
                                 ("distinct nonzero images", 1),
                                 ("nonzero pairings", 1))
+
+
+def naive_bound_report(n, level):
+    """exhaustive_bound_check's report, folded over every pair of the
+    level's images in row-major order with fock.inner."""
+    required = n - tri_count(n)
+    vals = [(a, b, vp(s, 2)) for a in range(len(level))
+            for b in range(a, len(level))
+            if (s := inner(level[a][1], level[b][1]))]
+
+    def text(a, b):
+        return f"v={','.join(map(str, level[a][0]))} " \
+               f"w={','.join(map(str, level[b][0]))}"
+
+    failures = [(text(a, b), v) for a, b, v in vals if v < required]
+    attained = [(text(a, b), v) for a, b, v in vals if v == required][:1]
+    return ValuationReport(
+        claim=f"bound[n={n}]", degree_bound=n, required=required,
+        observed_min=min((v for *_, v in vals), default=INFINITY),
+        require_tight=True,
+        witnesses=tuple(failures + attained) + (
+            ("distinct nonzero images", len(level)),
+            ("nonzero pairings", len(vals))))
+
+
+def test_grouped_bound_check_matches_a_naive_fold():
+    # claimed at its own n the check passes; claimed at n + 3 the same
+    # level fails on pairs from several letter contents
+    levels = check_levels(12, lambda x, i: apply_f(x, i, 2), basis(()),
+                          lambda n, level: (n, level))
+    for n, level in levels:
+        for claimed in (n, n + 3):
+            report = exhaustive_bound_check(claimed, level)
+            assert report.to_json() == naive_bound_report(claimed, level).to_json()
+    assert report.verdict == "FAIL"
+    assert len({w.split()[0].count("1") for w, _ in report.witnesses[:-2]}) > 1
+    # the least pair attaining the bound is in the second content group,
+    # which the grouped check visits after the first group's own
+    level = [((0, 0, 1), {1: 2}, 1), ((0, 1, 1), {4: 1, 5: 1}, 1),
+             ((1, 0, 0), {2: 1, 3: 1}, 1), ((1, 0, 1), {6: 2}, 1)]
+    report = exhaustive_bound_check(3, level)
+    assert report.to_json() == naive_bound_report(3, level).to_json()
+    assert report.witnesses[0] == ("v=0,1,1 w=0,1,1", 1)
 
 
 def test_factorial_check():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import product
 
@@ -37,14 +39,35 @@ def is_standard(t: Tableau) -> bool:
 
 
 def test_residue_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
         ResidueWord(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^letter 2 is not a residue mod 2$"):
         ResidueWord(2, (0, 2))
+    with pytest.raises(ValueError, match=r"^letter '0' is not a residue mod 3$"):
+        ResidueWord(3, ["0"])
+    with pytest.raises(ValueError, match=r"^letter -1 is not a residue mod 3$"):
+        ResidueWord(3, (-1,))
     w = ResidueWord(2, [0, 1])  # coerced to a tuple
     assert w.letters == (0, 1)
     assert len(w) == 2
     assert str(w) == "0,1"
+
+
+def test_residue_word_is_a_frozen_value():
+    w = ResidueWord(2, [0, 1])
+    assert w == ResidueWord(2, (0, 1)) and hash(w) == hash(ResidueWord(2, (0, 1)))
+    assert w != ResidueWord(3, (0, 1)) and w != ResidueWord(2, (1, 0))
+    assert w != (2, (0, 1))
+    assert len({w, ResidueWord(2, (0, 1)), ResidueWord(2, ())}) == 2
+    assert repr(w) == "ResidueWord(e=2, letters=(0, 1))"
+    assert repr(ResidueWord(1, ())) == "ResidueWord(e=1, letters=())"
+    for name, value in (("e", 3), ("letters", (1, 1)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    with pytest.raises(AttributeError):
+        del w.e
+    assert w.e == 2 and w.letters == (0, 1)
+    assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
 
 
 def test_word_helpers():
