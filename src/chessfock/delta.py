@@ -15,8 +15,8 @@ from typing import Iterator, NamedTuple
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition)
-from .polyrep import (GENERATORS, OddPoly, _columns, _q_star, _q_times,
-                      apply_letter, inner_poly, poly_one)
+from .polyrep import (GENERATORS, OddPoly, _columns, _pack, _q_star,
+                      _q_times, _unpack, apply_letter, inner_poly)
 from .tableaux import check_levels
 
 
@@ -148,6 +148,13 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
                         False, observations())
 
 
+def _shift(key: int, degree: int) -> int:
+    """(|nu| - len(nu))/2, the sum of i * slot i, for nu of the given degree
+    with packed key ``key``: 256^i = 1 + 255i mod 255^2, so key mod 255^2
+    is len(nu) + 255 * shift = degree + 253 * shift, which is below 255^2."""
+    return (key % 65025 - degree) // 253
+
+
 def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound.
@@ -157,7 +164,7 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     instead of filling polyrep's column cache.  A basis monomial's image
     is its column (den, numerators) scaled by the basis factor 2^shift,
     so its ``delta_valuation`` is read off the integer numerators: the
-    min over keys nu of v2(numerator) - (|nu| - len(nu))/2, plus shift,
+    min over keys nu of v2(numerator) - ``_shift(nu, d +- 1)``, plus shift,
     minus v2(den) (INFINITY for an empty column).
     """
 
@@ -166,9 +173,11 @@ def verify_stability(degree_bound: int) -> ValuationReport:
             for mu in enumerate_partitions(d, "odd"):
                 shift = (d - len(mu)) // 2
                 desc = _basis_desc(mu, d)
-                columns = _columns("f", mu) + _columns("e", mu)
+                key = _pack(mu)
+                columns = _columns("f", key) + _columns("e", key)
                 for gen, (den, col) in zip(GENERATORS, columns):
-                    low = min(((v & -v).bit_length() - 1 - (sum(nu) - len(nu)) // 2
+                    deg = d + 1 if gen[0] == "f" else d - 1
+                    low = min(((v & -v).bit_length() - 1 - _shift(nu, deg)
                                for nu, v in col), default=INFINITY)
                     yield f"{gen} {desc}", low + shift - vp(den, 2)
 
@@ -193,40 +202,41 @@ def gf2_rank(rows: list[int]) -> int:
 
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``verify_generation(n, level)`` for n = 1..n_max from one
-    ``check_levels`` pass over the distinct polynomial images of the words."""
-    return check_levels(n_max, apply_letter, poly_one(), verify_generation)
+    ``check_levels`` pass over the distinct packed images of the words."""
+    return check_levels(n_max, apply_letter, (1, ((0, 1),)),
+                        verify_generation, key=lambda image: image)
 
 
 def verify_generation(n: int, level: list) -> ValuationReport:
     """Check that the 2^n length-n f-word images of 1 span the degree-n
     slice of the lattice over the odd-denominator integers.
 
-    ``level`` is the length-n level of ``check_levels`` over the polynomial
-    images, as (least word, image, words) triples.  Each image is written
-    in lattice-basis coordinates (integral by stability -- violations
-    raise; each coefficient's 2-adic valuation is read off the lowest set
-    bits of its numerator and denominator), reduced mod 2 to a bit row,
-    and the deduplicated rows are eliminated over GF(2).  Equal images
-    give equal rows, so only the distinct images are reduced.  Full rank
-    lifts to spanning, so ``required`` is the slice dimension and
-    ``observed_min`` the achieved rank.
+    ``level`` is the length-n level of ``check_levels`` over the packed
+    images (den, ((key, numerator), ...)), as (least word, image, words)
+    triples.  Each image is written in lattice-basis coordinates (integral
+    by stability -- violations raise; each coefficient's 2-adic valuation
+    is read off the lowest set bits of its numerator and of den), reduced
+    mod 2 to a bit row, and the distinct rows are eliminated over GF(2).
+    Equal images give equal rows, so only the distinct images are reduced.
+    Full rank lifts to spanning, so ``required`` is the slice dimension
+    and ``observed_min`` the achieved rank.
     """
-    columns = {mu: idx for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
+    columns = {_pack(mu): (1 << idx, (n - len(mu)) // 2)
+               for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
     rows: set[int] = set()
-    for _, f, _ in level:
+    for _, (den, items), _ in level:
+        low = (den & -den).bit_length()
         bits = 0
-        for mu, c in f.items():
-            num, den = c.numerator, c.denominator
+        for key, num in items:
             if not num:
                 continue
-            shift = (n - len(mu)) // 2
-            val = (num & -num).bit_length() - (den & -den).bit_length()
+            bit, shift = columns[key]
+            val = (num & -num).bit_length() - low
             if val < shift:
-                raise ArithmeticError(
-                    f"word image escapes the lattice at {mu} (v2={val} < {shift})"
-                )
+                raise ArithmeticError(f"word image escapes the lattice at "
+                                      f"{_unpack(key)} (v2={val} < {shift})")
             if val == shift:
-                bits |= 1 << columns[mu]
+                bits |= bit
         if bits:
             rows.add(bits)
     return ValuationReport(

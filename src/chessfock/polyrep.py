@@ -26,36 +26,32 @@ exact.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
-and those are computed in integers.  On one monomial the adjoint of q_m
-needs no division: the adjoint of p_nu contributes
-prod_k k^(m_k) * perm(t_k, m_k), and dividing by z_nu leaves binomials,
+computed in integers.  On one monomial the adjoint of q_m needs no
+division: the adjoint of p_nu contributes prod_k k^(m_k) * perm(t_k, m_k),
+and dividing by z_nu leaves binomials,
 
     q_m^* p_mu = sum over odd nu inside mu with |nu| = m of
                  2^len(nu) * prod_k C(m_k(mu), m_k(nu)) * p_(mu minus nu),
 
-where m_k counts the parts equal to k.  Multiplying by q_n uses the
-integer numerators of 2^len(kappa) / z_kappa over one common denominator
-per n (``_q_ints``), so a whole series is an int dict over one
-denominator.  One series gives both generators of its pair, and a column
-is (den, ((key, int), ...)) with the gcd of den and the values divided
-out.  ``op_generator`` sums the columns of an input over the lcm of their
-denominators and builds one Fraction per output monomial, which
-normalises, so the result is exactly the series' result.
+where m_k counts the parts equal to k.  With the integer numerators of
+q_n over one common denominator (``_q_ints``), one series gives both
+generators of its pair as integer columns (den, ((key, int), ...)).
 
-The columns are cached on first use, one pair per (series, monomial),
-and reused by every later input that contains the monomial.  Nothing is
-built at import time.  ``delta.verify_stability`` applies each generator
-to each basis monomial exactly once, so it calls ``_columns`` directly
-and leaves the cache empty rather than holding columns it never reads
-again.  Word images come one at a time from ``apply_word_poly``, or all
-at once from ``tableaux.check_levels`` stepping with ``apply_letter``.
+A key packs an odd monomial into one int (``_pack``): the multiplicity of
+the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
+monomials is a sum of keys and p_(mu minus nu) a difference.  A slot could
+overflow above degree 255, where ``_pack`` and the columns raise
+ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
+with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
+packed images, which the generation walk carries.  The columns are cached
+on first use, one pair per (series, monomial); nothing is built at import
+time, and ``delta.verify_stability`` calls ``_columns`` directly, which
+leaves the cache empty.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd, lcm, perm
-from typing import Iterator
 
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          z_mu)
@@ -69,8 +65,24 @@ GENERATORS = ("f0", "f1", "e0", "e1")
 Runs = tuple[tuple[int, int, int], ...]
 
 #: A polynomial as (den, ((key, numerator), ...)): the sum of
-#: numerator / den * p_key, with no zero numerator.
-Column = tuple[int, tuple[tuple[Partition, int], ...]]
+#: numerator / den * p_key over packed keys, with no zero numerator.
+Column = tuple[int, tuple[tuple[int, int], ...]]
+
+MAX_DEGREE = 255  # no 8-bit slot of a packed key overflows up to it
+
+
+def _pack(mu: Partition) -> int:
+    """The packed key of an odd-part partition (see the module docstring)."""
+    if sum(mu) > MAX_DEGREE:
+        raise ValueError(f"degree {sum(mu)} is above {MAX_DEGREE}")
+    return sum(1 << 4 * k - 4 for k in mu)
+
+
+@lru_cache(maxsize=None)
+def _unpack(key: int) -> Partition:
+    slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return tuple(2 * i + 1 for i in reversed(range(len(slots)))
+                 for _ in range(slots[i]))
 
 
 def poly_one() -> OddPoly:
@@ -179,11 +191,11 @@ def _q_star(n: int, f: OddPoly) -> OddPoly:
 
 @lru_cache(maxsize=None)
 def _q_ints(n: int) -> Column:
-    """q_n over one common denominator Z_n: (Z_n, ((mu, 2^len(mu) * Z_n /
-    z_mu), ...)), in the order of ``_q_items``."""
+    """q_n over one common denominator Z_n: (Z_n, ((_pack(mu), 2^len(mu) *
+    Z_n / z_mu), ...)), in the order of ``_q_items``."""
     items = _q_items(n)
     den = lcm(*(c.denominator for _, c in items))
-    return den, tuple((mu, c.numerator * (den // c.denominator))
+    return den, tuple((_pack(mu), c.numerator * (den // c.denominator))
                       for mu, c in items)
 
 
@@ -224,64 +236,56 @@ def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     return poly_scale(_add_into(base, a, sign), Fraction(1, 2))
 
 
-def _sub_monomials(mu: Partition) -> Iterator[tuple[int, int, Partition]]:
-    """Yield (|nu|, 2^len(nu) * prod_k C(m_k(mu), m_k(nu)), mu minus nu)
-    for every sub-multiset nu of the odd parts of mu, the empty one first.
+def _sub_monomials(key: int) -> list[tuple[int, int, int]]:
+    """(|nu|, 2^len(nu) * prod_k C(m_k(mu), m_k(nu)), key of mu minus nu)
+    for every sub-multiset nu of the monomial with packed key ``key``, from
+    nu = () to nu = mu, in product order over the parts from the largest
+    down.  q_m^* p_mu is the sum of weight * p_rest over the items with
+    |nu| = m (see the module docstring)."""
+    subs = [(0, 1, key)]
+    slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    for i in reversed(range(len(slots))):
+        k, t = 2 * i + 1, slots[i]
+        subs = [(size + j * k, weight * (comb(t, j) << j), rest - (j << 8 * i))
+                for size, weight, rest in subs for j in range(t + 1)]
+    return subs
 
-    q_m^* p_mu is the sum of weight * p_rest over the items with
-    |nu| = m (see the module docstring).
+
+def _reduced(den: int, values: dict[int, int]) -> Column:
+    g = gcd(den, *values.values())
+    return den // g, tuple((key, v // g) for key, v in values.items() if v)
+
+
+def _columns(family: str, key: int) -> tuple[Column, Column]:
+    """The images of the monomial with packed key ``key`` under the two
+    generators of a family, (f0, f1) or (e0, e1), both from one evaluation
+    of the family's series, S_f or S_e, in integers.  By the truncation
+    argument of ``op_a`` a column does not depend on the degrees of the
+    other monomials of an input.
     """
-    runs = [(k, mu.count(k)) for k in dict.fromkeys(mu)]
-    for choice in product(*(range(t + 1 if k % 2 else 1) for k, t in runs)):
-        size, weight, rest = 0, 1, ()
-        for (k, t), j in zip(runs, choice):
-            size += j * k
-            weight *= comb(t, j) << j
-            rest += (k,) * (t - j)
-        yield size, weight, rest
-
-
-def _series(family: str, mu: Partition) -> tuple[int, dict[Partition, int]]:
-    """The series S_f (family "f") or S_e (family "e") applied to p_mu, as
-    (D, {key: numerator}) over the lcm D of the q denominators it uses."""
     # S_f pairs q_m^* with q_{m+1} for m >= 1, S_e pairs q_m^* with
     # q_{m-1} for m >= 2; the sign is (-1)^(m+1) resp. (-1)^m.
     step, first = (1, 1) if family == "f" else (-1, 2)
-    terms = [(m, w, rest) for m, w, rest in _sub_monomials(mu) if m >= first]
+    subs = _sub_monomials(key)
+    if subs[-1][0] + step > MAX_DEGREE:
+        raise ValueError(f"degree {subs[-1][0] + step} is above {MAX_DEGREE}")
+    terms = [(m, w, rest) for m, w, rest in subs if m >= first]
     den = lcm(*(_q_ints(m + step)[0] for m, _, _ in terms))
-    acc: dict[Partition, int] = {}
+    s: dict[int, int] = {}
     for m, w, rest in terms:
         q_den, items = _q_ints(m + step)
         scale = w * (den // q_den)
         if (m + first) % 2:
             scale = -scale
         for kappa, a in items:
-            key = tuple(sorted(rest + kappa, reverse=True))
-            acc[key] = acc.get(key, 0) + scale * a
-    return den, acc
-
-
-def _reduced(den: int, values: dict[Partition, int]) -> Column:
-    g = gcd(den, *values.values())
-    return den // g, tuple((key, v // g) for key, v in values.items() if v)
-
-
-def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
-    """The images of p_mu under the two generators of a family, (f0, f1)
-    or (e0, e1), both from one evaluation of the family's series.
-
-    By the truncation argument of ``op_a`` a column does not depend
-    on the degrees of the other monomials of an input.
-    """
-    den, s = _series(family, mu)
+            out = rest + kappa
+            s[out] = s.get(out, 0) + scale * a
     den *= 4
-    low = {key: -v for key, v in s.items()}
-    if family == "f":
-        key = mu + (1,)
-        low[key] = low.get(key, 0) + den
-    elif mu and mu[-1] == 1:
-        key = mu[:-1]
-        low[key] = low.get(key, 0) + mu.count(1) * den
+    low = {out: -v for out, v in s.items()}
+    # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
+    base, c = (key + 1, 1) if family == "f" else (key - 1, key & 255)
+    if c:
+        low[base] = low.get(base, 0) + c * den
     return _reduced(den, low), _reduced(den, s)
 
 
@@ -290,26 +294,36 @@ def _columns(family: str, mu: Partition) -> tuple[Column, Column]:
 _column = lru_cache(maxsize=None)(_columns)
 
 
-def op_generator(gen: str, f: OddPoly) -> OddPoly:
+def op_generator(gen: str, f):
     """Apply one of the generator operators f0, f1, e0, e1 to f.
 
-    This is the sum of c_mu times the cached column of p_mu over the
-    monomials of f, which equals ``op_series`` by linearity.  The sum
-    runs in integers over the lcm M of the denominators of the terms
-    c_mu * column, and each nonzero output coefficient is one
-    Fraction(numerator, M).
+    f is an OddPoly or a packed image, and so is the result: the sum of the
+    coefficients times the cached columns of the monomials, which equals
+    ``op_series`` by linearity, in integers over the input's denominator
+    times the lcm of the columns'.  A packed result is canonical: the gcd
+    is divided out, the items are sorted by key, and the zero image is ().
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     family, which = gen[0], int(gen[1])
-    cols = [(c, _column(family, mu)[which]) for mu, c in f.items()]
-    den = lcm(*(c.denominator * col_den for c, (col_den, _) in cols))
-    acc: dict[Partition, int] = {}
-    for c, (col_den, col) in cols:
-        scale = c.numerator * (den // (c.denominator * col_den))
+    poly = isinstance(f, dict)
+    if poly:
+        den = lcm(*(c.denominator for c in f.values()))
+        items = [(_pack(mu), c.numerator * (den // c.denominator))
+                 for mu, c in f.items()]
+    else:
+        den, items = f
+    cols = [(num, _column(family, key)[which]) for key, num in items]
+    step = lcm(*(col_den for _, (col_den, _) in cols))
+    acc: dict[int, int] = {}
+    for num, (col_den, col) in cols:
+        scale = num * (step // col_den)
         for key, v in col:
             acc[key] = acc.get(key, 0) + scale * v
-    return {key: Fraction(v, den) for key, v in acc.items() if v}
+    den, items = _reduced(den * step, acc)
+    if poly:
+        return {_unpack(key): Fraction(v, den) for key, v in items}
+    return items and (den, tuple(sorted(items)))
 
 
 def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
@@ -335,8 +349,9 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
     return poly_scale(out, Fraction(1, 2))
 
 
-def apply_letter(f: OddPoly, letter: int) -> OddPoly:
-    """Apply f0 or f1, as named by a residue mod 2."""
+def apply_letter(f, letter: int):
+    """Apply f0 or f1, named by a residue mod 2, to an OddPoly or a packed
+    image."""
     return op_generator(("f0", "f1")[letter], f)
 
 

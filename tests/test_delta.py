@@ -7,13 +7,13 @@ import pytest
 
 from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
-                             delta_basis, delta_valuation,
+                             _shift, delta_basis, delta_valuation,
                              generation_reports, gf2_rank,
                              verify_generation, verify_pairing,
                              verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _q_items, apply_word_poly,
+from chessfock.polyrep import (GENERATORS, _pack, _q_items, apply_word_poly,
                                inner_poly, op_series, poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
@@ -162,6 +162,12 @@ def test_verify_stability_matches_a_fold_of_the_series():
         assert verify_stability(d).to_json() == expected.to_json()
 
 
+def test_shift_reads_the_basis_size_off_the_packed_key():
+    odd = [mu for d in range(21) for mu in enumerate_partitions(d, "odd")]
+    for mu in odd + [(1,) * 255, (255,), (3,) * 85, (5, 3) + (1,) * 247]:
+        assert _shift(_pack(mu), sum(mu)) == (sum(mu) - len(mu)) // 2
+
+
 def test_gf2_rank():
     assert gf2_rank([]) == 0
     assert gf2_rank([0b001, 0b010, 0b100]) == 3
@@ -206,8 +212,9 @@ def test_generation_reports_from_one_walk():
 def test_verify_generation_reads_v2_off_each_coefficient():
     # n = 3: the basis is 2*p3 and p1^3; 2/3*p3 sits on the first, 4*p1^3
     # is 0 mod 2, and a zero coefficient is no coefficient
-    level = [((0, 1, 0), {(3,): Fraction(2, 3), (1, 1, 1): Fraction(4)}, 1),
-             ((1, 0, 0), {(3,): Fraction(0), (1, 1, 1): Fraction(5, 7)}, 2)]
+    p3, p111 = _pack((3,)), _pack((1, 1, 1))
+    level = [((0, 1, 0), (3, ((p3, 2), (p111, 12))), 1),
+             ((1, 0, 0), (7, ((p3, 0), (p111, 5))), 2)]
     r = verify_generation(3, level)
     assert r.observed_min == r.required == 2
     assert dict(r.witnesses) == {"nonzero word images": 3,
@@ -217,10 +224,10 @@ def test_verify_generation_reads_v2_off_each_coefficient():
 def test_verify_generation_raises_when_an_image_escapes_the_lattice():
     with pytest.raises(ArithmeticError,
                        match=r"escapes the lattice at \(1,\) \(v2=-1 < 0\)"):
-        verify_generation(1, [((0,), {(1,): Fraction(1, 2)}, 1)])
+        verify_generation(1, [((0,), (2, ((_pack((1,)), 1),)), 1)])
     with pytest.raises(ArithmeticError,
                        match=r"escapes the lattice at \(3,\) \(v2=0 < 1\)"):
-        verify_generation(3, [((0, 1, 0), {(3,): Fraction(3, 5)}, 1)])
+        verify_generation(3, [((0, 1, 0), (5, ((_pack((3,)), 3),)), 1)])
 
 
 def test_verify_pairing_small():

@@ -11,12 +11,12 @@ from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import delta_valuation, verify_stability
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _column, _q_items, _q_star,
-                               _q_times, _sub_monomials, adjoint_monomial,
-                               apply_letter, apply_word_poly, inner_poly,
-                               mul_monomial, op_a, op_generator, op_series,
-                               poly_add, poly_one, poly_scale, random_poly,
-                               top_degree)
+from chessfock.polyrep import (GENERATORS, _column, _pack, _q_items, _q_star,
+                               _q_times, _sub_monomials, _unpack,
+                               adjoint_monomial, apply_letter, apply_word_poly,
+                               inner_poly, mul_monomial, op_a, op_generator,
+                               op_series, poly_add, poly_one, poly_scale,
+                               random_poly, top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 F = Fraction
@@ -199,12 +199,40 @@ def test_q_star_of_a_monomial_is_a_sum_of_binomials():
     # 2^len(nu) prod_k C(m_k(mu), m_k(nu)) p_(mu minus nu)
     for deg in range(13):
         for mu in enumerate_partitions(deg, "odd"):
-            subs = list(_sub_monomials(mu))
-            assert subs[0] == (0, 1, mu)
+            subs = _sub_monomials(_pack(mu))
+            assert subs[0] == (0, 1, _pack(mu))
             for m in range(deg + 1):
                 expected = _q_star(m, {mu: F(1)})
-                got = {rest: w for size, w, rest in subs if size == m}
+                got = {_unpack(rest): w for size, w, rest in subs if size == m}
                 assert got == expected
+
+
+def test_packed_keys_round_trip_and_add_as_multisets():
+    odd = [mu for d in range(21) for mu in enumerate_partitions(d, "odd")]
+    assert len({_pack(mu) for mu in odd}) == len(odd)
+    for mu in odd:
+        assert _unpack(_pack(mu)) == mu
+    rng = random.Random(5)
+    for mu, nu in zip(odd, rng.sample(odd, len(odd))):
+        union = tuple(sorted(mu + nu, reverse=True))
+        assert _unpack(_pack(mu) + _pack(nu)) == union
+    assert _unpack(_pack((1,) * 255)) == (1,) * 255
+
+
+def test_packed_keys_refuse_degrees_above_255():
+    # (1,) * 256 would carry slot 0 into the slot of p3
+    with pytest.raises(ValueError, match="degree 256 is above 255"):
+        _pack((1,) * 256)
+    # the input is refused before any column is looked up
+    before = _column.cache_info()
+    for gen, mu in (("f0", (1,) * 256), ("e0", (257,))):
+        with pytest.raises(ValueError, match="degree 25[67] is above 255"):
+            op_generator(gen, {mu: F(1)})
+    assert _column.cache_info() == before
+    # f raises the degree, so degree 255 has no f column; nothing is cached
+    with pytest.raises(ValueError, match="degree 256 is above 255"):
+        op_generator("f1", {(1,) * 255: F(1)})
+    assert _column.cache_info().currsize == before.currsize
 
 
 def test_cached_columns_match_the_series():
@@ -255,6 +283,27 @@ def test_word_images_match_a_walk_on_the_series():
                          ((0, 1, 1), {(1, 1, 1): F(2, 3), (3,): F(-2, 3)}, 1)]
 
 
+def test_packed_walk_matches_the_fraction_walk():
+    # generation's walk on canonical packed images, level by level, against
+    # the same walk on OddPolys
+    def decode(image):
+        den, items = image
+        return {_unpack(key): F(num, den) for key, num in items}
+
+    ints = list(check_levels(10, apply_letter, (1, ((0, 1),)),
+                             lambda n, level: level, key=lambda y: y))
+    fracs = list(check_levels(10, apply_letter, poly_one(),
+                              lambda n, level: level))
+    assert len(ints) == len(fracs) == 10
+    for a, b in zip(ints, fracs):
+        assert [(w, decode(y), c) for w, y, c in a] == b
+    # a packed result is canonical: the input's item order does not show
+    for _, (den, items), _ in ints[7]:
+        for letter in range(2):
+            assert apply_letter((den, items[::-1]), letter) == \
+                apply_letter((den, items), letter)
+
+
 def test_check_levels_is_every_depth_of_the_per_model_walks():
     # levels, least words and word counts against every word of each length
     def levels(n_max, step, start):
@@ -282,12 +331,13 @@ def test_import_builds_no_cache():
     # a fresh process, so that no other test has filled the caches
     code = ("import chessfock.cli\n"
             "from chessfock import polyrep\n"
-            "caches = (polyrep._column, polyrep._q_ints, polyrep._q_items, polyrep._z)\n"
+            "caches = (polyrep._column, polyrep._q_ints, polyrep._q_items,\n"
+            "          polyrep._unpack, polyrep._z)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
