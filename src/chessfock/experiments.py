@@ -20,8 +20,8 @@ from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (apply_e, apply_f, basis, gram_rows, inner, pair_sum,
-                   random_vector)
+from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, inner,
+                   pair_sum, random_vector)
 from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
                       mul_monomial, op_a, op_generator, op_series, poly_add,
@@ -296,19 +296,7 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
     if not is_prime(p):
         raise ValueError(f"scan prime must be prime, got {p}")
     return [_row(n, value, e, p)
-            for n, value in enumerate(_cyclic_sums(n_max, e), start=1)]
-
-
-def _cyclic_sums(n_max: int, e: int) -> list[int]:
-    """The pair sums <x, x> of the cyclic words 0, 1, ..., (n - 1) mod e for
-    n = 1..n_max, from one growing Fock vector, which is dropped before
-    ``general_e_scan`` factors the first sum."""
-    sums = []
-    x = basis(())
-    for n in range(1, n_max + 1):
-        x = apply_f(x, (n - 1) % e, e)
-        sums.append(inner(x, x))
-    return sums
+            for n, value in enumerate(cyclic_sums(n_max, e), start=1)]
 
 
 def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:

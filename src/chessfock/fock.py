@@ -13,13 +13,23 @@ shape by shape.  ``apply_word`` gives one word's image; the suites that
 need every word's walk the distinct images with ``tableaux.check_levels``
 and pair them with ``gram_rows``.  The operators and the pairing are
 linear and never divide, so they accept rational coefficients as well.
+
+At e = 2 the residue (i - j) mod 2 does not change under transposition,
+so f_0 and f_1 commute with conjugation and every binary word's image of
+the vacuum is conjugation-invariant.  ``cyclic_sums`` grows the
+alternating image as a half vector: the same dict restricted to the
+shapes with lam_1 >= len(lam), the bead ints with ``s.bit_length() >= 2 *
+s.bit_count()``.  Its norm weights a shape 2 when lam_1 > len(lam), for
+the shape and its dropped conjugate, and 1 when lam_1 = len(lam), where
+both are kept.  The half vector serves only such conjugation-invariant
+e = 2 walks from the empty partition; everything else uses full vectors.
 """
 
 from typing import Iterator
 
 from .partitions import (Partition, addable_cells, check_residue,
-                         enumerate_partitions, from_beads, removable_cells,
-                         to_beads)
+                         conjugate_beads, enumerate_partitions, from_beads,
+                         removable_cells, to_beads)
 from .tableaux import ResidueWord
 
 FockVector = dict[int, int]
@@ -40,8 +50,7 @@ def apply_f(x: FockVector, i: int, e: int) -> FockVector:
     check_residue(i, e)
     out: FockVector = {}
     get = out.get
-    for s, c in x.items():
-        free = addable_cells(s, i, e)
+    for (s, c), free in zip(x.items(), addable_cells(x, i, e)):
         while free:
             low = free & -free
             grown = s ^ (low * 3)
@@ -50,7 +59,7 @@ def apply_f(x: FockVector, i: int, e: int) -> FockVector:
         if s.bit_count() % e == i:
             grown = (s << 1) | 2
             out[grown] = get(grown, 0) + c
-    return {k: v for k, v in out.items() if v}
+    return _nonzero(out)
 
 
 def apply_e(x: FockVector, i: int, e: int) -> FockVector:
@@ -58,8 +67,7 @@ def apply_e(x: FockVector, i: int, e: int) -> FockVector:
     check_residue(i, e)
     out: FockVector = {}
     get = out.get
-    for s, c in x.items():
-        free = removable_cells(s, i, e)
+    for (s, c), free in zip(x.items(), removable_cells(x, i, e)):
         while free:
             low = free & -free
             shrunk = s ^ (low | low >> 1)
@@ -67,7 +75,60 @@ def apply_e(x: FockVector, i: int, e: int) -> FockVector:
                 shrunk >>= 1
             out[shrunk] = get(shrunk, 0) + c
             free ^= low
-    return {k: v for k, v in out.items() if v}
+    return _nonzero(out)
+
+
+def _nonzero(out: FockVector) -> FockVector:
+    """out without its zero terms; out itself when it has none."""
+    return {k: v for k, v in out.items() if v} if 0 in out.values() else out
+
+
+def _half_f(x: FockVector, i: int) -> FockVector:
+    """f_i at e = 2 on the half vector of a conjugation-invariant vector
+    whose coefficients are positive.
+
+    A bead move keeps lam_1 >= len(lam), so every one is kept.  A new row
+    stays in the half only from a strictly wide shape (wide = lam_1 -
+    len(lam) >= 1) or from the empty one.  The one term that enters the
+    half from a dropped conjugate is the transpose of that new row, cell
+    (1, len(lam) + 1) of lam' for wide = 1, so it is added here as well.
+    """
+    out: FockVector = {}
+    get = out.get
+    for (s, c), free in zip(x.items(), addable_cells(x, i, 2)):
+        while free:
+            low = free & -free
+            grown = s ^ (low * 3)
+            out[grown] = get(grown, 0) + c
+            free ^= low
+        rows = s.bit_count()
+        if rows & 1 == i:
+            wide = s.bit_length() - 2 * rows
+            if wide >= 1 or not s:
+                grown = (s << 1) | 2
+                out[grown] = get(grown, 0) + c
+                if wide == 1:
+                    grown = conjugate_beads(grown)
+                    out[grown] = get(grown, 0) + c
+    return out
+
+
+def cyclic_sums(n_max: int, e: int) -> list[int]:
+    """The pair sums <x, x> of the images x of the cyclic words 0, 1, ...,
+    (n - 1) mod e for n = 1..n_max, from one growing vector: at e = 2 a
+    half vector with its weighted norm, otherwise the full image, stepped
+    by ``apply_f`` and paired by ``inner``."""
+    sums = []
+    x = basis(())
+    for n in range(1, n_max + 1):
+        if e == 2:
+            x = _half_f(x, (n - 1) % 2)
+            sums.append(sum(c * c << (s.bit_length() > 2 * s.bit_count())
+                            for s, c in x.items()))
+        else:
+            x = apply_f(x, (n - 1) % e, e)
+            sums.append(inner(x, x))
+    return sums
 
 
 def apply_word(word: ResidueWord) -> FockVector:
@@ -155,4 +216,4 @@ def random_vector(rng, max_degree: int) -> FockVector:
         shapes = enumerate_partitions(n)
         s = to_beads(shapes[rng.randrange(len(shapes))])
         out[s] = out.get(s, 0) + rng.randint(-9, 9)
-    return {k: v for k, v in out.items() if v}
+    return _nonzero(out)

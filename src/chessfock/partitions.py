@@ -10,8 +10,9 @@ The Fock layer keys its vectors by the bead int of a partition instead
 Polynomials, I.1 Ex. 8): row r of lam is a bead at bit lam_r - r +
 len(lam).  Adding a cell moves one bead up one position and removing one
 moves a bead down, so ``addable_cells``/``removable_cells`` are mask
-computations on that int.  ``to_beads``/``from_beads`` convert at the
-edges.
+computations on that int, made for a whole batch of shapes at once, and
+transposing a shape reverses its complement (``conjugate_beads``).
+``to_beads``/``from_beads`` convert at the edges.
 
 Residue convention
 ------------------
@@ -153,33 +154,49 @@ def from_beads(s: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def _residue_mask(e: int, r: int, width: int) -> int:
-    """The bead positions p < width with p ≡ r (mod e); callers round the
-    width up to 64k - 1, so a few cached masks serve every shape."""
+    """The bead positions p < width with p ≡ r (mod e)."""
     return sum(1 << p for p in range(r, width, e))
 
 
-def addable_cells(s: int, i: int, e: int) -> int:
-    """The beads of s that can move up one position by adding a cell of
-    residue i, as a mask; moving the bead at p gives ``s ^ (3 << p)``.
+def addable_cells(shapes, i: int, e: int) -> list[int]:
+    """For each bead int s of shapes, the beads that can move up one
+    position by adding a cell of residue i, as a mask; moving the bead at
+    p gives ``s ^ (3 << p)``.
 
     The bead at p sits in row r = (beads at or above p), so the added cell
     (r, lam_r + 1) has residue (len(lam) - 1 - p) mod e.  A new row, cell
     (len(lam) + 1, 1), is not a bead move: it has residue len(lam) mod e
-    and gives ``(s << 1) | 2``.  The caller validates i and e
+    and gives ``(s << 1) | 2``.  The e residue masks are built once for
+    the batch, as wide as its widest shape.  The caller validates i and e
     (``check_residue``); ``_addable_corners`` is the slow reference.
     """
-    mask = _residue_mask(e, (s.bit_count() - 1 - i) % e, s.bit_length() | 63)
-    return s & ~(s >> 1) & mask
+    masks = _batch_masks(shapes, 1 + i, e)
+    return [s & ~(s >> 1) & masks[s.bit_count() % e] for s in shapes]
 
 
-def removable_cells(s: int, i: int, e: int) -> int:
-    """The beads of s that can move down one position by removing a cell
-    of residue i, as a mask; moving the bead at p gives
-    ``s ^ (3 << (p - 1))``, shifted right once when that leaves bit 0 set
-    (the last row emptied).  The removed cell (r, lam_r) has residue
-    (len(lam) - p) mod e.  The caller validates i and e."""
-    mask = _residue_mask(e, (s.bit_count() - i) % e, s.bit_length() | 63)
-    return s & ~(s << 1) & mask
+def removable_cells(shapes, i: int, e: int) -> list[int]:
+    """For each bead int s of shapes, the beads that can move down one
+    position by removing a cell of residue i, as a mask; moving the bead
+    at p gives ``s ^ (3 << (p - 1))``, shifted right once when that leaves
+    bit 0 set (the last row emptied).  The removed cell (r, lam_r) has
+    residue (len(lam) - p) mod e.  The caller validates i and e."""
+    masks = _batch_masks(shapes, i, e)
+    return [s & ~(s << 1) & masks[s.bit_count() % e] for s in shapes]
+
+
+def _batch_masks(shapes, shift: int, e: int) -> list[int]:
+    """Entry b is the residue mask for the shapes with b beads mod e: the
+    positions p = b - shift (mod e) below the widest shape, rounded up to
+    64k - 1 bits so that a few cached masks serve every batch."""
+    width = max(shapes, default=0).bit_length() | 63
+    return [_residue_mask(e, (b - shift) % e, width) for b in range(e)]
+
+
+def conjugate_beads(s: int) -> int:
+    """The bead int of the conjugate partition: the holes of s below its
+    top bead, read from the top down, are the beads of the transpose."""
+    width = s.bit_length()
+    return int(f"{s ^ ((1 << width) - 1):0{width}b}"[::-1], 2) if s else 0
 
 
 def z_mu(mu: Partition) -> int:

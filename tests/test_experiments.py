@@ -14,11 +14,11 @@ from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import ValuationReport
 from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    _both_keys, _both_models, _odd_primes,
-                                   _prime_blocks, bound_reports, chess_table,
-                                   cross_model_check, cross_model_reports,
-                                   exhaustive_bound_check, factorial_check,
-                                   factorize, general_e_scan, rows_to_csv,
-                                   rows_to_jsonl, scan_row)
+                                   _prime_blocks, _row, bound_reports,
+                                   chess_table, cross_model_check,
+                                   cross_model_reports, exhaustive_bound_check,
+                                   factorial_check, factorize, general_e_scan,
+                                   rows_to_csv, rows_to_jsonl, scan_row)
 from chessfock.fock import apply_f, apply_word, basis, inner
 from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
@@ -311,6 +311,16 @@ def test_general_e_scan_modulus_two_matches_chess_table():
         assert (left.n, left.value, left.v2, left.bound) == \
             (right.n, right.value, right.v2, right.bound)
         assert left.verdict == "PASS"
+
+
+def test_general_e_scan_on_the_half_vector_matches_full_sums():
+    # e = 2 with p = 3: the half walk without the claimed bound
+    x = basis(())
+    rows = []
+    for n in range(1, 41):
+        x = apply_f(x, (n - 1) % 2, 2)
+        rows.append(_row(n, inner(x, x), 2, 3))
+    assert general_e_scan(40, 2, 3) == rows
 
 
 def test_general_e_scan_other_modulus_is_observational():

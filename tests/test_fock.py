@@ -5,11 +5,13 @@ from math import factorial
 
 import pytest
 
-from chessfock.fock import (apply_e, apply_f, apply_word, basis, decode,
-                            gram_rows, inner, pair_sum, random_vector)
+from chessfock.fock import (_half_f, apply_e, apply_f, apply_word, basis,
+                            cyclic_sums, decode, gram_rows, inner, pair_sum,
+                            random_vector)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
-from chessfock.tableaux import ResidueWord, alternating_word, check_levels
+from chessfock.tableaux import (ResidueWord, _conjugate, alternating_word,
+                                check_levels)
 
 ONE = Fraction(1)
 
@@ -43,6 +45,12 @@ def test_linearity_and_cancellation():
     # coefficients that cancel must not leave explicit zeros behind
     y = encoded({(2,): ONE, (1, 1): -ONE})
     assert apply_e(y, 1, 2) == {}
+    # (2) and (1,1) both reach (2,1) under f_1 and (1) under e_1
+    x = encoded({(2,): 1, (1, 1): -1, (3,): 1})
+    assert decode(apply_f(x, 1, 2)) == {(4,): 1, (3, 1): 1}
+    assert apply_f(encoded({(2,): 1, (1, 1): -1}), 1, 2) == {}
+    y = encoded({(2,): 1, (1, 1): -1, (2, 1): 1})
+    assert decode(apply_e(y, 1, 2)) == {(2,): 1, (1, 1): 1}
 
 
 def test_apply_word():
@@ -186,6 +194,34 @@ def test_check_levels_keeps_the_least_word():
                 key = tuple(sorted(image.items()))
                 seen.setdefault(key, [letters, image, 0])[2] += 1
         assert level == [tuple(state) for state in seen.values()]
+
+
+def conjugated(x):
+    """x with every shape transposed, keyed by partition tuples."""
+    return {_conjugate(lam): c for lam, c in decode(x).items()}
+
+
+def test_binary_word_images_are_conjugation_invariant():
+    # at e = 2 the residue (i - j) mod 2 is symmetric in i and j, so f_0
+    # and f_1 commute with transposing every shape
+    for level in fock_levels(12):
+        for _, image, _ in level:
+            assert conjugated(image) == decode(image)
+    x = basis(())
+    for n in range(1, 31):
+        x = apply_f(x, (n - 1) % 2, 2)
+        assert conjugated(x) == decode(x)
+
+
+def test_half_walk_matches_the_full_walk():
+    sums = cyclic_sums(30, 2)
+    x = half = basis(())
+    for n in range(1, 31):
+        x = apply_f(x, (n - 1) % 2, 2)
+        half = _half_f(half, (n - 1) % 2)
+        assert half == {s: c for s, c in x.items()
+                        if s.bit_length() >= 2 * s.bit_count()}
+        assert sums[n - 1] == inner(x, x)
 
 
 def test_gram_rows_match_inner():

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from chessfock.arith import tri_count, vp
 from chessfock.partitions import (addable_cells, cell_residue,
                                   check_partition, check_residue,
+                                  conjugate_beads,
                                   enumerate_partitions, format_partition,
                                   from_beads, glaisher_distinct_to_odd,
                                   glaisher_odd_to_distinct, removable_cells,
                                   sort_key, to_beads, z_mu,
                                   _addable_corners, _removable_corners)
+from chessfock.tableaux import _conjugate
 
 
 def partition_count(n):
@@ -111,12 +113,12 @@ def added_cells(lam, i, e):
     """Every addable cell of residue i, read off the bead masks."""
     s = to_beads(lam)
     new_row = [(len(lam) + 1, 1)] if len(lam) % e == i else []
-    return bead_cells(s, addable_cells(s, i, e), 1) + new_row
+    return bead_cells(s, addable_cells([s], i, e)[0], 1) + new_row
 
 
 def removed_cells(lam, i, e):
     s = to_beads(lam)
-    return bead_cells(s, removable_cells(s, i, e), 0)
+    return bead_cells(s, removable_cells([s], i, e)[0], 0)
 
 
 def test_beads_round_trip():
@@ -138,13 +140,13 @@ def test_beads_round_trip():
 
 
 def test_boundary_cells_examples():
-    assert addable_cells(to_beads(()), 0, 2) == 0     # only the new row
+    assert addable_cells([to_beads(())], 0, 2) == [0]     # only the new row
     assert added_cells((), 0, 2) == [(1, 1)]
     assert added_cells((), 1, 2) == []
     assert added_cells((1,), 0, 2) == []
-    assert addable_cells(to_beads((1,)), 1, 2) == 0b10
+    assert addable_cells([to_beads((1,))], 1, 2) == [0b10]
     assert added_cells((1,), 1, 2) == [(1, 2), (2, 1)]
-    assert removable_cells(to_beads((2, 1)), 1, 2) == 0b1010
+    assert removable_cells([to_beads((2, 1))], 1, 2) == [0b1010]
     assert removed_cells((2, 1), 1, 2) == [(1, 2), (2, 1)]
     assert removed_cells((2, 1), 0, 2) == []
     with pytest.raises(ValueError):
@@ -180,14 +182,39 @@ def test_add_remove_are_inverse():
             s = to_beads(lam)
             for e in (2, 3):
                 for i in range(e):
-                    free = addable_cells(s, i, e)
+                    free = addable_cells([s], i, e)[0]
                     for p in range(s.bit_length()):
                         if not free >> p & 1:
                             continue
                         bigger = s ^ (3 << p)
                         assert sum(from_beads(bigger)) == n + 1
-                        assert removable_cells(bigger, i, e) >> (p + 1) & 1
+                        assert removable_cells([bigger], i, e)[0] >> (p + 1) & 1
                         assert bigger ^ (3 << p) == s
+
+
+def test_a_batch_gives_each_shape_its_own_masks():
+    # shapes of many widths, past the 63-bit masks, in one batch
+    shapes = [to_beads(lam) for n in range(9) for lam in enumerate_partitions(n)]
+    shapes += [to_beads(lam) for lam in ((70,), (1,) * 70, (40, 30, 3, 1), (64,))]
+    for e in (1, 2, 3, 4):
+        for i in range(e):
+            up = addable_cells(shapes, i, e)
+            down = removable_cells(shapes, i, e)
+            assert len(up) == len(down) == len(shapes)
+            for s, free, gone in zip(shapes, up, down):
+                assert addable_cells([s], i, e) == [free]
+                assert removable_cells([s], i, e) == [gone]
+    assert addable_cells([], 0, 2) == removable_cells([], 0, 2) == []
+
+
+def test_conjugate_beads():
+    assert conjugate_beads(0) == 0
+    assert conjugate_beads(to_beads((3, 1))) == to_beads((2, 1, 1))
+    for n in range(17):
+        for lam in enumerate_partitions(n):
+            s = to_beads(lam)
+            assert from_beads(conjugate_beads(s)) == _conjugate(lam)
+            assert conjugate_beads(conjugate_beads(s)) == s
 
 
 def test_z_mu():
