@@ -29,6 +29,7 @@ from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
 from .tableaux import ResidueWord, check_levels, hook_count
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
+#: It is even, so FACTOR_LIMIT + 1 is the first odd divisor past it.
 FACTOR_LIMIT = 1_000_000
 
 #: Odd primes per block in _prime_blocks, and the last prime of the first
@@ -55,12 +56,12 @@ def _odd_primes(limit: int) -> Iterator[int]:
     return compress(odds, flags)
 
 
-@lru_cache(maxsize=None)
-def _prime_blocks(limit: int) -> tuple[tuple[int, int, int], ...]:
+@lru_cache(maxsize=1)
+def _prime_blocks() -> tuple[tuple[int, int, int], ...]:
     """(first prime, last prime, product) for each run of _BLOCK
-    consecutive odd primes <= limit, in increasing order; the last run
-    holds the primes that are left and may be shorter."""
-    primes = _odd_primes(limit)
+    consecutive odd primes <= FACTOR_LIMIT, in increasing order; the last
+    run holds the primes that are left and may be shorter."""
+    primes = _odd_primes(FACTOR_LIMIT)
     blocks = []
     while block := tuple(islice(primes, _BLOCK)):
         blocks.append((block[0], block[-1], prod(block)))
@@ -82,42 +83,41 @@ def _divide(rest: int, factors: list, divisors: range) -> int:
     return rest
 
 
-def factorize(value: int, limit: int = FACTOR_LIMIT) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Trial-divide value >= 1 by 2 and the odd numbers <= limit; returns
-    (factors, cofactor).
+def factorize(value: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Trial-divide value >= 1 by 2 and the odd numbers <= FACTOR_LIMIT;
+    returns (factors, cofactor).
 
     cofactor == 1 means the factorization is complete; otherwise it is the
-    unfactored remainder (all of whose prime factors exceed the limit).
-    The result is the one trial division by 2 and every odd d <= limit
-    with d * d <= the remainder gives.  An odd composite never divides
-    what is left when it is reached, so a block of ``_prime_blocks`` whose
-    product one gcd shows prime to the remainder is skipped whole, and a
-    block that shares a factor is stepped one odd number at a time.  The
-    blocks are built once per limit, and only by a call whose odd
-    remainder and limit both reach past the first block.  The remainder R
-    is prime exactly when 1 < R < stop * stop, stop the first divisor
-    past the limit: trial division stops before it only when R is 1 or a
-    prime, at a d <= limit with d * d > R.
+    unfactored remainder (all of whose prime factors exceed FACTOR_LIMIT).
+    The result is the one trial division by 2 and every odd
+    d <= FACTOR_LIMIT with d * d <= the remainder gives.  An odd composite
+    never divides what is left when it is reached, so a block of
+    ``_prime_blocks`` whose product one gcd shows prime to the remainder is
+    skipped whole, and a block that shares a factor is stepped one odd
+    number at a time.  The blocks are built once per process, and only by
+    a call whose odd remainder reaches past the first block.  The
+    remainder R is prime exactly when 1 < R < (FACTOR_LIMIT + 1) ** 2,
+    the square of the first divisor past the limit: trial division stops
+    before that divisor only when R is 1 or a prime, at a d <= FACTOR_LIMIT
+    with d * d > R.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     factors = []
     rest = value
-    if limit >= 2:
-        twos = (rest & -rest).bit_length() - 1
-        if twos:
-            factors.append((2, twos))
-            rest >>= twos
-        if min(limit, isqrt(rest)) < _FIRST_BLOCK_END:
-            rest = _divide(rest, factors, range(3, limit + 1, 2))
-        else:
-            for lo, hi, product in _prime_blocks(limit):
-                if lo * lo > rest:
-                    break
-                if gcd(rest, product) != 1:
-                    rest = _divide(rest, factors, range(lo, hi + 1, 2))
-    stop = limit + 1 + limit % 2 if limit >= 2 else 2
-    if 1 < rest < stop * stop:
+    twos = (rest & -rest).bit_length() - 1
+    if twos:
+        factors.append((2, twos))
+        rest >>= twos
+    if isqrt(rest) < _FIRST_BLOCK_END:
+        rest = _divide(rest, factors, range(3, FACTOR_LIMIT + 1, 2))
+    else:
+        for lo, hi, product in _prime_blocks():
+            if lo * lo > rest:
+                break
+            if gcd(rest, product) != 1:
+                rest = _divide(rest, factors, range(lo, hi + 1, 2))
+    if 1 < rest < (FACTOR_LIMIT + 1) ** 2:
         factors.append((rest, 1))
         rest = 1
     return tuple(factors), rest

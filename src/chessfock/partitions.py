@@ -61,9 +61,9 @@ def check_odd_partition(mu) -> Partition:
     return mu
 
 
-def _parts(n, cap, odd, distinct):
-    """The partitions of n with parts <= cap, descending lexicographically:
-    with ``odd`` every part is odd, with ``distinct`` parts strictly fall."""
+def _parts(n, cap, odd):
+    """The partitions of n with parts <= cap, descending lexicographically;
+    with ``odd`` every part is odd."""
     if n == 0:
         yield ()
         return
@@ -71,26 +71,21 @@ def _parts(n, cap, odd, distinct):
     if odd and first % 2 == 0:
         first -= 1
     for f in range(first, 0, -2 if odd else -1):
-        for rest in _parts(n - f, f - 1 if distinct else f, odd, distinct):
+        for rest in _parts(n - f, f, odd):
             yield (f,) + rest
-
-
-#: The (odd, distinct) flags of ``_parts`` for each enumeration filter.
-_FILTERS = {"all": (False, False), "odd": (True, False),
-            "distinct": (False, True)}
 
 
 def enumerate_partitions(n: int, parts: str = "all") -> list[Partition]:
     """All partitions of n, in descending lexicographic order.
 
-    ``parts`` restricts the stream: "all", "odd" (every part odd) or
-    "distinct" (strictly decreasing parts).
+    ``parts`` is "all", or "odd" for the odd-part partitions that index
+    the polynomial basis.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    if parts not in _FILTERS:
+    if parts not in ("all", "odd"):
         raise ValueError(f"unknown filter {parts!r}")
-    return list(_parts(n, n, *_FILTERS[parts]))
+    return list(_parts(n, n, parts == "odd"))
 
 
 def cell_residue(cell: Cell, e: int) -> int:
@@ -187,9 +182,12 @@ def removable_cells(shapes, i: int, e: int) -> list[int]:
 def _batch_masks(shapes, shift: int, e: int) -> list[int]:
     """Entry b is the residue mask for the shapes with b beads mod e: the
     positions p = b - shift (mod e) below the widest shape, rounded up to
-    64k - 1 bits so that a few cached masks serve every batch."""
+    64k - 1 bits so that a few cached masks serve every batch.  No shape
+    has more than width beads, so the entries past b = width, never read,
+    are not built, however large e is."""
     width = max(shapes, default=0).bit_length() | 63
-    return [_residue_mask(e, (b - shift) % e, width) for b in range(e)]
+    return [_residue_mask(e, (b - shift) % e, width)
+            for b in range(min(e, width + 1))]
 
 
 def conjugate_beads(s: int) -> int:

@@ -6,7 +6,7 @@ per-length check.
 The oracles enumerate explicitly: tableaux are built cell by cell as
 growth chains of partitions.  That is deliberately naive -- these counts
 are the ground truth that the operator models elsewhere in the package are
-checked against -- so every oracle is guarded by a size cap.
+checked against -- so every oracle is capped at ``ORACLE_LIMIT`` cells.
 """
 
 from math import factorial
@@ -17,12 +17,12 @@ from .partitions import Partition, cell_residue, check_partition
 #: A filled diagram: one tuple of entries per row, e.g. ((1, 2), (3,)).
 Tableau = tuple[tuple[int, ...], ...]
 
-#: Default cap on the number of cells a brute-force enumeration will accept.
-DEFAULT_ORACLE_LIMIT = 14
+#: The most cells a brute-force enumeration will accept.
+ORACLE_LIMIT = 14
 
 
 class OracleLimitError(RuntimeError):
-    """A brute-force enumeration exceeded its configured size cap."""
+    """A brute-force enumeration was asked for more than ORACLE_LIMIT cells."""
 
 
 class ResidueWord:
@@ -112,15 +112,13 @@ def check_levels(n_max: int, step: Callable, start, check: Callable,
         yield check(n, level)
 
 
-def _check_size(n: int, limit: int) -> None:
-    if n > limit:
+def _check_size(n: int) -> None:
+    if n > ORACLE_LIMIT:
         raise OracleLimitError(
-            f"refusing brute force on {n} cells (limit {limit}); "
-            "raise the limit explicitly if you mean it"
-        )
+            f"refusing brute force on {n} cells (limit {ORACLE_LIMIT})")
 
 
-def enumerate_syt(shape, limit: int = DEFAULT_ORACLE_LIMIT) -> list[Tableau]:
+def enumerate_syt(shape) -> list[Tableau]:
     """All standard tableaux of the given shape, by backtracking.
 
     Entries 1..n are placed in order; a cell is available when its row is
@@ -129,7 +127,7 @@ def enumerate_syt(shape, limit: int = DEFAULT_ORACLE_LIMIT) -> list[Tableau]:
     """
     shape = check_partition(shape)
     n = sum(shape)
-    _check_size(n, limit)
+    _check_size(n)
     rows: list[list[int]] = [[] for _ in shape]
     out: list[Tableau] = []
 
@@ -178,21 +176,19 @@ def is_chess(tableau: Tableau) -> bool:
     return True
 
 
-def count_by_residue(word: ResidueWord, shape,
-                     limit: int = DEFAULT_ORACLE_LIMIT) -> int:
+def count_by_residue(word: ResidueWord, shape) -> int:
     """The number of standard tableaux of the given shape whose e-residue
     sequence equals ``word``.
 
     Counted by growth-chain backtracking, pruned at the first letter that
-    cannot be matched; equivalent to filtering enumerate_syt but usable at
-    somewhat larger sizes.
+    cannot be matched; equivalent to filtering enumerate_syt, and faster.
     """
     shape = check_partition(shape)
     if sum(shape) != len(word):
         raise ValueError(
             f"shape size {sum(shape)} differs from word length {len(word)}"
         )
-    _check_size(len(word), limit)
+    _check_size(len(word))
     e = word.e
     filled = [0] * len(shape)
 

@@ -105,6 +105,10 @@ def test_pair_sum(capsys):
     code, out = run_cli(capsys, "pair-sum", "--e", "3",
                         "--v", "0,1,2", "--w", "0,1,2")
     assert out == "2\n"
+    # a modulus far past the word length: the one chain ends at (1, 1, 1)
+    code, out = run_cli(capsys, "pair-sum", "--e", str(10**20),
+                        "--v", "0,1,2", "--w", "0,1,2")
+    assert code == 0 and out == "1\n"
 
 
 def test_usage_errors_exit_two(capsys):

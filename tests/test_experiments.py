@@ -84,9 +84,8 @@ def reference_factorize(value, limit=1_000_000):
 
 
 def test_factorize_matches_trial_division_by_every_odd_number():
-    for limit in (1, 2, 10, 11, 30):
-        for value in range(1, 20_000):
-            assert factorize(value, limit) == reference_factorize(value, limit)
+    for value in range(1, 20_000):
+        assert factorize(value) == reference_factorize(value)
     # the table values: chess-table and the e = 3 scan up to n = 40
     for e in (2, 3):
         x = basis(())
@@ -99,7 +98,7 @@ def test_factorize_matches_trial_division_by_every_odd_number():
 def test_factorize_matches_trial_division_at_block_edges():
     primes = list(_odd_primes(1_000_000))
     assert len(primes) == 78_497 and primes[-1] == 999_983
-    blocks = _prime_blocks(1_000_000)
+    blocks = _prime_blocks()
     assert [lo for lo, _, _ in blocks] == primes[::_BLOCK]
     assert [hi for _, hi, _ in blocks] == primes[_BLOCK - 1::_BLOCK] + [999_983]
     assert blocks[0][1] == _FIRST_BLOCK_END
@@ -114,30 +113,23 @@ def test_factorize_matches_trial_division_at_block_edges():
     values += [2 * v for v in values[:10]] + edges
     for value in values:
         assert factorize(value) == reference_factorize(value)
-    # limits that cut a block in the middle, and the edges of those blocks
-    for limit in (100, 314, 1_000, 65_537):
-        near = [p for p in primes if abs(p - limit) < 40] + edges[:6]
-        for value in [p * q for p, q in combinations_with_replacement(near, 2)]:
-            assert factorize(value, limit) == reference_factorize(value, limit)
 
 
 def test_factorize_matches_trial_division_at_the_cofactor_edges():
     # the remainder is reported prime exactly below stop ** 2, where stop
     # is the first divisor past the limit
-    for limit in (0, 1, 2, 3, 4, 5, 313, 314, 1_000, 1_001, 1_000_000):
-        stop = limit + 1 + limit % 2 if limit >= 2 else 2
-        values = [stop ** 2 - 2, stop ** 2 - 1, stop ** 2, stop ** 2 + 1,
-                  stop * (stop + 2), (stop + 2) ** 2]
-        if limit == 1_000_000:
-            values += [1_000_003 ** 2, 999_983 * 1_000_003, 999_979 * 999_983]
-        for value in values:
-            assert factorize(value, limit) == reference_factorize(value, limit)
+    stop = 1_000_001
+    values = [stop ** 2 - 2, stop ** 2 - 1, stop ** 2, stop ** 2 + 1,
+              stop * (stop + 2), (stop + 2) ** 2,
+              1_000_003 ** 2, 999_983 * 1_000_003, 999_979 * 999_983]
+    for value in values:
+        assert factorize(value) == reference_factorize(value)
 
 
 @settings(deadline=None)
-@given(st.integers(1, 10 ** 30 - 1), st.sampled_from((1, 2, 9, 30, 1_000, 1_000_000)))
-def test_factorize_matches_trial_division_property(value, limit):
-    assert factorize(value, limit) == reference_factorize(value, limit)
+@given(st.integers(1, 10 ** 30 - 1))
+def test_factorize_matches_trial_division_property(value):
+    assert factorize(value) == reference_factorize(value)
 
 
 def test_odd_primes_match_a_naive_filter():

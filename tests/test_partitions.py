@@ -10,7 +10,8 @@ from chessfock.partitions import (addable_cells, cell_residue,
                                   from_beads, glaisher_distinct_to_odd,
                                   glaisher_odd_to_distinct, removable_cells,
                                   sort_key, to_beads, z_mu,
-                                  _addable_corners, _removable_corners)
+                                  _addable_corners, _removable_corners,
+                                  _residue_mask)
 from chessfock.tableaux import _conjugate
 
 
@@ -32,6 +33,12 @@ def partition_count(n):
             k += 1
         p.append(total)
     return p[n]
+
+
+def distinct_parts(n):
+    """Oracle: the partitions of n into distinct parts, filtered from all
+    of them in enumeration order."""
+    return [nu for nu in enumerate_partitions(n) if len(set(nu)) == len(nu)]
 
 
 def test_counts_match_pentagonal_recurrence():
@@ -56,18 +63,17 @@ def test_enumeration_order_is_descending_lex():
 
 def test_filters():
     assert enumerate_partitions(5, "odd") == [(5,), (3, 1, 1), (1, 1, 1, 1, 1)]
-    assert enumerate_partitions(5, "distinct") == [(5,), (4, 1), (3, 2)]
+    assert distinct_parts(5) == [(5,), (4, 1), (3, 2)]
     for n in range(31):
         shapes = enumerate_partitions(n)
         odd = enumerate_partitions(n, "odd")
-        distinct = enumerate_partitions(n, "distinct")
-        # each filter is the matching sublist of all partitions, in order
+        # the filter is the matching sublist of all partitions, in order
         assert odd == [mu for mu in shapes if all(part % 2 for part in mu)]
-        assert distinct == [nu for nu in shapes if len(set(nu)) == len(nu)]
         # Euler: equinumerous (also forced by the Glaisher round trip below)
-        assert len(odd) == len(distinct)
-    with pytest.raises(ValueError):
-        enumerate_partitions(4, "prime")
+        assert len(odd) == len(distinct_parts(n))
+    for bad in ("prime", "distinct"):
+        with pytest.raises(ValueError, match="unknown filter"):
+            enumerate_partitions(4, bad)
 
 
 def test_check_partition():
@@ -166,14 +172,25 @@ def test_boundary_residues_partition_the_corners():
 
 
 def test_addable_cells_match_the_corner_filter():
-    for n in range(21):
+    cases = [(n, e, range(e)) for n in range(21) for e in range(1, 5)]
+    # moduli far past any shape's width, where most residues have no cell
+    cases += [(n, e, (0, 1, e - 1)) for n in range(13) for e in (10**6, 10**18)]
+    for n, e, residues in cases:
         for lam in enumerate_partitions(n):
-            for e in range(1, 5):
-                for i in range(e):
-                    assert added_cells(lam, i, e) == [
-                        c for c in _addable_corners(lam) if cell_residue(c, e) == i]
-                    assert removed_cells(lam, i, e) == [
-                        c for c in _removable_corners(lam) if cell_residue(c, e) == i]
+            for i in residues:
+                assert added_cells(lam, i, e) == [
+                    c for c in _addable_corners(lam) if cell_residue(c, e) == i]
+                assert removed_cells(lam, i, e) == [
+                    c for c in _removable_corners(lam) if cell_residue(c, e) == i]
+
+
+def test_a_large_modulus_builds_masks_only_for_bead_counts_that_occur():
+    # a shape has at most width beads, so a call needs at most width + 1
+    # masks, not one per residue class mod e
+    width = 63                      # the masks of a batch of small shapes
+    before = _residue_mask.cache_info().currsize
+    addable_cells([to_beads((5, 3, 1))], 1, 10**5)
+    assert _residue_mask.cache_info().currsize - before <= width + 1
 
 
 def test_add_remove_are_inverse():
@@ -255,11 +272,10 @@ def test_glaisher_round_trip_and_key_identity():
             images.add(nu)
             assert len(mu) - vp(z_mu(mu), 2) == len(nu)
             assert len(nu) <= tri_count(n)
-        assert images == set(enumerate_partitions(n, "distinct"))
+        assert images == set(distinct_parts(n))
 
 
 @given(st.integers(min_value=0, max_value=24), st.data())
 def test_glaisher_round_trips_from_either_side(n, data):
-    distinct = enumerate_partitions(n, "distinct")
-    nu = data.draw(st.sampled_from(distinct))
+    nu = data.draw(st.sampled_from(distinct_parts(n)))
     assert glaisher_odd_to_distinct(glaisher_distinct_to_odd(nu)) == nu

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from chessfock.partitions import enumerate_partitions
-from chessfock.tableaux import (DEFAULT_ORACLE_LIMIT, OracleLimitError,
+from chessfock.tableaux import (ORACLE_LIMIT, OracleLimitError,
                                 ResidueWord, Tableau, alternating_word,
                                 check_levels, count_by_residue, enumerate_syt,
                                 hook_count, is_chess, residue_word)
@@ -87,11 +87,13 @@ def test_enumerate_syt_small():
 
 
 def test_enumerate_syt_respects_limit():
+    # both oracles accept ORACLE_LIMIT = 14 cells and refuse 15
+    assert len(enumerate_syt((14,))) == 1
+    assert count_by_residue(alternating_word(14), (14,)) == 1
     with pytest.raises(OracleLimitError):
-        enumerate_syt((8, 7))  # 15 cells > default 14
-    assert len(enumerate_syt((2, 1), limit=3)) == 2
+        enumerate_syt((8, 7))
     with pytest.raises(OracleLimitError):
-        count_by_residue(alternating_word(4), (2, 2), limit=3)
+        count_by_residue(alternating_word(15), (15,))
 
 
 def test_hook_count_matches_enumeration():
@@ -180,7 +182,7 @@ def test_counts_sum_to_hook_count():
 
 
 def test_default_limit_is_fourteen():
-    assert DEFAULT_ORACLE_LIMIT == 14
+    assert ORACLE_LIMIT == 14
 
 
 def test_check_levels_walks_once_in_word_order():
