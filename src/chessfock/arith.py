@@ -46,19 +46,25 @@ INFINITY = _Infinity()
 Valuation = int | _Infinity
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs only)."""
+    """Deterministic primality below psi_13 = 3,317,044,064,679,887,385,
+    961,981, the least composite that passes Miller-Rabin to all 13 prime
+    bases 2..41 used here; raises ValueError for p >= psi_13."""
+    if p >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for b in _BASES:
+        if p % b == 0:
+            return p == b
+        x = pow(b, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 

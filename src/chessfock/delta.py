@@ -15,8 +15,8 @@ from typing import Iterator, NamedTuple
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition)
-from .polyrep import (GENERATORS, OddPoly, _columns, _pack, _q_star,
-                      _q_times, _unpack, apply_letter, inner_poly)
+from .polyrep import (GENERATORS, MAX_DEGREE, Column, OddPoly, _columns, _pack,
+                      _q_star, _q_times, _unpack, apply_letter, inner_poly)
 from .tableaux import check_levels
 
 
@@ -148,11 +148,14 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
                         False, observations())
 
 
-def _shift(key: int, degree: int) -> int:
-    """(|nu| - len(nu))/2, the sum of i * slot i, for nu of the given degree
-    with packed key ``key``: 256^i = 1 + 255i mod 255^2, so key mod 255^2
-    is len(nu) + 255 * shift = degree + 253 * shift, which is below 255^2."""
-    return (key % 65025 - degree) // 253
+def _lattice_v2(image: Column, degree: int) -> dict[int, int]:
+    """{key: v} over the nonzero terms of a packed degree-``degree`` image:
+    v = v2(num) - v2(den) - (degree - len(_unpack(key)))/2 is the 2-adic
+    valuation of the term's coordinate on the lattice basis."""
+    low = vp(image[0], 2)
+    return {key: (num & -num).bit_length() - 1 - low
+                 - (degree - len(_unpack(key))) // 2
+            for key, num in image[1] if num}
 
 
 def verify_stability(degree_bound: int) -> ValuationReport:
@@ -161,12 +164,13 @@ def verify_stability(degree_bound: int) -> ValuationReport:
 
     Each (generator, monomial) pair is applied exactly once, so the
     columns come from ``polyrep._columns`` (one series per f/e pair)
-    instead of filling polyrep's column cache.  A basis monomial's image
-    is its column (den, numerators) scaled by the basis factor 2^shift,
-    so its ``delta_valuation`` is read off the integer numerators: the
-    min over keys nu of v2(numerator) - ``_shift(nu, d +- 1)``, plus shift,
-    minus v2(den) (INFINITY for an empty column).
+    instead of filling polyrep's column cache.  The ``delta_valuation`` of
+    a basis monomial's image is the least v that ``_lattice_v2`` reads off
+    its column, plus the monomial's own exponent ``shift`` (INFINITY for an
+    empty column).  A degree bound >= MAX_DEGREE raises at once.
     """
+    if degree_bound + 1 > MAX_DEGREE:
+        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
 
     def observations():
         for d in range(degree_bound + 1):
@@ -175,11 +179,10 @@ def verify_stability(degree_bound: int) -> ValuationReport:
                 desc = _basis_desc(mu, d)
                 key = _pack(mu)
                 columns = _columns("f", key) + _columns("e", key)
-                for gen, (den, col) in zip(GENERATORS, columns):
+                for gen, col in zip(GENERATORS, columns):
                     deg = d + 1 if gen[0] == "f" else d - 1
-                    low = min(((v & -v).bit_length() - 1 - _shift(nu, deg)
-                               for nu, v in col), default=INFINITY)
-                    yield f"{gen} {desc}", low + shift - vp(den, 2)
+                    low = min(_lattice_v2(col, deg).values(), default=INFINITY)
+                    yield f"{gen} {desc}", low + shift
 
     return _scan_report("stability", degree_bound, 0, False, observations())
 
@@ -213,36 +216,32 @@ def verify_generation(n: int, level: list) -> ValuationReport:
 
     ``level`` is the length-n level of ``check_levels`` over the packed
     images (den, ((key, numerator), ...)), as (least word, image, words)
-    triples.  Each image is written in lattice-basis coordinates (integral
-    by stability -- violations raise; each coefficient's 2-adic valuation
-    is read off the lowest set bits of its numerator and of den), reduced
-    mod 2 to a bit row, and the distinct rows are eliminated over GF(2).
-    Equal images give equal rows, so only the distinct images are reduced.
-    Full rank lifts to spanning, so ``required`` is the slice dimension
-    and ``observed_min`` the achieved rank.
+    triples.  ``_lattice_v2`` reads each image's lattice-basis coordinates
+    (integral by stability: a negative valuation raises); those of
+    valuation 0 are its mod-2 bit row, and the distinct rows, one per
+    distinct image, are eliminated over GF(2).  Full rank lifts to
+    spanning, so ``required`` is the slice dimension and ``observed_min``
+    the achieved rank.
     """
-    columns = {_pack(mu): (1 << idx, (n - len(mu)) // 2)
-               for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
+    bits = {_pack(mu): 1 << idx
+            for idx, mu in enumerate(enumerate_partitions(n, "odd"))}
     rows: set[int] = set()
-    for _, (den, items), _ in level:
-        low = (den & -den).bit_length()
-        bits = 0
-        for key, num in items:
-            if not num:
-                continue
-            bit, shift = columns[key]
-            val = (num & -num).bit_length() - low
-            if val < shift:
+    for _, image, _ in level:
+        row = 0
+        for key, v in _lattice_v2(image, n).items():
+            if v < 0:
+                nu = _unpack(key)
+                shift = (n - len(nu)) // 2
                 raise ArithmeticError(f"word image escapes the lattice at "
-                                      f"{_unpack(key)} (v2={val} < {shift})")
-            if val == shift:
-                bits |= bit
-        if bits:
-            rows.add(bits)
+                                      f"{nu} (v2={v + shift} < {shift})")
+            if v == 0:
+                row |= bits[key]
+        if row:
+            rows.add(row)
     return ValuationReport(
         claim=f"generation[n={n}]",
         degree_bound=n,
-        required=len(columns),
+        required=len(bits),
         observed_min=gf2_rank(sorted(rows)),
         require_tight=True,
         witnesses=(("nonzero word images", sum(words for _, _, words in level)),

@@ -199,10 +199,7 @@ def _q_ints(n: int) -> Column:
                       for mu, c in items)
 
 
-@lru_cache(maxsize=None)
-def _z(mu: Partition) -> int:
-    """``z_mu``, validated on the first call for each key."""
-    return z_mu(mu)
+_z = lru_cache(maxsize=None)(z_mu)  # validated on the first call per key
 
 
 def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
@@ -338,8 +335,6 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
     d.  ``terms`` overrides the last a, so the checks can confirm that
     pushing the sum further never changes the result.
     """
-    if not f:
-        return {}
     d = top_degree(f)
     lo = max(0, -j)
     hi = d - j if terms is None else terms

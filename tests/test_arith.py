@@ -76,6 +76,25 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [is_prime(n) for n in range(10**5)] == sieve
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases; 101 | 10^18 + 1
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              10**18 + 1):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # psi_13 passes all 13 bases, so the test stops below it
+    with pytest.raises(ValueError, match="only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 

@@ -119,6 +119,11 @@ def test_usage_errors_exit_two(capsys):
         (["pair-sum", "--v", "zz", "--w", "0,1"], ""),   # unparsable word
         (["verify", "--suite", "nonsense"], ""),         # unknown suite
         (["scan", "--p", "6"], ""),                      # composite prime
+        (["scan", "--p", "1000000000000000001"], ""),    # 101 divides it
+        (["scan", "--p", "3317044064679887385961981"],  # past the primality test
+         "error: primality is decided only below"),
+        (["verify", "--suite", "stability", "--degree", "300"],
+         "error: degree 256 is above 255"),
         (["word", "--e", "3", "--v", "0,1,2", "--model", "poly"], ""),
         (["nonsense"], ""),
         (["--threads", "4", "chess-table"], ""),         # removed option
@@ -154,6 +159,13 @@ def test_scan_observational(capsys):
     code, out = run_cli(capsys, "scan", "--n-max", "5", "--e", "3", "--p", "3")
     assert code == 0
     assert all(line.endswith("OBS") for line in out.strip().split("\n")[1:])
+
+
+def test_scan_at_a_prime_past_trial_division(capsys):
+    code, out = run_cli(capsys, "scan", "--n-max", "2", "--e", "3",
+                        "--p", "1000000000000000003")
+    assert code == 0
+    assert out.split("\n")[1:] == ["1,1,0,,1,OBS", "2,1,0,,1,OBS", ""]
 
 
 def test_scan_defaults_are_exploratory(capsys):

@@ -6,15 +6,16 @@ from itertools import product
 import pytest
 
 from chessfock.arith import INFINITY, tri_count, vp
-from chessfock.delta import (ValuationReport, _basis_desc, _scan_report,
-                             _shift, delta_basis, delta_valuation,
+from chessfock.delta import (ValuationReport, _basis_desc, _lattice_v2,
+                             _scan_report, delta_basis, delta_valuation,
                              generation_reports, gf2_rank,
                              verify_generation, verify_pairing,
                              verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _pack, _q_items, apply_word_poly,
-                               inner_poly, op_series, poly_scale, random_poly)
+from chessfock.polyrep import (GENERATORS, _columns, _pack, _q_items, _unpack,
+                               apply_word_poly, inner_poly, op_series,
+                               poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
 F = Fraction
@@ -162,10 +163,31 @@ def test_verify_stability_matches_a_fold_of_the_series():
         assert verify_stability(d).to_json() == expected.to_json()
 
 
-def test_shift_reads_the_basis_size_off_the_packed_key():
-    odd = [mu for d in range(21) for mu in enumerate_partitions(d, "odd")]
-    for mu in odd + [(1,) * 255, (255,), (3,) * 85, (5, 3) + (1,) * 247]:
-        assert _shift(_pack(mu), sum(mu)) == (sum(mu) - len(mu)) // 2
+def test_verify_stability_raises_above_the_packed_degree_at_once():
+    with pytest.raises(ValueError, match="degree 256 is above 255"):
+        verify_stability(255)
+
+
+def test_lattice_v2_reads_each_coordinate_of_a_column():
+    # v = v2(c) - (|nu| - len(nu))/2 on each decoded coefficient c
+    for d in range(13):
+        for mu in enumerate_partitions(d, "odd"):
+            for family, deg in (("f", d + 1), ("e", d - 1)):
+                for den, items in _columns(family, _pack(mu)):
+                    nus = [_unpack(key) for key, _ in items]
+                    assert all(sum(nu) == deg for nu in nus)
+                    assert _lattice_v2((den, items), deg) == {
+                        key: vp(F(num, den), 2) - (deg - len(nu)) // 2
+                        for (key, num), nu in zip(items, nus)}
+    # degree-255 keys: the one-term image p_nu reads minus the basis exponent
+    for nu in [(1,) * 255, (255,), (3,) * 85, (5, 3) + (1,) * 247]:
+        key = _pack(nu)
+        assert _lattice_v2((1, ((key, 1),)), 255) == {key: -((255 - len(nu)) // 2)}
+    # a zero numerator is no term; an even den lowers every v
+    p3, p111 = _pack((3,)), _pack((1, 1, 1))
+    assert _lattice_v2((3, ((p3, 0), (p111, 12))), 3) == {p111: 2}
+    assert _lattice_v2((12, ((p3, 2), (p111, 12))), 3) == {p3: -2, p111: 0}
+    assert _lattice_v2((5, ()), 7) == {}
 
 
 def test_gf2_rank():

@@ -152,6 +152,9 @@ def test_op_a_examples():
     assert op_a(-1, ONE) == {(1,): F(-1)}
     assert op_a(1, ONE) == {}
     assert op_a(1, P1) == ONE
+    # the zero polynomial leaves the range of a empty, or sums zero terms
+    for j in range(-3, 4):
+        assert op_a(j, {}) == {} and op_a(j, {}, terms=4) == {}
     # A_{-1} = f1 - f0 and A_1 = e0 - e1, on random inputs
     rng = random.Random(17)
     for _ in range(10):
