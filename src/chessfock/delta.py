@@ -15,8 +15,9 @@ from typing import Iterator, NamedTuple
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition)
-from .polyrep import (GENERATORS, MAX_DEGREE, Column, OddPoly, _columns, _pack,
-                      _q_star, _q_times, _unpack, apply_letter, inner_poly)
+from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column, OddPoly,
+                      _columns, _pack, _q_star, _q_times, _unpack,
+                      apply_letter, inner_poly)
 from .tableaux import check_levels
 
 
@@ -206,8 +207,10 @@ def gf2_rank(rows: list[int]) -> int:
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``verify_generation(n, level)`` for n = 1..n_max from one
     ``check_levels`` pass over the distinct packed images of the words."""
-    return check_levels(n_max, apply_letter, (1, ((0, 1),)),
-                        verify_generation, key=lambda image: image)
+    if n_max > MAX_DEGREE:
+        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    return check_levels(n_max, apply_letter, IMAGE_ONE, verify_generation,
+                        key=lambda image: image)
 
 
 def verify_generation(n: int, level: list) -> ValuationReport:

@@ -23,9 +23,10 @@ from .delta import ValuationReport
 from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, inner,
                    pair_sum, random_vector)
 from .partitions import enumerate_partitions
-from .polyrep import (GENERATORS, adjoint_monomial, apply_letter, inner_poly,
+from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column,
+                      adjoint_monomial, apply_letter, inner_image, inner_poly,
                       mul_monomial, op_a, op_generator, op_series, poly_add,
-                      poly_one, random_poly, top_degree)
+                      random_poly, top_degree)
 from .tableaux import ResidueWord, check_levels, hook_count
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
@@ -306,22 +307,24 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     return _row(len(v), pair_sum(v, w), v.e, p)
 
 
-def _both_models(state: tuple[dict, dict], letter: int) -> tuple[dict, dict] | None:
+def _both_models(state: tuple[dict, Column], letter: int) -> tuple[dict, Column] | None:
     """One letter applied in both models; None once both images vanish."""
     x, f = state
-    y, g = apply_f(x, letter, 2), apply_letter(f, letter)
+    y, g = apply_f(x, letter, 2), f and apply_letter(f, letter)
     return (y, g) if y or g else None
 
 
-def _both_keys(state: tuple[dict, dict]) -> tuple:
-    return tuple(tuple(sorted(image.items())) for image in state)
+def _both_keys(state: tuple[dict, Column]) -> tuple:
+    return tuple(sorted(state[0].items())), state[1]
 
 
 def cross_model_reports(n_max: int) -> Iterator[dict]:
     """Yield ``cross_model_check(n, level)`` for n = 1..n_max from one
-    ``check_levels`` pass over the (Fock image, polynomial image) pairs of
-    the words."""
-    return check_levels(n_max, _both_models, (basis(()), poly_one()),
+    ``check_levels`` pass over the (Fock image, packed polynomial image)
+    pairs of the words.  An n_max above MAX_DEGREE raises at once."""
+    if n_max > MAX_DEGREE:
+        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    return check_levels(n_max, _both_models, (basis(()), IMAGE_ONE),
                         cross_model_check, key=_both_keys)
 
 
@@ -335,15 +338,15 @@ def cross_model_check(n: int, level: list) -> dict:
     pair of surviving images agrees.
 
     ``level`` is the length-n level of ``check_levels`` over the pairs
-    (Fock image, polynomial image), as (least word, pair, words) triples.
-    Each word pairing is a pairing of two distinct pairs, so only those
-    are compared.  That is as strong as comparing
-    every word: two pairs that share a Fock image but not a polynomial
-    image p, p' agree on all three pairings only if (p - p', p - p') = 0,
-    and the polynomial pairing is positive definite.  ``pairs`` still
-    counts the W(W + 1)/2 word pairs of the W nonzero words.  A passing
-    summary is the one a word-by-word comparison gives; a failing one
-    names the least words of the offending distinct pairs as witnesses.
+    (Fock image, packed polynomial image), as (least word, pair, words)
+    triples.  Each word pairing is a pairing of two distinct pairs, so only
+    those are compared, in integers (``inner_image``).  That is as strong
+    as comparing every word: two pairs that share a Fock image but not a
+    polynomial image p, p' agree on all three pairings only if
+    (p - p', p - p') = 0, and the polynomial pairing is positive definite.
+    ``pairs`` still counts the W(W + 1)/2 word pairs of the W nonzero
+    words.  A passing summary is the one a word-by-word comparison gives;
+    a failing one names the least words of the offending distinct pairs.
     """
     lopsided = [word for word, (x, f), _ in level if not (x and f)]
     words = sum(count for _, (x, _), count in level if x)
@@ -360,10 +363,10 @@ def cross_model_check(n: int, level: list) -> dict:
     mismatches = summary["mismatches"]
     for a, row in enumerate(gram_rows([x for _, (x, _), _ in level])):
         for b, lhs in enumerate(row, start=a):
-            rhs = inner_poly(level[a][1][1], level[b][1][1])
-            if lhs != rhs and len(mismatches) < 5:
-                mismatches.append(
-                    f"{_pair_text(level[a][0], level[b][0])}: {lhs} != {rhs}")
+            num, den = inner_image(level[a][1][1], level[b][1][1])
+            if lhs * den != num and len(mismatches) < 5:
+                mismatches.append(f"{_pair_text(level[a][0], level[b][0])}: "
+                                  f"{lhs} != {Fraction(num, den)}")
     summary["pairs"] = words * (words + 1) // 2
     summary["ok"] = not mismatches
     return summary

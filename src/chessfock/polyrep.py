@@ -43,10 +43,11 @@ monomials is a sum of keys and p_(mu minus nu) a difference.  A slot could
 overflow above degree 255, where ``_pack`` and the columns raise
 ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
 with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
-packed images, which the generation walk carries.  The columns are cached
-on first use, one pair per (series, monomial); nothing is built at import
-time, and ``delta.verify_stability`` calls ``_columns`` directly, which
-leaves the cache empty.
+packed images, which every word walk carries from ``IMAGE_ONE`` and pairs
+with ``inner_image``.  The columns are cached on first use, one pair per
+(series, monomial); nothing is built at import time, and
+``delta.verify_stability`` calls ``_columns`` directly, which leaves the
+cache empty.
 """
 
 from fractions import Fraction
@@ -69,6 +70,7 @@ Runs = tuple[tuple[int, int, int], ...]
 Column = tuple[int, tuple[tuple[int, int], ...]]
 
 MAX_DEGREE = 255  # no 8-bit slot of a packed key overflows up to it
+IMAGE_ONE: Column = (1, ((0, 1),))  # the constant 1, where word walks start
 
 
 def _pack(mu: Partition) -> int:
@@ -83,11 +85,6 @@ def _unpack(key: int) -> Partition:
     slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
     return tuple(2 * i + 1 for i in reversed(range(len(slots)))
                  for _ in range(slots[i]))
-
-
-def poly_one() -> OddPoly:
-    """The constant polynomial 1."""
-    return {(): Fraction(1)}
 
 
 def top_degree(f: OddPoly) -> int:
@@ -204,15 +201,17 @@ _z = lru_cache(maxsize=None)(z_mu)  # validated on the first call per key
 
 def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
     """The pairing with (p_mu, p_mu) = z_mu and distinct monomials
-    orthogonal, summed in integers over one common denominator."""
-    if len(g) < len(f):
-        f, g = g, f
-    terms = [(c, d, _z(mu)) for mu, c in f.items()
-             if (d := g.get(mu)) is not None]
-    den = lcm(*(c.denominator * d.denominator for c, d, _ in terms))
-    return Fraction(sum(c.numerator * d.numerator * z
-                        * (den // (c.denominator * d.denominator))
-                        for c, d, z in terms), den)
+    orthogonal."""
+    return sum((c * g[mu] * _z(mu) for mu, c in f.items() if mu in g),
+               Fraction(0))
+
+
+def inner_image(f: Column, g: Column) -> tuple[int, int]:
+    """``inner_poly`` of two nonzero packed images as (num, den): the sum
+    of num_f * num_g * z over their common keys, over den_f * den_g."""
+    g_nums = dict(g[1])
+    return sum(a * b * _z(_unpack(key)) for key, a in f[1]
+               if (b := g_nums.get(key))), f[0] * g[0]
 
 
 def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
@@ -351,18 +350,17 @@ def apply_letter(f, letter: int):
 
 
 def apply_word_poly(word: ResidueWord) -> OddPoly:
-    """Image of 1 under the f-generators named by the word, left to right.
-
-    Only the modulus-2 model has a polynomial realization here.
-    """
+    """Image of 1 under the f-generators named by the word, left to right,
+    stepped on packed images and decoded once at the end.  Only the
+    modulus-2 model has a polynomial realization here."""
     if word.e != 2:
         raise ValueError(f"polynomial model needs e = 2, got e = {word.e}")
-    f = poly_one()
+    f = IMAGE_ONE
     for letter in word.letters:
         f = apply_letter(f, letter)
         if not f:
-            break
-    return f
+            return {}
+    return {_unpack(key): Fraction(num, f[0]) for key, num in f[1]}
 
 
 def random_poly(rng, max_degree: int) -> OddPoly:

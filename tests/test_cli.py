@@ -124,6 +124,11 @@ def test_usage_errors_exit_two(capsys):
          "error: primality is decided only below"),
         (["verify", "--suite", "stability", "--degree", "300"],
          "error: degree 256 is above 255"),
+        # the word walks refuse before walking, not at a degree-255 column
+        (["verify", "--suite", "generation", "--n-max", "256"],
+         "error: degree 256 is above 255"),
+        (["verify", "--suite", "cross-model", "--n-max", "256"],
+         "error: degree 256 is above 255"),
         (["word", "--e", "3", "--v", "0,1,2", "--model", "poly"], ""),
         (["nonsense"], ""),
         (["--threads", "4", "chess-table"], ""),         # removed option

@@ -20,7 +20,8 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    factorial_check, factorize, general_e_scan,
                                    rows_to_csv, rows_to_jsonl, scan_row)
 from chessfock.fock import apply_f, apply_word, basis, inner
-from chessfock.polyrep import apply_word_poly, inner_poly, poly_one, poly_scale
+from chessfock.polyrep import (IMAGE_ONE, _unpack, apply_word_poly, inner_image,
+                               inner_poly)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -390,24 +391,41 @@ def test_cross_model_reports_match_per_length_walks():
 
 
 def both_levels(n_max):
-    return list(check_levels(n_max, _both_models, (basis(()), poly_one()),
+    return list(check_levels(n_max, _both_models, (basis(()), IMAGE_ONE),
                              lambda n, level: level, key=_both_keys))
+
+
+def test_inner_image_pairs_a_level_both_ways():
+    # the integer pairing of packed images against inner_poly of the
+    # decoded images, on every ordered pair of each cross-model level
+    def decode(image):
+        den, items = image
+        return {_unpack(key): Fraction(num, den) for key, num in items}
+
+    for level in both_levels(10):
+        images = [f for _, (_, f), _ in level]
+        for f in images:
+            for g in images:
+                num, den = inner_image(f, g)
+                assert Fraction(num, den) == inner_poly(decode(f), decode(g))
 
 
 def test_cross_model_check_reports_a_one_sided_zero():
     level = both_levels(7)[-1]
     word, (x, _), count = level[1]
-    level[1] = (word, (x, {}), count)
+    level[1] = (word, (x, ()), count)
     summary = cross_model_check(7, level)
     assert not summary["support_match"] and not summary["ok"]
     assert summary["mismatches"] == [f"support:{','.join(map(str, word))}"]
     assert summary["pairs"] == 0
+    # the walk steps a one-sided zero on, so the next level reports it too
+    assert _both_models((x, ()), 0) == (apply_f(x, 0, 2), ())
 
 
 def test_cross_model_check_reports_a_scaled_image():
     level = both_levels(7)[-1]
-    word, (x, f), count = level[2]
-    level[2] = (word, (x, poly_scale(f, Fraction(2))), count)
+    word, (x, (den, items)), count = level[2]
+    level[2] = (word, (x, (den, tuple((k, 2 * v) for k, v in items))), count)
     summary = cross_model_check(7, level)
     assert summary["support_match"] and not summary["ok"]
     text = ",".join(map(str, word))
@@ -420,8 +438,8 @@ def test_cross_model_check_reports_two_images_on_one_fock_image():
     # images cannot agree on all three of their pairings; with -f in place
     # of f the two diagonal ones agree, so only the cross pairing shows it
     level = both_levels(7)[-1]
-    (first, (x, f), _), (word, _, count) = level[0], level[1]
-    level[1] = (word, (x, poly_scale(f, Fraction(-1))), count)
+    (first, (x, (den, items)), _), (word, _, count) = level[0], level[1]
+    level[1] = (word, (x, (den, tuple((k, -v) for k, v in items))), count)
     summary = cross_model_check(7, level)
     assert summary["support_match"] and not summary["ok"]
     v, w = (",".join(map(str, u)) for u in (first, word))

@@ -11,16 +11,16 @@ from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import delta_valuation, verify_stability
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _column, _pack, _q_items, _q_star,
-                               _q_times, _sub_monomials, _unpack,
-                               adjoint_monomial, apply_letter, apply_word_poly,
-                               inner_poly, mul_monomial, op_a, op_generator,
-                               op_series, poly_add, poly_one, poly_scale,
+from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _column, _pack,
+                               _q_items, _q_star, _q_times, _sub_monomials,
+                               _unpack, adjoint_monomial, apply_letter,
+                               apply_word_poly, inner_poly, mul_monomial, op_a,
+                               op_generator, op_series, poly_add, poly_scale,
                                random_poly, top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 F = Fraction
-ONE = poly_one()
+ONE = {(): F(1)}
 P1 = {(1,): F(1)}
 
 
@@ -293,9 +293,9 @@ def test_packed_walk_matches_the_fraction_walk():
         den, items = image
         return {_unpack(key): F(num, den) for key, num in items}
 
-    ints = list(check_levels(10, apply_letter, (1, ((0, 1),)),
+    ints = list(check_levels(10, apply_letter, IMAGE_ONE,
                              lambda n, level: level, key=lambda y: y))
-    fracs = list(check_levels(10, apply_letter, poly_one(),
+    fracs = list(check_levels(10, apply_letter, ONE,
                               lambda n, level: level))
     assert len(ints) == len(fracs) == 10
     for a, b in zip(ints, fracs):
@@ -349,6 +349,13 @@ def test_apply_word_poly():
     assert apply_word_poly(ResidueWord(2, (0, 1))) == {(1, 1): F(1)}
     with pytest.raises(ValueError):
         apply_word_poly(ResidueWord(3, (0,)))
+    # the packed walk, decoded once at the end, against the OddPoly walk
+    for n in range(1, 9):
+        for letters in product(range(2), repeat=n):
+            f = ONE
+            for letter in letters:
+                f = op_generator(("f0", "f1")[letter], f)
+            assert apply_word_poly(ResidueWord(2, letters)) == f
 
 
 def test_models_agree_on_small_words():
