@@ -8,6 +8,7 @@ for a fixed command line (including --seed).
 
 import argparse
 import json
+import os
 import sys
 
 from . import delta, experiments, fock, polyrep
@@ -218,9 +219,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return run(args)
+        status = run(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:  # the reader left; devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def entry() -> None:

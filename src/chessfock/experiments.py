@@ -20,13 +20,13 @@ from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, inner,
-                   pair_sum, random_vector)
+from .fock import (_half_f, apply_e, apply_f, basis, cyclic_sums, gram_rows,
+                   half_weight, inner, pair_sum, random_vector)
 from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column,
-                      adjoint_monomial, apply_letter, inner_image, inner_poly,
-                      mul_monomial, op_a, op_generator, op_series, poly_add,
-                      random_poly, top_degree)
+                      adjoint_monomial, apply_letter, inner_poly, mul_monomial,
+                      op_a, op_generator, op_series, poly_add, random_poly,
+                      top_degree, z_key)
 from .tableaux import ResidueWord, check_levels, hook_count
 
 #: Trial division gives up above this bound and leaves a flagged cofactor.
@@ -143,9 +143,7 @@ class FactorizationRow(NamedTuple):
         return "PASS" if self.v2 >= self.bound else "FAIL"
 
     def factorization(self) -> str:
-        pieces = []
-        for p, e in self.factors:
-            pieces.append(f"{p}^{e}" if e > 1 else str(p))
+        pieces = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
         if self.cofactor != 1:
             pieces.append(f"[{self.cofactor}]")
         return "*".join(pieces) if pieces else "1"
@@ -209,9 +207,9 @@ def _pair_text(v, w) -> str:
 
 def bound_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``exhaustive_bound_check(n, level)`` for n = 1..n_max from one
-    ``check_levels`` pass over the distinct Fock images of the words."""
-    return check_levels(n_max, lambda x, i: apply_f(x, i, 2), basis(()),
-                        exhaustive_bound_check)
+    ``check_levels`` pass over the distinct Fock images of the words as
+    half vectors (see ``fock``), stepped by ``_half_f``."""
+    return check_levels(n_max, _half_f, basis(()), exhaustive_bound_check)
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
@@ -219,14 +217,15 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     pairing is divisible by 2^(n - tri_count(n)), with the exponent
     attained by some pair.
 
-    ``level`` is the length-n level of ``check_levels`` over the Fock
-    images, as (least word, image, words) triples; equal images give equal
-    pairings, so each distinct image is paired once, under its least word.
-    An image's partitions have as many residue-1 cells as its word has 1s,
-    so images of different letter content pair to 0: only equal contents
-    are paired, one ``fock.gram_rows`` matrix each.  The witnesses are those
-    of a row-major walk over the whole level: every failing pair, then the
-    first pair attaining the bound.
+    ``level`` is the length-n level of ``check_levels`` over the half
+    vectors of the Fock images, as (least word, image, words) triples;
+    equal images give equal pairings, so each distinct image is paired
+    once, under its least word.  An image's partitions, and their
+    conjugates, have as many residue-1 cells as its word has 1s, so images
+    of different letter content pair to 0: only equal contents are paired,
+    one ``fock.gram_rows`` matrix each, weighted by ``fock.half_weight``.
+    The witnesses are those of a row-major walk over the whole level:
+    every failing pair, then the first pair attaining the bound.
     """
     required = n - tri_count(n)
     groups: dict[int, list[int]] = {}
@@ -237,7 +236,7 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     attained = None
     pairings = 0
     for group in groups.values():
-        rows = gram_rows([level[a][1] for a in group])
+        rows = gram_rows([level[a][1] for a in group], half_weight)
         for i, (a, row) in enumerate(zip(group, rows)):
             for b, s in zip(group[i:], row):
                 if s == 0:
@@ -340,7 +339,8 @@ def cross_model_check(n: int, level: list) -> dict:
     ``level`` is the length-n level of ``check_levels`` over the pairs
     (Fock image, packed polynomial image), as (least word, pair, words)
     triples.  Each word pairing is a pairing of two distinct pairs, so only
-    those are compared, in integers (``inner_image``).  That is as strong
+    those are compared, in integers: one ``gram_rows`` matrix per model,
+    the polynomial one on the numerators, weighted by z.  That is as strong
     as comparing every word: two pairs that share a Fock image but not a
     polynomial image p, p' agree on all three pairings only if
     (p - p', p - p') = 0, and the polynomial pairing is positive definite.
@@ -361,9 +361,12 @@ def cross_model_check(n: int, level: list) -> dict:
     if lopsided:
         return summary
     mismatches = summary["mismatches"]
-    for a, row in enumerate(gram_rows([x for _, (x, _), _ in level])):
-        for b, lhs in enumerate(row, start=a):
-            num, den = inner_image(level[a][1][1], level[b][1][1])
+    dens = [f[0] for _, (_, f), _ in level]
+    rows = zip(gram_rows([x for _, (x, _), _ in level]),
+               gram_rows([dict(f[1]) for _, (_, f), _ in level], z_key))
+    for a, (lhs_row, rhs_row) in enumerate(rows):
+        for b, lhs, num in zip(range(a, len(level)), lhs_row, rhs_row):
+            den = dens[a] * dens[b]
             if lhs * den != num and len(mismatches) < 5:
                 mismatches.append(f"{_pair_text(level[a][0], level[b][0])}: "
                                   f"{lhs} != {Fraction(num, den)}")

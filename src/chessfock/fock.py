@@ -17,15 +17,15 @@ linear and never divide, so they accept rational coefficients as well.
 At e = 2 the residue (i - j) mod 2 does not change under transposition,
 so f_0 and f_1 commute with conjugation and every binary word's image of
 the vacuum is conjugation-invariant.  ``cyclic_sums`` grows the
-alternating image as a half vector: the same dict restricted to the
-shapes with lam_1 >= len(lam), the bead ints with ``s.bit_length() >= 2 *
-s.bit_count()``.  Its norm weights a shape 2 when lam_1 > len(lam), for
-the shape and its dropped conjugate, and 1 when lam_1 = len(lam), where
-both are kept.  The half vector serves only such conjugation-invariant
+alternating image, and ``experiments.bound_reports`` every binary word's,
+as a half vector: the same dict restricted to the shapes with lam_1 >=
+len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``,
+stepped by ``_half_f``.  Its pairing weights each shape by
+``half_weight``.  The half vector serves only such conjugation-invariant
 e = 2 walks from the empty partition; everything else uses full vectors.
 """
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .partitions import (Partition, addable_cells, check_residue,
                          conjugate_beads, enumerate_partitions, from_beads,
@@ -113,6 +113,12 @@ def _half_f(x: FockVector, i: int) -> FockVector:
     return out
 
 
+def half_weight(s: int) -> int:
+    """Shape s's weight in a half vector's pairing: 2 when lam_1 > len(lam),
+    as s stands for its dropped conjugate too, and 1 otherwise."""
+    return 2 if s.bit_length() > 2 * s.bit_count() else 1
+
+
 def cyclic_sums(n_max: int, e: int) -> list[int]:
     """The pair sums <x, x> of the images x of the cyclic words 0, 1, ...,
     (n - 1) mod e for n = 1..n_max, from one growing vector: at e = 2 a
@@ -123,6 +129,7 @@ def cyclic_sums(n_max: int, e: int) -> list[int]:
     for n in range(1, n_max + 1):
         if e == 2:
             x = _half_f(x, (n - 1) % 2)
+            # half_weight inline: a call per term costs more than the shift
             sums.append(sum(c * c << (s.bit_length() > 2 * s.bit_count())
                             for s, c in x.items()))
         else:
@@ -153,42 +160,38 @@ def inner(x: FockVector, y: FockVector) -> int:
     return total
 
 
-def gram_rows(vectors: list[FockVector]) -> Iterator[list[int]]:
-    """Yield row a of the Gram matrix from the diagonal on:
-    ``[inner(vectors[a], vectors[b]) for b in range(a, len(vectors))]``.
-
-    Each partition's column of coefficients is packed into one integer,
-    col_lam = sum_b c_{b,lam} * 2^(b*w), so row a is the single big-int
-    sum  sum_lam c_{a,lam} * col_lam, whose slot b holds the pairing of
-    vectors a and b.  Reading the slots off is exact when no slot carries
-    into the next.  That holds for nonnegative coefficients, which tableau
-    counts are: every partial sum in a slot then lies between 0 and the
-    slot's final pairing, and by Cauchy-Schwarz that pairing is at most
-    the largest squared norm, which a slot one bit wider than that norm
-    holds.  A negative coefficient raises ArithmeticError.
+def gram_rows(vectors: list[FockVector],
+              weight: Callable[[int], int] | None = None
+              ) -> Iterator[list[int]]:
+    """Yield row a of the Gram matrix from the diagonal on: the pairings
+    sum_k weight(k) * x_a[k] * x_b[k] of x_a = vectors[a] with each x_b,
+    b >= a, for integer coefficients of either sign and a positive weight
+    (1 when None).  Each key's column is packed into one integer, col_k =
+    sum_b x_b[k] * 2^(b*w), so the big-int sum of weight(k) * x_a[k] *
+    col_k holds the pairing of x_a and x_b in slot b.  A bias of 2^(w-1)
+    in every slot makes it nonnegative, so the slots read back exactly
+    while each pairing is below 2^(w-1) in absolute value: by Cauchy-Schwarz
+    none exceeds the largest weighted norm, and w has two bits more.
     """
-    largest = 0
-    for x in vectors:
-        if any(c < 0 for c in x.values()):
-            raise ArithmeticError("gram_rows needs nonnegative coefficients")
-        largest = max(largest, inner(x, x))
-    width = largest.bit_length() // 8 + 1        # bytes per slot
-    bits = 8 * width
-    m = len(vectors)
-    packed: dict[int, bytearray] = {}
-    for b, x in enumerate(vectors):
-        at = b * width
-        for lam, c in x.items():
-            col = packed.get(lam)
-            if col is None:
-                col = packed[lam] = bytearray(m * width)
-            col[at:at + width] = c.to_bytes(width, "little")
-    cols = {lam: int.from_bytes(col, "little") for lam, col in packed.items()}
+    weights = {k: weight(k) if weight else 1 for k in set().union(*vectors)}
+    largest = max((sum(weights[k] * c * c for k, c in x.items())
+                   for x in vectors), default=0)
+    width = (largest.bit_length() + 9) // 8      # bytes per slot
+    bits, m = 8 * width, len(vectors)
+    packed = {k: (bytearray(m * width), bytearray(m * width)) for k in weights}
+    for at, x in zip(range(0, m * width, width), vectors):
+        for k, c in x.items():       # positive and negative parts apart
+            packed[k][c < 0][at:at + width] = abs(c).to_bytes(width, "little")
+    cols = {k: int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+            for k, (pos, neg) in packed.items()}
     del packed
-    mask = (1 << bits) - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+    half = 1 << (bits - 1)
     for a, x in enumerate(vectors):
-        row = sum(c * cols[lam] for lam, c in x.items()) >> (a * bits)
-        yield [(row >> shift) & mask for shift in range(0, (m - a) * bits, bits)]
+        row = sum(c * weights[k] * cols[k] for k, c in x.items()) + bias
+        slots = (row >> a * bits).to_bytes((m - a) * width, "little")
+        yield [int.from_bytes(slots[s:s + width], "little") - half
+               for s in range(0, len(slots), width)]
 
 
 def pair_sum(v: ResidueWord, w: ResidueWord) -> int:

@@ -97,20 +97,13 @@ def cell_residue(cell: Cell, e: int) -> int:
 
 
 def _addable_corners(lam: Partition) -> list[Cell]:
-    out = []
-    for r, row in enumerate(lam):
-        if r == 0 or lam[r - 1] > row:
-            out.append((r + 1, row + 1))
-    out.append((len(lam) + 1, 1))
-    return out
+    return [(r + 1, row + 1) for r, row in enumerate(lam)
+            if r == 0 or lam[r - 1] > row] + [(len(lam) + 1, 1)]
 
 
 def _removable_corners(lam: Partition) -> list[Cell]:
-    out = []
-    for r, row in enumerate(lam):
-        if r + 1 == len(lam) or lam[r + 1] < row:
-            out.append((r + 1, row))
-    return out
+    return [(r + 1, row) for r, row in enumerate(lam)
+            if r + 1 == len(lam) or lam[r + 1] < row]
 
 
 def check_residue(i: int, e: int) -> None:
@@ -235,13 +228,6 @@ def glaisher_distinct_to_odd(nu: Partition) -> Partition:
         raise ValueError(f"expected distinct parts, got {nu!r}")
     counts: Counter = Counter()
     for part in nu:
-        k = part
-        r = 0
-        while k % 2 == 0:
-            k //= 2
-            r += 1
-        counts[k] += 1 << r
-    out = []
-    for k in sorted(counts, reverse=True):
-        out.extend([k] * counts[k])
-    return tuple(out)
+        r = (part & -part).bit_length() - 1
+        counts[part >> r] += 1 << r
+    return tuple(sorted(counts.elements(), reverse=True))

@@ -43,11 +43,11 @@ monomials is a sum of keys and p_(mu minus nu) a difference.  A slot could
 overflow above degree 255, where ``_pack`` and the columns raise
 ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
 with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
-packed images, which every word walk carries from ``IMAGE_ONE`` and pairs
-with ``inner_image``.  The columns are cached on first use, one pair per
-(series, monomial); nothing is built at import time, and
-``delta.verify_stability`` calls ``_columns`` directly, which leaves the
-cache empty.
+packed images, which every word walk carries from ``IMAGE_ONE`` (their
+numerators pair in ``fock.gram_rows``, weighted by ``z_key``).  The
+columns are cached on first use, one pair per (series, monomial); nothing
+is built at import time, and ``delta.verify_stability`` calls
+``_columns`` directly, which leaves the cache empty.
 """
 
 from fractions import Fraction
@@ -206,12 +206,10 @@ def inner_poly(f: OddPoly, g: OddPoly) -> Fraction:
                Fraction(0))
 
 
-def inner_image(f: Column, g: Column) -> tuple[int, int]:
-    """``inner_poly`` of two nonzero packed images as (num, den): the sum
-    of num_f * num_g * z over their common keys, over den_f * den_g."""
-    g_nums = dict(g[1])
-    return sum(a * b * _z(_unpack(key)) for key, a in f[1]
-               if (b := g_nums.get(key))), f[0] * g[0]
+def z_key(key: int) -> int:
+    """z_mu of the monomial with packed key ``key``: the weight with which
+    ``fock.gram_rows`` pairs the numerators of packed images."""
+    return _z(_unpack(key))
 
 
 def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:

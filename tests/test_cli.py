@@ -370,3 +370,18 @@ def test_cli_start_up_imports_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
     assert out.stdout == "[]\n"
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the reader takes one line and closes stdout while verify still
+    # writes; unbuffered, so each line is its own write
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "chessfock.cli", "verify", "--suite",
+         "bound", "--n-max", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=src)
+    assert proc.stdout.readline().startswith("PASS bound[n=1]")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert "Traceback" not in err, err

@@ -19,9 +19,11 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    cross_model_reports, exhaustive_bound_check,
                                    factorial_check, factorize, general_e_scan,
                                    rows_to_csv, rows_to_jsonl, scan_row)
-from chessfock.fock import apply_f, apply_word, basis, inner
-from chessfock.polyrep import (IMAGE_ONE, _unpack, apply_word_poly, inner_image,
-                               inner_poly)
+from chessfock.fock import (_half_f, apply_f, apply_word, basis, gram_rows,
+                            inner)
+from chessfock.partitions import conjugate_beads, to_beads
+from chessfock.polyrep import (IMAGE_ONE, _unpack, apply_word_poly, inner_poly,
+                               z_key)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -234,21 +236,30 @@ def test_bound_reports_from_one_pass():
 
 
 def test_exhaustive_bound_check_names_a_failing_pair():
-    # n = 3 needs v2 >= 1; a lone image with self-pairing 1 has v2 = 0
-    report = exhaustive_bound_check(3, [((0, 1, 0), basis((3,)), 1)])
+    # n = 3 needs v2 >= 1; in half vectors (3) stands for (3) + (1,1,1),
+    # with self-pairing 2, and the square (2,1) for itself, with 1
+    level = [((0, 1, 0), basis((3,)), 1), ((1, 1, 0), basis((2, 1)), 1)]
+    report = exhaustive_bound_check(3, level)
     assert report.verdict == "FAIL" and report.observed_min == 0
-    assert report.witnesses == (("v=0,1,0 w=0,1,0", 0),
-                                ("distinct nonzero images", 1),
-                                ("nonzero pairings", 1))
+    assert report.witnesses == (("v=1,1,0 w=1,1,0", 0),
+                                ("v=0,1,0 w=0,1,0", 1),
+                                ("distinct nonzero images", 2),
+                                ("nonzero pairings", 2))
+
+
+def full(half):
+    """The conjugation-invariant vector whose half vector is ``half``."""
+    return {**half, **{conjugate_beads(s): c for s, c in half.items()}}
 
 
 def naive_bound_report(n, level):
     """exhaustive_bound_check's report, folded over every pair of the
-    level's images in row-major order with fock.inner."""
+    level's images in row-major order with fock.inner on full vectors."""
     required = n - tri_count(n)
+    images = [full(image) for _, image, _ in level]
     vals = [(a, b, vp(s, 2)) for a in range(len(level))
             for b in range(a, len(level))
-            if (s := inner(level[a][1], level[b][1]))]
+            if (s := inner(images[a], images[b]))]
 
     def text(a, b):
         return f"v={','.join(map(str, level[a][0]))} " \
@@ -268,8 +279,7 @@ def naive_bound_report(n, level):
 def test_grouped_bound_check_matches_a_naive_fold():
     # claimed at its own n the check passes; claimed at n + 3 the same
     # level fails on pairs from several letter contents
-    levels = check_levels(12, lambda x, i: apply_f(x, i, 2), basis(()),
-                          lambda n, level: (n, level))
+    levels = check_levels(12, _half_f, basis(()), lambda n, level: (n, level))
     for n, level in levels:
         for claimed in (n, n + 3):
             report = exhaustive_bound_check(claimed, level)
@@ -278,8 +288,11 @@ def test_grouped_bound_check_matches_a_naive_fold():
     assert len({w.split()[0].count("1") for w, _ in report.witnesses[:-2]}) > 1
     # the least pair attaining the bound is in the second content group,
     # which the grouped check visits after the first group's own
-    level = [((0, 0, 1), {1: 2}, 1), ((0, 1, 1), {4: 1, 5: 1}, 1),
-             ((1, 0, 0), {2: 1, 3: 1}, 1), ((1, 0, 1), {6: 2}, 1)]
+    # (half vectors: (2) and (3) weigh 2, the squares (2,1) and (2,2) 1)
+    level = [((0, 0, 1), {to_beads((1,)): 2}, 1),
+             ((0, 1, 1), basis((2, 1)) | basis((2, 2)), 1),
+             ((1, 0, 0), basis((2,)), 1),
+             ((1, 0, 1), {to_beads((2, 2)): 2, to_beads((3,)): 1}, 1)]
     report = exhaustive_bound_check(3, level)
     assert report.to_json() == naive_bound_report(3, level).to_json()
     assert report.witnesses[0] == ("v=0,1,1 w=0,1,1", 1)
@@ -395,19 +408,22 @@ def both_levels(n_max):
                              lambda n, level: level, key=_both_keys))
 
 
-def test_inner_image_pairs_a_level_both_ways():
-    # the integer pairing of packed images against inner_poly of the
-    # decoded images, on every ordered pair of each cross-model level
+def test_gram_rows_pair_packed_images_like_inner_poly():
+    # the z-weighted Gram rows of the numerators of packed images against
+    # inner_poly of the decoded images, on every pair of each cross-model
+    # level; the numerators take both signs
     def decode(image):
         den, items = image
         return {_unpack(key): Fraction(num, den) for key, num in items}
 
     for level in both_levels(10):
         images = [f for _, (_, f), _ in level]
-        for f in images:
-            for g in images:
-                num, den = inner_image(f, g)
-                assert Fraction(num, den) == inner_poly(decode(f), decode(g))
+        rows = gram_rows([dict(items) for _, items in images], z_key)
+        for a, (f, row) in enumerate(zip(images, rows)):
+            for g, num in zip(images[a:], row):
+                assert Fraction(num, f[0] * g[0]) == inner_poly(decode(f),
+                                                                decode(g))
+    assert any(num < 0 for _, items in images for _, num in items)
 
 
 def test_cross_model_check_reports_a_one_sided_zero():

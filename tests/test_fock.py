@@ -6,10 +6,11 @@ from math import factorial
 import pytest
 
 from chessfock.fock import (_half_f, apply_e, apply_f, apply_word, basis,
-                            cyclic_sums, decode, gram_rows, inner, pair_sum,
-                            random_vector)
+                            cyclic_sums, decode, gram_rows, half_weight, inner,
+                            pair_sum, random_vector)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
+from chessfock.polyrep import _pack, z_key
 from chessfock.tableaux import (ResidueWord, _conjugate, alternating_word,
                                 check_levels)
 
@@ -213,15 +214,26 @@ def test_binary_word_images_are_conjugation_invariant():
         assert conjugated(x) == decode(x)
 
 
+def halved(x):
+    """x restricted to the shapes with lam_1 >= len(lam)."""
+    return {s: c for s, c in x.items() if s.bit_length() >= 2 * s.bit_count()}
+
+
 def test_half_walk_matches_the_full_walk():
     sums = cyclic_sums(30, 2)
     x = half = basis(())
     for n in range(1, 31):
         x = apply_f(x, (n - 1) % 2, 2)
         half = _half_f(half, (n - 1) % 2)
-        assert half == {s: c for s, c in x.items()
-                        if s.bit_length() >= 2 * s.bit_count()}
+        assert half == halved(x)
         assert sums[n - 1] == inner(x, x)
+    # the bound suite steps every binary word's image, not only the
+    # alternating one's, with either letter
+    for level in fock_levels(12):
+        for _, image, _ in level:
+            for i in range(2):
+                assert (_half_f(halved(image), i)
+                        == halved(apply_f(image, i, 2)))
 
 
 def test_gram_rows_match_inner():
@@ -238,6 +250,27 @@ def test_gram_rows_match_inner():
     assert list(gram_rows([])) == []
 
 
-def test_gram_rows_reject_negative_coefficients():
-    with pytest.raises(ArithmeticError):
-        list(gram_rows([{(1,): 2}, {(1,): 1, (2,): -1}]))
+def weighted_inner(x, y, weight):
+    return sum(weight(k) * c * y[k] for k, c in x.items() if k in y)
+
+
+def test_gram_rows_are_signed_and_weighted():
+    rng = random.Random(3)
+    fock_vectors = [random_vector(rng, 7) for _ in range(20)]
+    odd_keys = [_pack(mu) for n in range(8)
+                for mu in enumerate_partitions(n, "odd")]
+    poly_vectors = [{rng.choice(odd_keys): rng.randint(-9, 9) or 1
+                     for _ in range(5)} for _ in range(20)]
+    # a norm above 2^64, with entries of both signs
+    big = {to_beads((2,)): -(2 ** 40), to_beads((1, 1)): 3 * 2 ** 39}
+    for vectors, weight in ((fock_vectors, lambda k: 1),
+                            (fock_vectors + [big, {}], half_weight),
+                            (poly_vectors, z_key)):
+        assert any(c < 0 for x in vectors for c in x.values())
+        rows = list(gram_rows(vectors, weight))
+        assert len(rows) == len(vectors)
+        for a, row in enumerate(rows):
+            assert row == [weighted_inner(vectors[a], y, weight)
+                           for y in vectors[a:]]
+    assert list(gram_rows([big, {}], half_weight)) == [
+        [2 * 2 ** 80 + 9 * 2 ** 78, 0], [0]]
