@@ -164,11 +164,12 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     every basis monomial of degree <= degree_bound.
 
     Each (generator, monomial) pair is applied exactly once, so the
-    columns come from ``polyrep._columns`` (one series per f/e pair)
-    instead of filling polyrep's column cache.  The ``delta_valuation`` of
-    a basis monomial's image is the least v that ``_lattice_v2`` reads off
-    its column, plus the monomial's own exponent ``shift`` (INFINITY for an
-    empty column).  A degree bound >= MAX_DEGREE raises at once.
+    columns come from ``polyrep._columns`` (one state of polyrep's shared
+    state memo per f/e pair) instead of filling its column cache.  The
+    ``delta_valuation`` of a basis monomial's image is the least v that
+    ``_lattice_v2`` reads off its column, plus the monomial's own exponent
+    ``shift`` (INFINITY for an empty column).  A degree bound >= MAX_DEGREE
+    raises at once.
     """
     if degree_bound + 1 > MAX_DEGREE:
         raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")

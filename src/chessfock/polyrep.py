@@ -26,16 +26,14 @@ exact.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
-computed in integers.  On one monomial the adjoint of q_m needs no
-division: the adjoint of p_nu contributes prod_k k^(m_k) * perm(t_k, m_k),
-and dividing by z_nu leaves binomials,
+computed in integers.  A column comes from the commutation rule of the
+vertex operator, [q_m^*, p_k] = 2 q_(m-k)^*, which peels one part k at a time:
 
-    q_m^* p_mu = sum over odd nu inside mu with |nu| = m of
-                 2^len(nu) * prod_k C(m_k(mu), m_k(nu)) * p_(mu minus nu),
+    A_j(p_k g) = p_k A_j(g) + 2 A_(j-k)(g),   A_j(1) = (1/2) (-1)^j q_(-j),
 
-where m_k counts the parts equal to k.  With the integer numerators of
-q_n over one common denominator (``_q_ints``), one series gives both
-generators of its pair as integer columns (den, ((key, int), ...)).
+with q_n = 0 for n < 0, so A_j(1) = 0 for j > 0.  One state per
+(j, monomial) gives both generators of a pair as integer columns
+(den, ((key, int), ...)).
 
 A key packs an odd monomial into one int (``_pack``): the multiplicity of
 the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
@@ -45,14 +43,16 @@ ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
 with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
 packed images, which every word walk carries from ``IMAGE_ONE`` (their
 numerators pair in ``fock.gram_rows``, weighted by ``z_key``).  The
-columns are cached on first use, one pair per (series, monomial); nothing
-is built at import time, and ``delta.verify_stability`` calls
-``_columns`` directly, which leaves the cache empty.
+columns are cached on first use, one pair per (family, monomial), in
+front of one shared memo of the states 2 A_j p_mu (``_a_state``), which
+peels the largest part first; nothing is built at import time, and
+``delta.verify_stability`` calls ``_columns`` directly, which fills the
+state memo but leaves the column cache empty.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import gcd, lcm, perm
 
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          z_mu)
@@ -186,16 +186,6 @@ def _q_star(n: int, f: OddPoly) -> OddPoly:
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def _q_ints(n: int) -> Column:
-    """q_n over one common denominator Z_n: (Z_n, ((_pack(mu), 2^len(mu) *
-    Z_n / z_mu), ...)), in the order of ``_q_items``."""
-    items = _q_items(n)
-    den = lcm(*(c.denominator for _, c in items))
-    return den, tuple((_pack(mu), c.numerator * (den // c.denominator))
-                      for mu, c in items)
-
-
 _z = lru_cache(maxsize=None)(z_mu)  # validated on the first call per key
 
 
@@ -230,19 +220,32 @@ def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     return poly_scale(_add_into(base, a, sign), Fraction(1, 2))
 
 
-def _sub_monomials(key: int) -> list[tuple[int, int, int]]:
-    """(|nu|, 2^len(nu) * prod_k C(m_k(mu), m_k(nu)), key of mu minus nu)
-    for every sub-multiset nu of the monomial with packed key ``key``, from
-    nu = () to nu = mu, in product order over the parts from the largest
-    down.  q_m^* p_mu is the sum of weight * p_rest over the items with
-    |nu| = m (see the module docstring)."""
-    subs = [(0, 1, key)]
-    slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
-    for i in reversed(range(len(slots))):
-        k, t = 2 * i + 1, slots[i]
-        subs = [(size + j * k, weight * (comb(t, j) << j), rest - (j << 8 * i))
-                for size, weight, rest in subs for j in range(t + 1)]
-    return subs
+@lru_cache(maxsize=None)
+def _a_state(j: int, key: int) -> tuple[int, dict[int, int]]:
+    """2 A_j p_key for the monomial with packed key ``key``, by the
+    commutation rule of the module docstring: peel the largest part k,
+    shift the state (j, rest) by p_k and add twice the state (j - k, rest).
+    The numerators are over the lcm of the denominators of the q_m that the
+    base cases reach; the memo shares the dict, so callers do not change it."""
+    if not key:
+        if j > 0:
+            return 1, {}
+        items = _q_items(-j)
+        den = lcm(*(c.denominator for _, c in items))
+        sign = -1 if j % 2 else 1
+        return den, {_pack(mu): sign * c.numerator * (den // c.denominator)
+                     for mu, c in items}
+    i = (key.bit_length() - 1) // 8  # slot i holds the largest part, 2i + 1
+    part = 1 << 8 * i
+    rest = key - part
+    low_den, low = _a_state(j, rest)
+    high_den, high = _a_state(j - 2 * i - 1, rest)
+    den = lcm(low_den, high_den)
+    acc = {k + part: v * (den // low_den) for k, v in low.items()}
+    scale = 2 * (den // high_den)
+    for k, v in high.items():
+        acc[k] = acc.get(k, 0) + scale * v
+    return den, {k: v for k, v in acc.items() if v}
 
 
 def _reduced(den: int, values: dict[int, int]) -> Column:
@@ -252,35 +255,25 @@ def _reduced(den: int, values: dict[int, int]) -> Column:
 
 def _columns(family: str, key: int) -> tuple[Column, Column]:
     """The images of the monomial with packed key ``key`` under the two
-    generators of a family, (f0, f1) or (e0, e1), both from one evaluation
-    of the family's series, S_f or S_e, in integers.  By the truncation
-    argument of ``op_a`` a column does not depend on the degrees of the
-    other monomials of an input.
+    generators of a family, (f0, f1) or (e0, e1), both from one state of
+    ``_a_state``: with j = -1 for f and 1 for e, they are
+    (base + j A_j) / 2 and (base - j A_j) / 2, where base is p1 p_mu or
+    p1^* p_mu.  By the truncation argument of ``op_a`` a column does not
+    depend on the degrees of the other monomials of an input.
     """
-    # S_f pairs q_m^* with q_{m+1} for m >= 1, S_e pairs q_m^* with
-    # q_{m-1} for m >= 2; the sign is (-1)^(m+1) resp. (-1)^m.
-    step, first = (1, 1) if family == "f" else (-1, 2)
-    subs = _sub_monomials(key)
-    if subs[-1][0] + step > MAX_DEGREE:
-        raise ValueError(f"degree {subs[-1][0] + step} is above {MAX_DEGREE}")
-    terms = [(m, w, rest) for m, w, rest in subs if m >= first]
-    den = lcm(*(_q_ints(m + step)[0] for m, _, _ in terms))
-    s: dict[int, int] = {}
-    for m, w, rest in terms:
-        q_den, items = _q_ints(m + step)
-        scale = w * (den // q_den)
-        if (m + first) % 2:
-            scale = -scale
-        for kappa, a in items:
-            out = rest + kappa
-            s[out] = s.get(out, 0) + scale * a
-    den *= 4
-    low = {out: -v for out, v in s.items()}
+    j = -1 if family == "f" else 1
+    degree = sum(_unpack(key)) - j
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above {MAX_DEGREE}")
+    den, state = _a_state(j, key)
+    first = {out: j * v for out, v in state.items()}
+    second = {out: -v for out, v in first.items()}
     # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
     base, c = (key + 1, 1) if family == "f" else (key - 1, key & 255)
     if c:
-        low[base] = low.get(base, 0) + c * den
-    return _reduced(den, low), _reduced(den, s)
+        for col in (first, second):
+            col[base] = col.get(base, 0) + 2 * c * den
+    return _reduced(4 * den, first), _reduced(4 * den, second)
 
 
 #: ``_columns`` cached per (family, monomial): f0 and f1 (e0 and e1)

@@ -11,9 +11,9 @@ from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import delta_valuation, verify_stability
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _column, _pack,
-                               _q_items, _q_star, _q_times, _sub_monomials,
-                               _unpack, adjoint_monomial, apply_letter,
+from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _a_state, _column,
+                               _pack, _q_items, _q_star, _q_times, _unpack,
+                               adjoint_monomial, apply_letter,
                                apply_word_poly, inner_poly, mul_monomial, op_a,
                                op_generator, op_series, poly_add, poly_scale,
                                random_poly, top_degree)
@@ -197,17 +197,15 @@ def test_cancelled_terms_are_dropped_not_kept_as_zero():
     assert op_a(3, {(1, 1, 1): F(1), (3,): F(-4)}) == {}   # (1/2) q_3^* f
 
 
-def test_q_star_of_a_monomial_is_a_sum_of_binomials():
-    # q_m^* p_mu = sum over nu inside mu, |nu| = m, of
-    # 2^len(nu) prod_k C(m_k(mu), m_k(nu)) p_(mu minus nu)
+def test_state_memo_is_the_vertex_operator_component():
+    # 2 A_j p_mu by the commutation rule against op_a, the definition: the
+    # deep states (j <= -2) and j = 0 as well as the columns' j = -1 and 1
     for deg in range(13):
         for mu in enumerate_partitions(deg, "odd"):
-            subs = _sub_monomials(_pack(mu))
-            assert subs[0] == (0, 1, _pack(mu))
-            for m in range(deg + 1):
-                expected = _q_star(m, {mu: F(1)})
-                got = {_unpack(rest): w for size, w, rest in subs if size == m}
-                assert got == expected
+            for j in range(-4, 3):
+                den, state = _a_state(j, _pack(mu))
+                got = {_unpack(key): F(v, 2 * den) for key, v in state.items()}
+                assert got == op_a(j, {mu: F(1)})
 
 
 def test_packed_keys_round_trip_and_add_as_multisets():
@@ -334,7 +332,7 @@ def test_import_builds_no_cache():
     # a fresh process, so that no other test has filled the caches
     code = ("import chessfock.cli\n"
             "from chessfock import polyrep\n"
-            "caches = (polyrep._column, polyrep._q_ints, polyrep._q_items,\n"
+            "caches = (polyrep._column, polyrep._a_state, polyrep._q_items,\n"
             "          polyrep._unpack, polyrep._z)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
