@@ -16,7 +16,7 @@ from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition)
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column, OddPoly,
-                      _columns, _pack, _q_star, _q_times, _unpack,
+                      _column_values, _pack, _q_star, _q_times, _unpack,
                       apply_letter, inner_poly)
 from .tableaux import check_levels
 
@@ -150,7 +150,7 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
 
 
 def _lattice_v2(image: Column, degree: int) -> dict[int, int]:
-    """{key: v} over the nonzero terms of a packed degree-``degree`` image:
+    """{key: v} over the nonzero (key, num) of a degree-``degree`` image:
     v = v2(num) - v2(den) - (degree - len(_unpack(key)))/2 is the 2-adic
     valuation of the term's coordinate on the lattice basis."""
     low = vp(image[0], 2)
@@ -163,10 +163,10 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound.
 
-    Each (generator, monomial) pair is applied exactly once, so the
-    columns come from ``polyrep._columns`` (one state of polyrep's shared
-    state memo per f/e pair) instead of filling its column cache.  The
-    ``delta_valuation`` of a basis monomial's image is the least v that
+    Each column is read through ``polyrep._column_values``, the cached
+    view of one state of polyrep's state memo written out unreduced and
+    unsorted; v is invariant under a common factor, so no gcd is needed.
+    The ``delta_valuation`` of a basis monomial's image is the least v that
     ``_lattice_v2`` reads off its column, plus the monomial's own exponent
     ``shift`` (INFINITY for an empty column).  A degree bound >= MAX_DEGREE
     raises at once.
@@ -180,11 +180,11 @@ def verify_stability(degree_bound: int) -> ValuationReport:
                 shift = (d - len(mu)) // 2
                 desc = _basis_desc(mu, d)
                 key = _pack(mu)
-                columns = _columns("f", key) + _columns("e", key)
-                for gen, col in zip(GENERATORS, columns):
+                for gen in GENERATORS:
                     deg = d + 1 if gen[0] == "f" else d - 1
-                    low = min(_lattice_v2(col, deg).values(), default=INFINITY)
-                    yield f"{gen} {desc}", low + shift
+                    den, col = _column_values(gen, key)
+                    v = _lattice_v2((den, col.items()), deg).values()
+                    yield f"{gen} {desc}", min(v, default=INFINITY) + shift
 
     return _scan_report("stability", degree_bound, 0, False, observations())
 

@@ -32,8 +32,8 @@ vertex operator, [q_m^*, p_k] = 2 q_(m-k)^*, which peels one part k at a time:
     A_j(p_k g) = p_k A_j(g) + 2 A_(j-k)(g),   A_j(1) = (1/2) (-1)^j q_(-j),
 
 with q_n = 0 for n < 0, so A_j(1) = 0 for j > 0.  One state per
-(j, monomial) gives both generators of a pair as integer columns
-(den, ((key, int), ...)).
+(j, monomial) gives both generators of a pair: each column is a view of
+the state, its sign and the term p1 p_mu or p1^* p_mu, in integers.
 
 A key packs an odd monomial into one int (``_pack``): the multiplicity of
 the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
@@ -43,11 +43,11 @@ ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
 with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
 packed images, which every word walk carries from ``IMAGE_ONE`` (their
 numerators pair in ``fock.gram_rows``, weighted by ``z_key``).  The
-columns are cached on first use, one pair per (family, monomial), in
-front of one shared memo of the states 2 A_j p_mu (``_a_state``), which
-peels the largest part first; nothing is built at import time, and
-``delta.verify_stability`` calls ``_columns`` directly, which fills the
-state memo but leaves the column cache empty.
+column views are cached on first use, one per (generator, monomial), and
+each holds the state dict of one shared memo of the states 2 A_j p_mu
+(``_a_state``, which peels the largest part first), not a copy.
+``op_generator`` and ``delta.verify_stability`` (through
+``_column_values``) read the same cache; nothing is built at import time.
 """
 
 from fractions import Fraction
@@ -68,6 +68,7 @@ Runs = tuple[tuple[int, int, int], ...]
 #: A polynomial as (den, ((key, numerator), ...)): the sum of
 #: numerator / den * p_key over packed keys, with no zero numerator.
 Column = tuple[int, tuple[tuple[int, int], ...]]
+View = tuple[int, int, dict[int, int], int, int]  # a column, see _column
 
 MAX_DEGREE = 255  # no 8-bit slot of a packed key overflows up to it
 IMAGE_ONE: Column = (1, ((0, 1),))  # the constant 1, where word walks start
@@ -248,51 +249,45 @@ def _a_state(j: int, key: int) -> tuple[int, dict[int, int]]:
     return den, {k: v for k, v in acc.items() if v}
 
 
-def _reduced(den: int, values: dict[int, int]) -> Column:
-    g = gcd(den, *values.values())
-    return den // g, tuple((key, v // g) for key, v in values.items() if v)
-
-
-def _columns(family: str, key: int) -> tuple[Column, Column]:
-    """The images of the monomial with packed key ``key`` under the two
-    generators of a family, (f0, f1) or (e0, e1), both from one state of
-    ``_a_state``: with j = -1 for f and 1 for e, they are
-    (base + j A_j) / 2 and (base - j A_j) / 2, where base is p1 p_mu or
-    p1^* p_mu.  By the truncation argument of ``op_a`` a column does not
-    depend on the degrees of the other monomials of an input.
+@lru_cache(maxsize=None)
+def _column(gen: str, key: int) -> View:
+    """gen p_key as a view (den, sign, state, base, extra) of the shared,
+    read-only state dict of ``_a_state``: (sign * sum of v p_k over the
+    state + extra p_base) / den, unreduced.  With j = -1 for f and 1 for e,
+    f0, f1 (e0, e1) are (base + j A_j) / 2 and (base - j A_j) / 2, base
+    being p1 p_mu or p1^* p_mu.  By the truncation argument of ``op_a``, the
+    other monomials of an input do not change a column.
     """
-    j = -1 if family == "f" else 1
+    j = -1 if gen[0] == "f" else 1
     degree = sum(_unpack(key)) - j
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} is above {MAX_DEGREE}")
     den, state = _a_state(j, key)
-    first = {out: j * v for out, v in state.items()}
-    second = {out: -v for out, v in first.items()}
     # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
-    base, c = (key + 1, 1) if family == "f" else (key - 1, key & 255)
-    if c:
-        for col in (first, second):
-            col[base] = col.get(base, 0) + 2 * c * den
-    return _reduced(4 * den, first), _reduced(4 * den, second)
+    base, c = (key + 1, 1) if j < 0 else (key - 1, key & 255)
+    return 4 * den, j if gen[1] == "0" else -j, state, base, 2 * c * den
 
 
-#: ``_columns`` cached per (family, monomial): f0 and f1 (e0 and e1)
-#: share one entry.
-_column = lru_cache(maxsize=None)(_columns)
+def _column_values(gen: str, key: int) -> tuple[int, dict[int, int]]:
+    """``_column(gen, key)`` as one unreduced, unsorted (den, {key: num})."""
+    den, sign, state, base, extra = _column(gen, key)
+    values = {out: sign * v for out, v in state.items()}
+    if extra:
+        values[base] = values.get(base, 0) + extra
+    return den, values
 
 
 def op_generator(gen: str, f):
     """Apply one of the generator operators f0, f1, e0, e1 to f.
 
     f is an OddPoly or a packed image, and so is the result: the sum of the
-    coefficients times the cached columns of the monomials, which equals
-    ``op_series`` by linearity, in integers over the input's denominator
-    times the lcm of the columns'.  A packed result is canonical: the gcd
-    is divided out, the items are sorted by key, and the zero image is ().
+    coefficients times the column views ``_column`` of the monomials, equal
+    to ``op_series`` by linearity, in integers over the input's denominator
+    times the lcm of the columns'.  A packed result is canonical: the gcd is
+    divided out, the items are sorted by key, and the zero image is ().
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    family, which = gen[0], int(gen[1])
     poly = isinstance(f, dict)
     if poly:
         den = lcm(*(c.denominator for c in f.values()))
@@ -300,17 +295,21 @@ def op_generator(gen: str, f):
                  for mu, c in f.items()]
     else:
         den, items = f
-    cols = [(num, _column(family, key)[which]) for key, num in items]
-    step = lcm(*(col_den for _, (col_den, _) in cols))
+    cols = [(num, _column(gen, key)) for key, num in items]
+    step = lcm(*(col[0] for _, col in cols))
     acc: dict[int, int] = {}
-    for num, (col_den, col) in cols:
+    for num, (col_den, sign, state, base, extra) in cols:
         scale = num * (step // col_den)
-        for key, v in col:
+        if extra:
+            acc[base] = acc.get(base, 0) + scale * extra
+        scale *= sign
+        for key, v in state.items():
             acc[key] = acc.get(key, 0) + scale * v
-    den, items = _reduced(den * step, acc)
+    g = gcd(den * step, *acc.values())
+    den, items = den * step // g, [(k, v // g) for k, v in acc.items() if v]
     if poly:
         return {_unpack(key): Fraction(v, den) for key, v in items}
-    return items and (den, tuple(sorted(items)))
+    return (den, tuple(sorted(items))) if items else ()
 
 
 def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:

@@ -13,8 +13,8 @@ from chessfock.delta import (ValuationReport, _basis_desc, _lattice_v2,
                              verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _columns, _pack, _q_items, _unpack,
-                               apply_word_poly, inner_poly, op_series,
+from chessfock.polyrep import (GENERATORS, _column_values, _pack, _q_items,
+                               _unpack, apply_word_poly, inner_poly, op_series,
                                poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
@@ -169,16 +169,20 @@ def test_verify_stability_raises_above_the_packed_degree_at_once():
 
 
 def test_lattice_v2_reads_each_coordinate_of_a_column():
-    # v = v2(c) - (|nu| - len(nu))/2 on each decoded coefficient c
+    # v = v2(c) - (|nu| - len(nu))/2 on each decoded nonzero coefficient c
     for d in range(13):
         for mu in enumerate_partitions(d, "odd"):
-            for family, deg in (("f", d + 1), ("e", d - 1)):
-                for den, items in _columns(family, _pack(mu)):
-                    nus = [_unpack(key) for key, _ in items]
-                    assert all(sum(nu) == deg for nu in nus)
-                    assert _lattice_v2((den, items), deg) == {
-                        key: vp(F(num, den), 2) - (deg - len(nu)) // 2
-                        for (key, num), nu in zip(items, nus)}
+            for gen in GENERATORS:
+                deg = d + 1 if gen[0] == "f" else d - 1
+                den, values = _column_values(gen, _pack(mu))
+                items = [(key, num) for key, num in values.items() if num]
+                nus = [_unpack(key) for key, _ in items]
+                assert {nu: F(num, den) for (_, num), nu in zip(items, nus)} \
+                    == op_series(gen, {mu: F(1)})
+                assert all(sum(nu) == deg for nu in nus)
+                assert _lattice_v2((den, values.items()), deg) == {
+                    key: vp(F(num, den), 2) - (deg - len(nu)) // 2
+                    for (key, num), nu in zip(items, nus)}
     # degree-255 keys: the one-term image p_nu reads minus the basis exponent
     for nu in [(1,) * 255, (255,), (3,) * 85, (5, 3) + (1,) * 247]:
         key = _pack(nu)

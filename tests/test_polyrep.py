@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
-from chessfock.delta import delta_valuation, verify_stability
+from chessfock.delta import delta_valuation
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _a_state, _column,
@@ -225,15 +225,18 @@ def test_packed_keys_refuse_degrees_above_255():
     with pytest.raises(ValueError, match="degree 256 is above 255"):
         _pack((1,) * 256)
     # the input is refused before any column is looked up
-    before = _column.cache_info()
+    before = _column.cache_info(), _a_state.cache_info()
     for gen, mu in (("f0", (1,) * 256), ("e0", (257,))):
         with pytest.raises(ValueError, match="degree 25[67] is above 255"):
             op_generator(gen, {mu: F(1)})
-    assert _column.cache_info() == before
-    # f raises the degree, so degree 255 has no f column; nothing is cached
-    with pytest.raises(ValueError, match="degree 256 is above 255"):
-        op_generator("f1", {(1,) * 255: F(1)})
-    assert _column.cache_info().currsize == before.currsize
+        assert (_column.cache_info(), _a_state.cache_info()) == before
+    # f raises the degree, so degree 255 has no f column: the column refuses
+    # before it reads a state, and lru_cache stores no raise
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree 256 is above 255"):
+            op_generator("f1", {(1,) * 255: F(1)})
+        assert _column.cache_info().currsize == before[0].currsize
+        assert _a_state.cache_info() == before[1]
 
 
 def test_cached_columns_match_the_series():
@@ -322,10 +325,14 @@ def test_check_levels_is_every_depth_of_the_per_model_walks():
             sorted(letters for letters, _, _ in level)
 
 
-def test_stability_bypasses_the_column_cache():
-    _column.cache_clear()
-    assert verify_stability(8).verdict == "PASS"
-    assert _column.cache_info().currsize == 0
+def test_columns_share_the_state_memo():
+    # a column is a view of its state: the memo's own dict, not a copy
+    for deg in range(11):
+        for mu in enumerate_partitions(deg, "odd"):
+            key = _pack(mu)
+            for gen in GENERATORS:
+                j = -1 if gen[0] == "f" else 1
+                assert _column(gen, key)[2] is _a_state(j, key)[1]
 
 
 def test_import_builds_no_cache():
@@ -333,12 +340,12 @@ def test_import_builds_no_cache():
     code = ("import chessfock.cli\n"
             "from chessfock import polyrep\n"
             "caches = (polyrep._column, polyrep._a_state, polyrep._q_items,\n"
-            "          polyrep._unpack, polyrep._z)\n"
+            "          polyrep._q_star_items, polyrep._unpack, polyrep._z)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
