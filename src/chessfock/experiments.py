@@ -20,8 +20,8 @@ from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (_half_f, apply_e, apply_f, basis, cyclic_sums, gram_rows,
-                   half_weight, inner, pair_sum, random_vector)
+from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, half_step,
+                   half_weight, inner, pair_sum, random_vector, read_slots)
 from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column,
                       adjoint_monomial, apply_letter, inner_poly, mul_monomial,
@@ -208,8 +208,8 @@ def _pair_text(v, w) -> str:
 def bound_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``exhaustive_bound_check(n, level)`` for n = 1..n_max from one
     ``check_levels`` pass over the distinct Fock images of the words as
-    half vectors (see ``fock``), stepped by ``_half_f``."""
-    return check_levels(n_max, _half_f, basis(()), exhaustive_bound_check)
+    half vectors (see ``fock``), stepped by ``half_step``."""
+    return check_levels(n_max, half_step, basis(()), exhaustive_bound_check)
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
@@ -224,8 +224,14 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     conjugates, have as many residue-1 cells as its word has 1s, so images
     of different letter content pair to 0: only equal contents are paired,
     one ``fock.gram_rows`` matrix each, weighted by ``fock.half_weight``.
-    The witnesses are those of a row-major walk over the whole level:
-    every failing pair, then the first pair attaining the bound.
+    A row is tested whole, ``ones`` holding bit 0 of each slot: a pairing
+    below the bound sets a bit of ``low``, the low ``required`` bits of
+    each slot (only such a row is read slot by slot); one attaining it
+    sets bit ``required``; a nonzero one carries into its slot's top bit
+    when ``below`` is added to the bits under the top (|pairing| <
+    2^(bits - 2), so a negative slot has such bits set).  The witnesses
+    are those of a row-major walk over the whole level: every failing
+    pair, then the first pair attaining the bound.
     """
     required = n - tri_count(n)
     groups: dict[int, list[int]] = {}
@@ -236,20 +242,31 @@ def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
     attained = None
     pairings = 0
     for group in groups.values():
-        rows = gram_rows([level[a][1] for a in group], half_weight)
+        bits, rows = gram_rows([level[a][1] for a in group], half_weight)
+        ones = ((1 << bits * len(group)) - 1) // ((1 << bits) - 1)
+        below = (ones << bits - 1) - ones     # all bits under each slot's top
+        low = ones * ((1 << min(required, bits)) - 1)
         for i, (a, row) in enumerate(zip(group, rows)):
-            for b, s in zip(group[i:], row):
-                if s == 0:
-                    continue
-                pairings += 1
-                val = (s & -s).bit_length() - 1
-                if val < observed:
-                    observed = val
-                if val < required:
-                    failures.append((a, b, val))
-                elif val == required and (attained is None
-                                          or (a, b) < attained):
-                    attained = (a, b)
+            if row & low:           # read the row to name what fails
+                for b, s in zip(group[i:],
+                                read_slots(row, len(group) - i, bits)):
+                    if s:
+                        pairings += 1
+                        val = (s & -s).bit_length() - 1
+                        observed = min(observed, val)
+                        if val < required:
+                            failures.append((a, b, val))
+                        elif val == required:
+                            attained = min(attained or (a, b), (a, b))
+            elif row:
+                pairings += ((row & below) + below & ~below).bit_count()
+                val = required
+                while val < observed and not row & ones << val:
+                    val += 1
+                observed = min(observed, val)
+                if hit := row & ones << required:
+                    b = group[i + ((hit & -hit).bit_length() - 1) // bits]
+                    attained = min(attained or (a, b), (a, b))
     pairs = sorted(failures) + ([(*attained, required)] if attained else [])
     witnesses = tuple((_pair_text(level[a][0], level[b][0]), val)
                       for a, b, val in pairs)
@@ -340,9 +357,12 @@ def cross_model_check(n: int, level: list) -> dict:
     (Fock image, packed polynomial image), as (least word, pair, words)
     triples.  Each word pairing is a pairing of two distinct pairs, so only
     those are compared, in integers: one ``gram_rows`` matrix per model,
-    the polynomial one on the numerators, weighted by z.  That is as strong
-    as comparing every word: two pairs that share a Fock image but not a
-    polynomial image p, p' agree on all three pairings only if
+    the polynomial one on the numerators, weighted by z, and the Fock one
+    on each image scaled by its polynomial image's denominator, so that
+    the models agree exactly when their slot widths and rows are equal
+    integers; a row is read slot by slot only where they differ.  That is
+    as strong as comparing every word: two pairs that share a Fock image
+    but not a polynomial image p, p' agree on all three pairings only if
     (p - p', p - p') = 0, and the polynomial pairing is positive definite.
     ``pairs`` still counts the W(W + 1)/2 word pairs of the W nonzero
     words.  A passing summary is the one a word-by-word comparison gives;
@@ -362,14 +382,21 @@ def cross_model_check(n: int, level: list) -> dict:
         return summary
     mismatches = summary["mismatches"]
     dens = [f[0] for _, (_, f), _ in level]
-    rows = zip(gram_rows([x for _, (x, _), _ in level]),
-               gram_rows([dict(f[1]) for _, (_, f), _ in level], z_key))
-    for a, (lhs_row, rhs_row) in enumerate(rows):
-        for b, lhs, num in zip(range(a, len(level)), lhs_row, rhs_row):
+    lhs_bits, lhs_rows = gram_rows([{k: d * c for k, c in x.items()}
+                                    for d, (_, (x, _), _) in zip(dens, level)])
+    rhs_bits, rhs_rows = gram_rows([dict(f[1]) for _, (_, f), _ in level],
+                                   z_key)
+    for a, (lhs_row, rhs_row) in enumerate(zip(lhs_rows, rhs_rows)):
+        if lhs_bits == rhs_bits and lhs_row == rhs_row:
+            continue
+        count = len(level) - a
+        for b, lhs, num in zip(range(a, len(level)),
+                               read_slots(lhs_row, count, lhs_bits),
+                               read_slots(rhs_row, count, rhs_bits)):
             den = dens[a] * dens[b]
-            if lhs * den != num and len(mismatches) < 5:
+            if lhs != num and len(mismatches) < 5:
                 mismatches.append(f"{_pair_text(level[a][0], level[b][0])}: "
-                                  f"{lhs} != {Fraction(num, den)}")
+                                  f"{lhs // den} != {Fraction(num, den)}")
     summary["pairs"] = words * (words + 1) // 2
     summary["ok"] = not mismatches
     return summary

@@ -19,12 +19,14 @@ so f_0 and f_1 commute with conjugation and every binary word's image of
 the vacuum is conjugation-invariant.  ``cyclic_sums`` grows the
 alternating image, and ``experiments.bound_reports`` every binary word's,
 as a half vector: the same dict restricted to the shapes with lam_1 >=
-len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``,
-stepped by ``_half_f``.  Its pairing weights each shape by
+len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``.
+The table steps it by ``_half_f``, the word walks by ``half_step``, which
+reads each shape's step from a memo.  Its pairing weights each shape by
 ``half_weight``.  The half vector serves only such conjugation-invariant
 e = 2 walks from the empty partition; everything else uses full vectors.
 """
 
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .partitions import (Partition, addable_cells, check_residue,
@@ -113,6 +115,26 @@ def _half_f(x: FockVector, i: int) -> FockVector:
     return out
 
 
+def half_step(x: FockVector, i: int) -> FockVector:
+    """``_half_f`` through a memo of each shape's step, for walks that
+    meet a shape many times (562 entries to n = 15).  ``cyclic_sums``
+    meets each shape once, so it keeps the direct step: at n = 40 a memo
+    there took over 3x the time and 26 MiB for its 58,095 entries."""
+    out: FockVector = {}
+    get = out.get
+    for s, c in x.items():
+        for grown, k in _half_moves(s, i):
+            out[grown] = get(grown, 0) + c * k
+    return out
+
+
+@lru_cache(maxsize=None)
+def _half_moves(s: int, i: int) -> tuple[tuple[int, int], ...]:
+    """_half_f({s: 1}, i) as (shape, multiplicity) pairs; (2) and (1, 1)
+    both go to (2, 1) under f_1, so it holds 2."""
+    return tuple(_half_f({s: 1}, i).items())
+
+
 def half_weight(s: int) -> int:
     """Shape s's weight in a half vector's pairing: 2 when lam_1 > len(lam),
     as s stands for its dropped conjugate too, and 1 otherwise."""
@@ -162,16 +184,18 @@ def inner(x: FockVector, y: FockVector) -> int:
 
 def gram_rows(vectors: list[FockVector],
               weight: Callable[[int], int] | None = None
-              ) -> Iterator[list[int]]:
-    """Yield row a of the Gram matrix from the diagonal on: the pairings
-    sum_k weight(k) * x_a[k] * x_b[k] of x_a = vectors[a] with each x_b,
-    b >= a, for integer coefficients of either sign and a positive weight
-    (1 when None).  Each key's column is packed into one integer, col_k =
-    sum_b x_b[k] * 2^(b*w), so the big-int sum of weight(k) * x_a[k] *
-    col_k holds the pairing of x_a and x_b in slot b.  A bias of 2^(w-1)
-    in every slot makes it nonnegative, so the slots read back exactly
-    while each pairing is below 2^(w-1) in absolute value: by Cauchy-Schwarz
-    none exceeds the largest weighted norm, and w has two bits more.
+              ) -> tuple[int, Iterator[int]]:
+    """The slot width in bits, and row a of the Gram matrix from the
+    diagonal on as one integer: slot b - a holds sum_k weight(k) * x_a[k] *
+    x_b[k] for x_a = vectors[a], b >= a, in two's complement (read back by
+    ``read_slots``), for integer coefficients of either sign and a positive
+    weight (1 when None).  Each key's column is packed into one integer,
+    col_k = sum_b x_b[k] * 2^(b*bits), so the big-int sum of weight(k) *
+    x_a[k] * col_k holds the pairing of x_a and x_b in slot b.  A bias of
+    2^(bits-1) in every slot makes it nonnegative, with no borrow between
+    slots, while each pairing is below 2^(bits-1) in absolute value: by
+    Cauchy-Schwarz none exceeds the largest weighted norm, and bits has two
+    more.  Xor-ing the bias back leaves two's complement.
     """
     weights = {k: weight(k) if weight else 1 for k in set().union(*vectors)}
     largest = max((sum(weights[k] * c * c for k, c in x.items())
@@ -186,12 +210,17 @@ def gram_rows(vectors: list[FockVector],
             for k, (pos, neg) in packed.items()}
     del packed
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
-    half = 1 << (bits - 1)
-    for a, x in enumerate(vectors):
-        row = sum(c * weights[k] * cols[k] for k, c in x.items()) + bias
-        slots = (row >> a * bits).to_bytes((m - a) * width, "little")
-        yield [int.from_bytes(slots[s:s + width], "little") - half
-               for s in range(0, len(slots), width)]
+    return bits, ((sum(c * weights[k] * cols[k] for k, c in x.items())
+                   + bias >> a * bits) ^ (bias >> a * bits)
+                  for a, x in enumerate(vectors))
+
+
+def read_slots(row: int, count: int, bits: int) -> list[int]:
+    """The first count slots of a ``gram_rows`` row, as signed integers."""
+    width = bits // 8
+    data = row.to_bytes(count * width, "little")
+    return [int.from_bytes(data[at:at + width], "little", signed=True)
+            for at in range(0, len(data), width)]
 
 
 def pair_sum(v: ResidueWord, w: ResidueWord) -> int:
@@ -215,8 +244,13 @@ def random_vector(rng, max_degree: int) -> FockVector:
     """
     out: FockVector = {}
     for _ in range(6):
-        n = rng.randrange(max_degree + 1)
-        shapes = enumerate_partitions(n)
-        s = to_beads(shapes[rng.randrange(len(shapes))])
+        shapes = _shapes(rng.randrange(max_degree + 1))
+        s = shapes[rng.randrange(len(shapes))]
         out[s] = out.get(s, 0) + rng.randint(-9, 9)
     return _nonzero(out)
+
+
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[int, ...]:
+    """The bead ints of ``enumerate_partitions(n)``, in its order."""
+    return tuple(map(to_beads, enumerate_partitions(n)))

@@ -20,10 +20,10 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    factorial_check, factorize, general_e_scan,
                                    rows_to_csv, rows_to_jsonl, scan_row)
 from chessfock.fock import (_half_f, apply_f, apply_word, basis, gram_rows,
-                            inner)
+                            inner, read_slots)
 from chessfock.partitions import conjugate_beads, to_beads
-from chessfock.polyrep import (IMAGE_ONE, _unpack, apply_word_poly, inner_poly,
-                               z_key)
+from chessfock.polyrep import (IMAGE_ONE, _pack, _unpack, apply_word_poly,
+                               inner_poly, z_key)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -298,6 +298,25 @@ def test_grouped_bound_check_matches_a_naive_fold():
     assert report.witnesses[0] == ("v=0,1,1 w=0,1,1", 1)
 
 
+def test_bound_check_reads_packed_rows_like_a_naive_fold():
+    # rows the mask tests must read right: a nonzero pairing of 256, whose
+    # two-byte slot has a zero low byte; negative pairings near
+    # -2^(bits - 2) in two's complement; an all-zero row; claims whose
+    # bound pass, fail, or reach past the slot width of 16 bits
+    one, two = to_beads((1,)), to_beads((2,))      # half weights 1 and 2
+    x = {one: 64, two: 64}
+    minus_x = {k: -c for k, c in x.items()}
+    levels = [[((0, 1), {one: 16}, 1), ((1, 0), {one: 2}, 1)],
+              [((0, 1, 1), x, 1), ((1, 0, 1), minus_x, 1), ((1, 1, 0), {}, 1)]]
+    for level in levels:
+        for claimed in (3, 6, 8, 16, 17, 19, 25):
+            report = exhaustive_bound_check(claimed, level)
+            assert report.to_json() == naive_bound_report(claimed, level).to_json()
+    assert dict(exhaustive_bound_check(8, levels[0]).witnesses)[
+        "nonzero pairings"] == 3
+    assert exhaustive_bound_check(17, levels[1]).verdict == "PASS"
+
+
 def test_factorial_check():
     for n in range(9):
         assert factorial_check(n)
@@ -418,9 +437,10 @@ def test_gram_rows_pair_packed_images_like_inner_poly():
 
     for level in both_levels(10):
         images = [f for _, (_, f), _ in level]
-        rows = gram_rows([dict(items) for _, items in images], z_key)
+        bits, rows = gram_rows([dict(items) for _, items in images], z_key)
         for a, (f, row) in enumerate(zip(images, rows)):
-            for g, num in zip(images[a:], row):
+            for g, num in zip(images[a:],
+                              read_slots(row, len(images) - a, bits)):
                 assert Fraction(num, f[0] * g[0]) == inner_poly(decode(f),
                                                                 decode(g))
     assert any(num < 0 for _, items in images for _, num in items)
@@ -461,3 +481,15 @@ def test_cross_model_check_reports_two_images_on_one_fock_image():
     v, w = (",".join(map(str, u)) for u in (first, word))
     square = inner(x, x)
     assert f"v={v} w={w}: {square} != {-square}" in summary["mismatches"]
+
+
+def test_cross_model_check_compares_slot_widths():
+    # equal Fock images against polynomial images with norms 257 and 1 and
+    # pairing 0: the rows pack to the same integers, 257 and 1, in slots
+    # of one byte and of two
+    s = to_beads((1,))
+    level = [((0,), ({s: 1}, (1, ((_pack((1,)), 15), (_pack((1, 1)), 4)))), 1),
+             ((1,), ({s: 1}, (1, ((0, 1),))), 1)]
+    summary = cross_model_check(1, level)
+    assert summary["support_match"] and not summary["ok"]
+    assert summary["mismatches"] == ["v=0 w=0: 1 != 257", "v=0 w=1: 1 != 0"]

@@ -6,8 +6,9 @@ from math import factorial
 import pytest
 
 from chessfock.fock import (_half_f, apply_e, apply_f, apply_word, basis,
-                            cyclic_sums, decode, gram_rows, half_weight, inner,
-                            pair_sum, random_vector)
+                            cyclic_sums, decode, gram_rows, half_step,
+                            half_weight, inner, pair_sum, random_vector,
+                            read_slots)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
 from chessfock.polyrep import _pack, z_key
@@ -236,18 +237,49 @@ def test_half_walk_matches_the_full_walk():
                         == halved(apply_f(image, i, 2)))
 
 
+def test_half_step_matches_the_direct_step():
+    for level in fock_levels(12):
+        for _, image, _ in level:
+            for i in range(2):
+                assert half_step(halved(image), i) == _half_f(halved(image), i)
+    # letter 1 takes (2) and its dropped conjugate (1, 1) both to (2, 1)
+    assert half_step({to_beads((2,)): 3}, 1) == {to_beads((2, 1)): 6}
+
+
+def slot_rows(vectors, weight=None):
+    """gram_rows with each packed row read back as its list of slots."""
+    bits, rows = gram_rows(vectors, weight)
+    return [read_slots(row, len(vectors) - a, bits)
+            for a, row in enumerate(rows)]
+
+
 def test_gram_rows_match_inner():
     for level in fock_levels(10):
         vectors = [image for _, image, _ in level]
-        rows = list(gram_rows(vectors))
+        rows = slot_rows(vectors)
         assert len(rows) == len(vectors)
         for a, row in enumerate(rows):
             assert row == [inner(vectors[a], y) for y in vectors[a:]]
     # slots wide enough for a large norm, and an empty support
     big = [{(1,): 2 ** 40}, {(1,): 3, (2,): 2 ** 39}, {}]
-    assert list(gram_rows(big)) == [[2 ** 80, 3 * 2 ** 40, 0],
-                                    [9 + 2 ** 78, 0], [0]]
-    assert list(gram_rows([])) == []
+    assert slot_rows(big) == [[2 ** 80, 3 * 2 ** 40, 0], [9 + 2 ** 78, 0], [0]]
+    assert slot_rows([]) == []
+
+
+def test_gram_rows_pack_twos_complement_slots():
+    # a norm of 3 * 2^12 takes two-byte slots, and its negative pairing
+    # -3 * 2^12 is near -2^(bits - 2); a zero vector gives an all-zero row
+    x = {to_beads((1,)): 64, to_beads((2,)): 64}
+    bits, rows = gram_rows([x, {k: -c for k, c in x.items()}, {}],
+                           half_weight)
+    assert bits == 16
+    assert list(rows) == [3 << 12 | (2 ** 16 - (3 << 12)) << 16,
+                          3 << 12, 0]
+    assert read_slots(3 << 12 | (2 ** 16 - (3 << 12)) << 16, 3, 16) == [
+        3 << 12, -(3 << 12), 0]
+    # a multiple of 256 leaves the low byte of its slot zero
+    bits, rows = gram_rows([{1: 16}, {1: 1}])
+    assert bits == 16 and list(rows) == [256 | 16 << 16, 1]
 
 
 def weighted_inner(x, y, weight):
@@ -267,10 +299,10 @@ def test_gram_rows_are_signed_and_weighted():
                             (fock_vectors + [big, {}], half_weight),
                             (poly_vectors, z_key)):
         assert any(c < 0 for x in vectors for c in x.values())
-        rows = list(gram_rows(vectors, weight))
+        rows = slot_rows(vectors, weight)
         assert len(rows) == len(vectors)
         for a, row in enumerate(rows):
             assert row == [weighted_inner(vectors[a], y, weight)
                            for y in vectors[a:]]
-    assert list(gram_rows([big, {}], half_weight)) == [
+    assert slot_rows([big, {}], half_weight) == [
         [2 * 2 ** 80 + 9 * 2 ** 78, 0], [0]]
