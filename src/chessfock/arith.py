@@ -47,15 +47,17 @@ Valuation = int | _Infinity
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3_317_044_064_679_887_385_961_981
+#: is_prime decides exactly the integers below this bound (Sorenson and
+#: Webster, 2017).
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(p: int) -> bool:
     """Deterministic primality below psi_13 = 3,317,044,064,679,887,385,
     961,981, the least composite that passes Miller-Rabin to all 13 prime
     bases 2..41 used here; raises ValueError for p >= psi_13."""
-    if p >= _PSI_13:
-        raise ValueError(f"primality is decided only below {_PSI_13}, got {p}")
+    if p >= PSI_13:
+        raise ValueError(f"primality is decided only below {PSI_13}, got {p}")
     if p < 2:
         return False
     s = ((p - 1) & (1 - p)).bit_length() - 1

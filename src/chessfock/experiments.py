@@ -18,7 +18,7 @@ from itertools import compress, islice
 from math import factorial, gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
-from .arith import INFINITY, is_prime, tri_count, vp
+from .arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from .delta import ValuationReport
 from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, half_step,
                    half_weight, inner, pair_sum, random_vector, read_slots)
@@ -34,9 +34,14 @@ from .tableaux import ResidueWord, check_levels, hook_count
 FACTOR_LIMIT = 1_000_000
 
 #: Odd primes per block in _prime_blocks, and the last prime of the first
-#: block (the 64th odd prime); a remainder below its square never needs one.
+#: block (the 64th odd prime), the last divisor factorize tries one by one.
 _BLOCK = 64
 _FIRST_BLOCK_END = 313
+
+#: Steps _rho takes on one composite before it gives up (less time than
+#: one _prime_blocks build), and the steps between its gcds.
+_RHO_STEPS = 1 << 13
+_RHO_BATCH = 64
 
 
 def _odd_primes(limit: int) -> Iterator[int]:
@@ -44,8 +49,8 @@ def _odd_primes(limit: int) -> Iterator[int]:
 
     One odd-only bytearray sieve, one byte per odd number (about 500 KB at
     FACTOR_LIMIT), whose primes are read in C with ``compress``, with no
-    Python frame per prime.  That is enough: only ``_prime_blocks`` asks
-    for the primes to FACTOR_LIMIT, once per process, and
+    Python frame per prime.  That is enough: only a ``factorize`` fallback
+    asks for the primes to FACTOR_LIMIT, once per process, and
     ``general_e_scan`` has dropped its Fock vector by then.
     """
     odds = range(3, limit + 1, 2)    # odds[i] == 2 * i + 3
@@ -84,23 +89,61 @@ def _divide(rest: int, factors: list, divisors: range) -> int:
     return rest
 
 
+def _rho(n: int) -> int | None:
+    """A proper factor of the odd composite n by Brent's rho (BIT 20, 1980)
+    on y -> y * y + c from y = 2, for c = 1, 2, 3; None once _RHO_STEPS
+    steps are spent.  Each round of r steps multiplies x - y, x the y the
+    round began at, with one gcd per batch; a batch whose gcd is n is
+    replayed a step at a time, and if that too gives n, c is dropped."""
+    budget = _RHO_STEPS
+    for c in (1, 2, 3):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            if r > budget:
+                return None
+            budget -= r
+            x = y
+            for k in range(0, r, _RHO_BATCH):
+                ys, q = y, 1
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:
+            for _ in range(_RHO_BATCH):
+                ys = (ys * ys + c) % n
+                if (g := gcd(x - ys, n)) != 1:
+                    break
+        if g != n:
+            return g
+    return None
+
+
+def _split(n: int, primes: list) -> bool:
+    """Append the prime factors of odd 1 <= n < psi_13 to primes; False,
+    with some perhaps appended, if ``_rho`` gives up on a piece."""
+    if n == 1 or is_prime(n):
+        primes += [n] * (n > 1)
+        return True
+    d = _rho(n)
+    return d is not None and _split(d, primes) and _split(n // d, primes)
+
+
 def factorize(value: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Trial-divide value >= 1 by 2 and the odd numbers <= FACTOR_LIMIT;
-    returns (factors, cofactor).
+    """The trial division of value >= 1 by 2 and every odd d <= FACTOR_LIMIT
+    with d * d <= the remainder: returns (factors, cofactor).
 
     cofactor == 1 means the factorization is complete; otherwise it is the
     unfactored remainder (all of whose prime factors exceed FACTOR_LIMIT).
-    The result is the one trial division by 2 and every odd
-    d <= FACTOR_LIMIT with d * d <= the remainder gives.  An odd composite
-    never divides what is left when it is reached, so a block of
-    ``_prime_blocks`` whose product one gcd shows prime to the remainder is
-    skipped whole, and a block that shares a factor is stepped one odd
-    number at a time.  The blocks are built once per process, and only by
-    a call whose odd remainder reaches past the first block.  The
-    remainder R is prime exactly when 1 < R < (FACTOR_LIMIT + 1) ** 2,
-    the square of the first divisor past the limit: trial division stops
-    before that divisor only when R is 1 or a prime, at a d <= FACTOR_LIMIT
-    with d * d > R.
+    After the divisors to _FIRST_BLOCK_END, ``_split`` breaks the odd
+    remainder into primes and those <= FACTOR_LIMIT are divided out.  A
+    remainder >= psi_13, or one ``_rho`` gives up on, is instead divided by
+    each of the ``_prime_blocks`` that one gcd shows shares a factor with
+    it.  Either way the remainder R is prime exactly when
+    1 < R < (FACTOR_LIMIT + 1) ** 2, the least product of two primes past
+    the limit.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
@@ -110,8 +153,13 @@ def factorize(value: int) -> tuple[tuple[tuple[int, int], ...], int]:
     if twos:
         factors.append((2, twos))
         rest >>= twos
-    if isqrt(rest) < _FIRST_BLOCK_END:
-        rest = _divide(rest, factors, range(3, FACTOR_LIMIT + 1, 2))
+    rest = _divide(rest, factors, range(3, _FIRST_BLOCK_END + 1, 2))
+    primes = []
+    if rest < PSI_13 and _split(rest, primes):
+        for p in sorted(set(primes)):
+            if p <= FACTOR_LIMIT:
+                factors.append((p, primes.count(p)))
+                rest //= p ** primes.count(p)
     else:
         for lo, hi, product in _prime_blocks():
             if lo * lo > rest:
@@ -304,7 +352,7 @@ def general_e_scan(n_max: int, e: int, p: int) -> list[FactorizationRow]:
     other modulus the rows are purely observational -- the bound column is
     empty and the verdict is OBS, because no divisibility is claimed there.
     All the sums are computed before any is factored, so the prime blocks
-    that ``factorize`` builds never sit beside the largest Fock vector.
+    of a ``factorize`` fallback never sit beside the largest Fock vector.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")

@@ -145,7 +145,7 @@ def cyclic_sums(n_max: int, e: int) -> list[int]:
     """The pair sums <x, x> of the images x of the cyclic words 0, 1, ...,
     (n - 1) mod e for n = 1..n_max, from one growing vector: at e = 2 a
     half vector with its weighted norm, otherwise the full image, stepped
-    by ``apply_f`` and paired by ``inner``."""
+    by ``apply_f``, whose norm is its sum of squared coefficients."""
     sums = []
     x = basis(())
     for n in range(1, n_max + 1):
@@ -156,7 +156,7 @@ def cyclic_sums(n_max: int, e: int) -> list[int]:
                             for s, c in x.items()))
         else:
             x = apply_f(x, (n - 1) % e, e)
-            sums.append(inner(x, x))
+            sums.append(sum(c * c for c in x.values()))
     return sums
 
 

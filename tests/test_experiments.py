@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chessfock.arith import INFINITY, tri_count, vp
+from chessfock import experiments
+from chessfock.arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from chessfock.delta import ValuationReport
 from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    _both_keys, _both_models, _odd_primes,
-                                   _prime_blocks, _row, bound_reports,
+                                   _prime_blocks, _rho, _row, _split,
+                                   bound_reports,
                                    chess_table, cross_model_check,
                                    cross_model_reports, exhaustive_bound_check,
                                    factorial_check, factorize, general_e_scan,
@@ -129,6 +131,37 @@ def test_factorize_matches_trial_division_at_the_cofactor_edges():
         assert factorize(value) == reference_factorize(value)
 
 
+def test_factorize_falls_back_to_the_prime_blocks(monkeypatch):
+    # a remainder _rho gives up on, below psi_13, and one at or above it;
+    # both are trial-divided by the blocks and match the reference
+    calls = []
+    monkeypatch.setattr(experiments, "_prime_blocks",
+                        lambda: calls.append(1) or _prime_blocks())
+    gives_up = 999_999_999_989 * 1_000_000_000_039
+    above = 7 * 999_983 * 1_000_003 ** 4
+    assert _rho(gives_up) is None
+    assert gives_up < PSI_13 <= above // 7
+    for value in (3 * gives_up, above):
+        assert factorize(value) == reference_factorize(value)
+    assert len(calls) == 2
+
+
+def test_split_appends_primes_whose_product_is_its_input():
+    for p, q in [(999_983, 1_000_003), (1_000_003, 999_999_937),
+                 (999_983, 999_983), (317, 999_999_937)]:
+        primes = []
+        assert _split(p * q, primes)
+        assert sorted(primes) == [p, q]
+    # two primes near 10^9 are past the step budget: nothing is appended
+    primes = []
+    assert not _split(999_999_937 * 1_000_000_007, primes)
+    assert primes == []
+    primes = []
+    assert _split(3 * 5 ** 2 * 1_000_003 ** 3, primes)
+    assert sorted(primes) == [3, 5, 5] + [1_000_003] * 3
+    assert all(is_prime(p) for p in primes)
+
+
 @settings(deadline=None)
 @given(st.integers(1, 10 ** 30 - 1))
 def test_factorize_matches_trial_division_property(value):
@@ -144,11 +177,14 @@ def test_odd_primes_match_a_naive_filter():
 
 
 def test_small_values_build_no_prime_blocks():
-    # a fresh process, so that no other test has filled the cache
+    # a fresh process, so that no other test has filled the cache; every
+    # row of the benchmark's table commands is split without the blocks
     code = ("import chessfock.cli\n"
-            "from chessfock.experiments import _prime_blocks, chess_table, factorize\n"
+            "from chessfock.experiments import (_prime_blocks, chess_table,\n"
+            "                                   factorize, general_e_scan)\n"
             "factorize(48)\n"
-            "chess_table(12)\n"
+            "chess_table(40)\n"
+            "general_e_scan(40, 3, 3)\n"
             "print(_prime_blocks.cache_info().currsize)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
