@@ -10,45 +10,47 @@ binary words, with the per-length check ``verify_generation``.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition)
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column, OddPoly,
-                      _column_values, _pack, _q_star, _q_times, _unpack,
+                      _column, _pack, _q_star, _q_times, _unpack,
                       apply_letter, inner_poly)
 from .tableaux import check_levels
 
 
-def delta_valuation(f: OddPoly) -> Valuation:
-    """min over monomials of v2(coeff) - (|mu| - len(mu))/2; INFINITY for 0.
+def _shift(mu: Partition) -> int:
+    """(|mu| - len(mu))/2, the exponent of 2 in the lattice basis monomial
+    on p_mu: an integer because every part of mu is odd."""
+    return (sum(mu) - len(mu)) // 2
 
-    The subtracted quantity is the 2-adic size of the lattice basis
-    monomial on p_mu, an integer because every part of mu is odd.
-    """
-    best: Valuation = INFINITY
-    for mu, c in f.items():
-        mu = check_odd_partition(mu)
-        val = vp(c, 2) - (sum(mu) - len(mu)) // 2
-        if val < best:
-            best = val
-    return best
+
+@lru_cache(maxsize=None)
+def _key_shift(key: int) -> int:
+    """``_shift`` of the monomial with packed key ``key``."""
+    return _shift(_unpack(key))
+
+
+def delta_valuation(f: OddPoly) -> Valuation:
+    """min over monomials of v2(coeff) - _shift(mu); INFINITY for 0."""
+    return min((vp(c, 2) - _shift(check_odd_partition(mu))
+                for mu, c in f.items()), default=INFINITY)
 
 
 def delta_basis(n: int) -> list[tuple[Partition, OddPoly]]:
-    """The degree-n slice of the lattice basis: (mu, 2^((n-len(mu))/2) p_mu)
+    """The degree-n slice of the lattice basis: (mu, 2^_shift(mu) p_mu)
     for each odd-part mu of n, in enumeration order."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return [
-        (mu, {mu: Fraction(2 ** ((n - len(mu)) // 2))})
-        for mu in enumerate_partitions(n, "odd")
-    ]
+    return [(mu, {mu: Fraction(2 ** _shift(mu))})
+            for mu in enumerate_partitions(n, "odd")]
 
 
-def _basis_desc(mu: Partition, n: int) -> str:
-    shift = (n - len(mu)) // 2
+def _basis_desc(mu: Partition) -> str:
+    shift = _shift(mu)
     prefix = f"2^{shift}*" if shift else ""
     return f"{prefix}p{format_partition(mu)}"
 
@@ -143,33 +145,40 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
     def observations():
         for d in range(degree_bound + 1):
             for mu, b in delta_basis(d):
-                yield f"q{n} {side} {_basis_desc(mu, d)}", delta_valuation(image(b))
+                yield f"q{n} {side} {_basis_desc(mu)}", delta_valuation(image(b))
 
     return _scan_report(f"q-image[{side},n={n}]", degree_bound, required,
                         False, observations())
 
 
-def _lattice_v2(image: Column, degree: int) -> dict[int, int]:
-    """{key: v} over the nonzero (key, num) of a degree-``degree`` image:
-    v = v2(num) - v2(den) - (degree - len(_unpack(key)))/2 is the 2-adic
-    valuation of the term's coordinate on the lattice basis."""
+def _lattice_v2(image: Column) -> dict[int, int]:
+    """{key: v} over the nonzero (key, num) of an image, unreduced and in
+    any order: v = v2(num) - v2(den) - _key_shift(key) is the 2-adic
+    valuation of the term's coordinate on the lattice basis, and no common
+    factor changes it, so no gcd is needed."""
     low = vp(image[0], 2)
-    return {key: (num & -num).bit_length() - 1 - low
-                 - (degree - len(_unpack(key))) // 2
+    return {key: (num & -num).bit_length() - 1 - low - _key_shift(key)
             for key, num in image[1] if num}
+
+
+def _column_v2(gen: str, key: int) -> dict[int, int]:
+    """``_lattice_v2`` of gen p_key, read off the view ``polyrep._column``.
+    v2 ignores the sign of every term but the base term, so the state is
+    read unsigned, and copied only to add ``extra`` to the base term."""
+    den, sign, state, base, extra = _column(gen, key)
+    if extra:
+        state = {**state, base: sign * state.get(base, 0) + extra}
+    return _lattice_v2((den, state.items()))
 
 
 def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound.
 
-    Each column is read through ``polyrep._column_values``, the cached
-    view of one state of polyrep's state memo written out unreduced and
-    unsorted; v is invariant under a common factor, so no gcd is needed.
     The ``delta_valuation`` of a basis monomial's image is the least v that
-    ``_lattice_v2`` reads off its column, plus the monomial's own exponent
-    ``shift`` (INFINITY for an empty column).  A degree bound >= MAX_DEGREE
-    raises at once.
+    ``_column_v2`` reads off its column, plus the monomial's own
+    ``_shift`` (INFINITY for an empty column).  A degree bound >=
+    MAX_DEGREE raises at once.
     """
     if degree_bound + 1 > MAX_DEGREE:
         raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
@@ -177,13 +186,9 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     def observations():
         for d in range(degree_bound + 1):
             for mu in enumerate_partitions(d, "odd"):
-                shift = (d - len(mu)) // 2
-                desc = _basis_desc(mu, d)
-                key = _pack(mu)
+                desc, key, shift = _basis_desc(mu), _pack(mu), _shift(mu)
                 for gen in GENERATORS:
-                    deg = d + 1 if gen[0] == "f" else d - 1
-                    den, col = _column_values(gen, key)
-                    v = _lattice_v2((den, col.items()), deg).values()
+                    v = _column_v2(gen, key).values()
                     yield f"{gen} {desc}", min(v, default=INFINITY) + shift
 
     return _scan_report("stability", degree_bound, 0, False, observations())
@@ -232,10 +237,9 @@ def verify_generation(n: int, level: list) -> ValuationReport:
     rows: set[int] = set()
     for _, image, _ in level:
         row = 0
-        for key, v in _lattice_v2(image, n).items():
+        for key, v in _lattice_v2(image).items():
             if v < 0:
-                nu = _unpack(key)
-                shift = (n - len(nu)) // 2
+                nu, shift = _unpack(key), _key_shift(key)
                 raise ArithmeticError(f"word image escapes the lattice at "
                                       f"{nu} (v2={v + shift} < {shift})")
             if v == 0:
@@ -267,7 +271,7 @@ def verify_pairing(n: int) -> ValuationReport:
 
     def observations():
         for mu, b in delta_basis(n):
-            desc = _basis_desc(mu, n)
+            desc = _basis_desc(mu)
             yield f"({desc}, {desc})", vp(inner_poly(b, b), 2)
 
     return _scan_report(f"pairing[n={n}]", n, required, True, observations())

@@ -193,23 +193,25 @@ def gram_rows(vectors: list[FockVector],
     col_k = sum_b x_b[k] * 2^(b*bits), so the big-int sum of weight(k) *
     x_a[k] * col_k holds the pairing of x_a and x_b in slot b.  A bias of
     2^(bits-1) in every slot makes it nonnegative, with no borrow between
-    slots, while each pairing is below 2^(bits-1) in absolute value: by
-    Cauchy-Schwarz none exceeds the largest weighted norm, and bits has two
-    more.  Xor-ing the bias back leaves two's complement.
+    slots, while each coefficient and each pairing is below 2^(bits-1) in
+    absolute value: by Cauchy-Schwarz none exceeds the largest weighted
+    norm, and bits has two more.  So a column is written as the bytes of
+    x_b[k] + 2^(bits-1), slot by slot, less the bias; a row sum gets the
+    bias added, and xor-ing it back leaves two's complement.
     """
     weights = {k: weight(k) if weight else 1 for k in set().union(*vectors)}
     largest = max((sum(weights[k] * c * c for k, c in x.items())
                    for x in vectors), default=0)
     width = (largest.bit_length() + 9) // 8      # bytes per slot
     bits, m = 8 * width, len(vectors)
-    packed = {k: (bytearray(m * width), bytearray(m * width)) for k in weights}
+    half = 1 << bits - 1
+    slots = half.to_bytes(width, "little") * m
+    bias = int.from_bytes(slots, "little")
+    packed = {k: bytearray(slots) for k in weights}
     for at, x in zip(range(0, m * width, width), vectors):
-        for k, c in x.items():       # positive and negative parts apart
-            packed[k][c < 0][at:at + width] = abs(c).to_bytes(width, "little")
-    cols = {k: int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-            for k, (pos, neg) in packed.items()}
-    del packed
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+        for k, c in x.items():
+            packed[k][at:at + width] = (c + half).to_bytes(width, "little")
+    cols = {k: int.from_bytes(b, "little") - bias for k, b in packed.items()}
     return bits, ((sum(c * weights[k] * cols[k] for k, c in x.items())
                    + bias >> a * bits) ^ (bias >> a * bits)
                   for a, x in enumerate(vectors))

@@ -47,7 +47,7 @@ column views are cached on first use, one per (generator, monomial), and
 each holds the state dict of one shared memo of the states 2 A_j p_mu
 (``_a_state``, which peels the largest part first), not a copy.
 ``op_generator`` and ``delta.verify_stability`` (through
-``_column_values``) read the same cache; nothing is built at import time.
+``delta._column_v2``) read the same cache; nothing is built at import time.
 """
 
 from fractions import Fraction
@@ -266,15 +266,6 @@ def _column(gen: str, key: int) -> View:
     # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
     base, c = (key + 1, 1) if j < 0 else (key - 1, key & 255)
     return 4 * den, j if gen[1] == "0" else -j, state, base, 2 * c * den
-
-
-def _column_values(gen: str, key: int) -> tuple[int, dict[int, int]]:
-    """``_column(gen, key)`` as one unreduced, unsorted (den, {key: num})."""
-    den, sign, state, base, extra = _column(gen, key)
-    values = {out: sign * v for out, v in state.items()}
-    if extra:
-        values[base] = values.get(base, 0) + extra
-    return den, values
 
 
 def op_generator(gen: str, f):

@@ -5,17 +5,17 @@ from itertools import product
 
 import pytest
 
+from chessfock import delta, experiments, polyrep
 from chessfock.arith import INFINITY, tri_count, vp
-from chessfock.delta import (ValuationReport, _basis_desc, _lattice_v2,
-                             _scan_report, delta_basis, delta_valuation,
-                             generation_reports, gf2_rank,
+from chessfock.delta import (ValuationReport, _basis_desc, _column_v2,
+                             _lattice_v2, _scan_report, delta_basis,
+                             delta_valuation, generation_reports, gf2_rank,
                              verify_generation, verify_pairing,
                              verify_q_image, verify_stability)
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _column_values, _pack, _q_items,
-                               _unpack, apply_word_poly, inner_poly, op_series,
-                               poly_scale, random_poly)
+from chessfock.polyrep import (GENERATORS, _pack, _q_items, apply_word_poly,
+                               inner_poly, op_series, poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
 F = Fraction
@@ -156,7 +156,7 @@ def test_verify_stability_matches_a_fold_of_the_series():
     # the integer columns against the Fraction series, witnesses and all
     observations = []
     for d in range(13):
-        observations += [(f"{gen} {_basis_desc(mu, d)}",
+        observations += [(f"{gen} {_basis_desc(mu)}",
                           delta_valuation(op_series(gen, b)))
                          for mu, b in delta_basis(d) for gen in GENERATORS]
         expected = _scan_report("stability", d, 0, False, observations)
@@ -168,30 +168,64 @@ def test_verify_stability_raises_above_the_packed_degree_at_once():
         verify_stability(255)
 
 
-def test_lattice_v2_reads_each_coordinate_of_a_column():
-    # v = v2(c) - (|nu| - len(nu))/2 on each decoded nonzero coefficient c
+def test_column_v2_reads_each_coordinate_of_a_column():
+    # v = v2(c) - (|nu| - len(nu))/2 on each nonzero coefficient c of gen p_mu
     for d in range(13):
         for mu in enumerate_partitions(d, "odd"):
             for gen in GENERATORS:
-                deg = d + 1 if gen[0] == "f" else d - 1
-                den, values = _column_values(gen, _pack(mu))
-                items = [(key, num) for key, num in values.items() if num]
-                nus = [_unpack(key) for key, _ in items]
-                assert {nu: F(num, den) for (_, num), nu in zip(items, nus)} \
-                    == op_series(gen, {mu: F(1)})
-                assert all(sum(nu) == deg for nu in nus)
-                assert _lattice_v2((den, values.items()), deg) == {
-                    key: vp(F(num, den), 2) - (deg - len(nu)) // 2
-                    for (key, num), nu in zip(items, nus)}
+                assert _column_v2(gen, _pack(mu)) == {
+                    _pack(nu): vp(c, 2) - (sum(nu) - len(nu)) // 2
+                    for nu, c in op_series(gen, {mu: F(1)}).items()}
     # degree-255 keys: the one-term image p_nu reads minus the basis exponent
     for nu in [(1,) * 255, (255,), (3,) * 85, (5, 3) + (1,) * 247]:
         key = _pack(nu)
-        assert _lattice_v2((1, ((key, 1),)), 255) == {key: -((255 - len(nu)) // 2)}
+        assert _lattice_v2((1, ((key, 1),))) == {key: -((255 - len(nu)) // 2)}
     # a zero numerator is no term; an even den lowers every v
     p3, p111 = _pack((3,)), _pack((1, 1, 1))
-    assert _lattice_v2((3, ((p3, 0), (p111, 12))), 3) == {p111: 2}
-    assert _lattice_v2((12, ((p3, 2), (p111, 12))), 3) == {p3: -2, p111: 0}
-    assert _lattice_v2((5, ()), 7) == {}
+    assert _lattice_v2((3, ((p3, 0), (p111, 12)))) == {p111: 2}
+    assert _lattice_v2((12, ((p3, 2), (p111, 12)))) == {p3: -2, p111: 0}
+    assert _lattice_v2((5, ())) == {}
+
+
+@pytest.fixture
+def fresh_columns():
+    """Empty column and state memos around a case, so that no column built
+    under an injected defect reaches another test."""
+    for cache in (polyrep._column, polyrep._a_state):
+        cache.cache_clear()
+    yield
+    for cache in (polyrep._column, polyrep._a_state):
+        cache.cache_clear()
+
+
+def test_stability_fails_without_the_base_term(fresh_columns, monkeypatch):
+    """A column that loses its base term p1 p_mu or p1^* p_mu (``extra``
+    set to 0) leaves f0 1 = -p1/2 off the lattice: ``stability`` catches
+    it, with the witness f0 on the constant."""
+    column = polyrep._column
+    monkeypatch.setattr(delta, "_column",
+                        lambda gen, key: column(gen, key)[:4] + (0,))
+    r = verify_stability(4)
+    assert r.verdict == "FAIL" and r.witnesses[0] == ("f0 p[]", -1)
+
+
+def test_a_sign_swap_passes_stability_and_fails_properties(fresh_columns,
+                                                            monkeypatch):
+    """A sign error in a column is invisible to a valuation claim: with the
+    sign of f1 and e1 swapped they become f0 and e0, which keep the lattice,
+    so ``stability`` stays at PASS.  The ``properties`` suite's comparison
+    with the series (``series-truncation``) catches it."""
+    column = polyrep._column
+
+    def swapped(gen, key):
+        den, sign, state, base, extra = column(gen, key)
+        return den, -sign if gen[1] == "1" else sign, state, base, extra
+
+    for module in (delta, polyrep):
+        monkeypatch.setattr(module, "_column", swapped)
+    assert verify_stability(8).verdict == "PASS"
+    checks = {name: ok for name, ok, _ in experiments.property_checks(0)}
+    assert checks["series-truncation"] is False
 
 
 def test_gf2_rank():

@@ -338,14 +338,15 @@ def test_columns_share_the_state_memo():
 def test_import_builds_no_cache():
     # a fresh process, so that no other test has filled the caches
     code = ("import chessfock.cli\n"
-            "from chessfock import polyrep\n"
+            "from chessfock import delta, polyrep\n"
             "caches = (polyrep._column, polyrep._a_state, polyrep._q_items,\n"
-            "          polyrep._q_star_items, polyrep._unpack, polyrep._z)\n"
+            "          polyrep._q_star_items, polyrep._unpack, polyrep._z,\n"
+            "          delta._key_shift)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
