@@ -13,6 +13,9 @@ shape by shape.  ``apply_word`` gives one word's image; the suites that
 need every word's walk the distinct images with ``tableaux.check_levels``
 and pair them with ``gram_rows``.  The operators and the pairing are
 linear and never divide, so they accept rational coefficients as well.
+A step takes the masks of its residue from ``partitions`` once, one per
+class of shapes with the same number of rows mod e, and passes over each
+shape once, masking it with its class's mask.
 
 At e = 2 the residue (i - j) mod 2 does not change under transposition,
 so f_0 and f_1 commute with conjugation and every binary word's image of
@@ -20,8 +23,11 @@ the vacuum is conjugation-invariant.  ``cyclic_sums`` grows the
 alternating image, and ``experiments.bound_reports`` every binary word's,
 as a half vector: the same dict restricted to the shapes with lam_1 >=
 len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``.
-The table steps it by ``_half_f``, the word walks by ``half_step``, which
-reads each shape's step from a memo.  Its pairing weights each shape by
+The table keeps it as four dicts (``_classes``): rows mod 2, times strict
+(lam_1 > len(lam)) or diagonal (lam_1 = len(lam)).  Its step, ``_class_f``,
+masks each class with one constant mask, and its norm is twice the strict
+squares plus the diagonal ones.  The word walks step by ``half_step``,
+which reads each shape's class step from a memo, and pair by
 ``half_weight``.  The half vector serves only such conjugation-invariant
 e = 2 walks from the empty partition; everything else uses full vectors.
 """
@@ -52,13 +58,16 @@ def apply_f(x: FockVector, i: int, e: int) -> FockVector:
     check_residue(i, e)
     out: FockVector = {}
     get = out.get
-    for (s, c), free in zip(x.items(), addable_cells(x, i, e)):
+    masks = addable_cells(i, e, max(x, default=0).bit_length())
+    for s, c in x.items():
+        rows = s.bit_count() % e
+        free = s & ~(s >> 1) & masks[rows]
         while free:
             low = free & -free
-            grown = s ^ (low * 3)
+            grown = s + low
             out[grown] = get(grown, 0) + c
             free ^= low
-        if s.bit_count() % e == i:
+        if rows == i:
             grown = (s << 1) | 2
             out[grown] = get(grown, 0) + c
     return _nonzero(out)
@@ -69,10 +78,12 @@ def apply_e(x: FockVector, i: int, e: int) -> FockVector:
     check_residue(i, e)
     out: FockVector = {}
     get = out.get
-    for (s, c), free in zip(x.items(), removable_cells(x, i, e)):
+    masks = removable_cells(i, e, max(x, default=0).bit_length())
+    for s, c in x.items():
+        free = s & ~(s << 1) & masks[s.bit_count() % e]
         while free:
             low = free & -free
-            shrunk = s ^ (low | low >> 1)
+            shrunk = s - (low >> 1)
             if shrunk & 1:
                 shrunk >>= 1
             out[shrunk] = get(shrunk, 0) + c
@@ -85,41 +96,71 @@ def _nonzero(out: FockVector) -> FockVector:
     return {k: v for k, v in out.items() if v} if 0 in out.values() else out
 
 
-def _half_f(x: FockVector, i: int) -> FockVector:
-    """f_i at e = 2 on the half vector of a conjugation-invariant vector
-    whose coefficients are positive.
-
-    A bead move keeps lam_1 >= len(lam), so every one is kept.  A new row
-    stays in the half only from a strictly wide shape (wide = lam_1 -
-    len(lam) >= 1) or from the empty one.  The one term that enters the
-    half from a dropped conjugate is the transpose of that new row, cell
-    (1, len(lam) + 1) of lam' for wide = 1, so it is added here as well.
-    """
-    out: FockVector = {}
-    get = out.get
-    for (s, c), free in zip(x.items(), addable_cells(x, i, 2)):
-        while free:
-            low = free & -free
-            grown = s ^ (low * 3)
-            out[grown] = get(grown, 0) + c
-            free ^= low
+def _classes(x: FockVector) -> list[FockVector]:
+    """A half vector split into its four classes: entry b + 2d holds the
+    shapes with b rows mod 2, strict (lam_1 > len(lam)) for d = 0 and
+    diagonal (lam_1 = len(lam)) for d = 1."""
+    out: list[FockVector] = [{}, {}, {}, {}]
+    for s, c in x.items():
         rows = s.bit_count()
-        if rows & 1 == i:
-            wide = s.bit_length() - 2 * rows
-            if wide >= 1 or not s:
-                grown = (s << 1) | 2
-                out[grown] = get(grown, 0) + c
-                if wide == 1:
-                    grown = conjugate_beads(grown)
-                    out[grown] = get(grown, 0) + c
+        out[rows % 2 + 2 * (s.bit_length() == 2 * rows)][s] = c
+    return out
+
+
+def _class_f(x: list[FockVector], i: int) -> list[FockVector]:
+    """f_i at e = 2 on the classes (``_classes``) of the half vector of a
+    conjugation-invariant vector whose coefficients are positive.
+
+    Each class steps with its one mask.  A bead move keeps the row count
+    and lam_1 >= len(lam), so every one is kept in its parity; it leaves a
+    diagonal shape only when it moves the top bead, which lengthens row 1.
+    A new row lowers lam_1 - len(lam) by one, so it stays in the half only
+    from a strict shape or from the empty one, and is diagonal from a shape
+    with lam_1 - len(lam) = 1.  The one term that enters the half from a
+    dropped conjugate is the transpose of that diagonal new row, cell (1,
+    len(lam) + 1) of lam', so it is added here as well.
+    """
+    width = max(max(part, default=0) for part in x).bit_length()
+    masks = addable_cells(i, 2, width)
+    out: list[FockVector] = [{}, {}, {}, {}]
+    for b in (0, 1):
+        strict, diagonal, mask = out[b], out[2 + b], masks[b]
+        get = strict.get
+        for s, c in x[b].items():
+            free = s & ~(s >> 1) & mask
+            while free:
+                low = free & -free
+                grown = s + low
+                strict[grown] = get(grown, 0) + c
+                free ^= low
+        for s, c in x[2 + b].items():
+            free = s & ~(s >> 1) & mask
+            while free:
+                low = free & -free
+                grown = s + low
+                into = strict if low << 1 > s else diagonal
+                into[grown] = into.get(grown, 0) + c
+                free ^= low
+    strict, diagonal = out[1 - i], out[3 - i]
+    get, get_diagonal = strict.get, diagonal.get
+    for s, c in x[i].items():
+        grown = (s << 1) | 2
+        if s.bit_length() > 2 * s.bit_count() + 1:
+            strict[grown] = get(grown, 0) + c
+        else:
+            for grown in grown, conjugate_beads(grown):
+                diagonal[grown] = get_diagonal(grown, 0) + c
+    if not i and 0 in x[2]:
+        diagonal[2] = x[2][0]                   # () gains the row (1)
     return out
 
 
 def half_step(x: FockVector, i: int) -> FockVector:
-    """``_half_f`` through a memo of each shape's step, for walks that
-    meet a shape many times (562 entries to n = 15).  ``cyclic_sums``
-    meets each shape once, so it keeps the direct step: at n = 40 a memo
-    there took over 3x the time and 26 MiB for its 58,095 entries."""
+    """f_i at e = 2 on a half vector, through a memo of each shape's class
+    step, for walks that meet a shape many times (562 entries to n = 15).
+    ``cyclic_sums`` meets each shape once, so it keeps the class step: at
+    n = 40 a memo there took over 3x the time and 26 MiB for its 58,095
+    entries."""
     out: FockVector = {}
     get = out.get
     for s, c in x.items():
@@ -130,9 +171,10 @@ def half_step(x: FockVector, i: int) -> FockVector:
 
 @lru_cache(maxsize=None)
 def _half_moves(s: int, i: int) -> tuple[tuple[int, int], ...]:
-    """_half_f({s: 1}, i) as (shape, multiplicity) pairs; (2) and (1, 1)
-    both go to (2, 1) under f_1, so it holds 2."""
-    return tuple(_half_f({s: 1}, i).items())
+    """The class step of {s: 1} as (shape, multiplicity) pairs; (2) and
+    (1, 1) both go to (2, 1) under f_1, so it holds 2."""
+    return tuple(move for part in _class_f(_classes({s: 1}), i)
+                 for move in part.items())
 
 
 def half_weight(s: int) -> int:
@@ -143,17 +185,17 @@ def half_weight(s: int) -> int:
 
 def cyclic_sums(n_max: int, e: int) -> list[int]:
     """The pair sums <x, x> of the images x of the cyclic words 0, 1, ...,
-    (n - 1) mod e for n = 1..n_max, from one growing vector: at e = 2 a
-    half vector with its weighted norm, otherwise the full image, stepped
-    by ``apply_f``, whose norm is its sum of squared coefficients."""
+    (n - 1) mod e for n = 1..n_max, from one growing vector: at e = 2 the
+    classes of a half vector, whose norm weighs the strict ones 2,
+    otherwise the full image, stepped by ``apply_f``, whose norm is its sum
+    of squared coefficients."""
     sums = []
-    x = basis(())
+    x = _classes(basis(())) if e == 2 else basis(())
     for n in range(1, n_max + 1):
         if e == 2:
-            x = _half_f(x, (n - 1) % 2)
-            # half_weight inline: a call per term costs more than the shift
-            sums.append(sum(c * c << (s.bit_length() > 2 * s.bit_count())
-                            for s, c in x.items()))
+            x = _class_f(x, (n - 1) % 2)
+            squares = [sum(c * c for c in part.values()) for part in x]
+            sums.append(2 * (squares[0] + squares[1]) + squares[2] + squares[3])
         else:
             x = apply_f(x, (n - 1) % e, e)
             sums.append(sum(c * c for c in x.values()))

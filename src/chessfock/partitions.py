@@ -9,9 +9,12 @@ The Fock layer keys its vectors by the bead int of a partition instead
 (its Maya diagram or beta-set: Macdonald, Symmetric Functions and Hall
 Polynomials, I.1 Ex. 8): row r of lam is a bead at bit lam_r - r +
 len(lam).  Adding a cell moves one bead up one position and removing one
-moves a bead down, so ``addable_cells``/``removable_cells`` are mask
-computations on that int, made for a whole batch of shapes at once, and
-transposing a shape reverses its complement (``conjugate_beads``).
+moves a bead down.  The residue of the cell that a bead at position p
+adds or removes depends only on p and on the number of beads mod e, so
+``addable_cells``/``removable_cells`` give one constant mask per class of
+shapes with the same bead count mod e, and a step masks each shape with
+its class's mask.  Transposing a shape reverses its complement
+(``conjugate_beads``).
 ``to_beads``/``from_beads`` convert at the edges.
 
 Residue convention
@@ -146,40 +149,39 @@ def _residue_mask(e: int, r: int, width: int) -> int:
     return sum(1 << p for p in range(r, width, e))
 
 
-def addable_cells(shapes, i: int, e: int) -> list[int]:
-    """For each bead int s of shapes, the beads that can move up one
-    position by adding a cell of residue i, as a mask; moving the bead at
-    p gives ``s ^ (3 << p)``.
+def addable_cells(i: int, e: int, width: int) -> list[int]:
+    """The masks of the beads that can move up one position by adding a
+    cell of residue i, entry b for the shapes with b beads mod e: a shape
+    whose bead int s is below 2^width moves the beads of ``s & ~(s >> 1) &
+    masks[s.bit_count() % e]``, and moving the bead at p to the empty
+    position p + 1 gives ``s + (1 << p)``.
 
     The bead at p sits in row r = (beads at or above p), so the added cell
-    (r, lam_r + 1) has residue (len(lam) - 1 - p) mod e.  A new row, cell
-    (len(lam) + 1, 1), is not a bead move: it has residue len(lam) mod e
-    and gives ``(s << 1) | 2``.  The e residue masks are built once for
-    the batch, as wide as its widest shape.  The caller validates i and e
-    (``check_residue``); ``_addable_corners`` is the slow reference.
+    (r, lam_r + 1) has residue (len(lam) - 1 - p) mod e, the same at p for
+    every shape with as many beads mod e.  A new row, cell (len(lam) + 1,
+    1), is not a bead move: it has residue len(lam) mod e and gives ``(s <<
+    1) | 2``.  The width is rounded up to 64k - 1 bits, so that a few
+    cached masks serve every call, and a shape has no more beads than bits,
+    so the entries past b = width, never read, are not built, however large
+    e is.  The caller validates i and e (``check_residue``);
+    ``_addable_corners`` is the slow reference.
     """
-    masks = _batch_masks(shapes, 1 + i, e)
-    return [s & ~(s >> 1) & masks[s.bit_count() % e] for s in shapes]
+    width |= 63
+    return [_residue_mask(e, (b - 1 - i) % e, width)
+            for b in range(min(e, width + 1))]
 
 
-def removable_cells(shapes, i: int, e: int) -> list[int]:
-    """For each bead int s of shapes, the beads that can move down one
-    position by removing a cell of residue i, as a mask; moving the bead
-    at p gives ``s ^ (3 << (p - 1))``, shifted right once when that leaves
-    bit 0 set (the last row emptied).  The removed cell (r, lam_r) has
-    residue (len(lam) - p) mod e.  The caller validates i and e."""
-    masks = _batch_masks(shapes, i, e)
-    return [s & ~(s << 1) & masks[s.bit_count() % e] for s in shapes]
-
-
-def _batch_masks(shapes, shift: int, e: int) -> list[int]:
-    """Entry b is the residue mask for the shapes with b beads mod e: the
-    positions p = b - shift (mod e) below the widest shape, rounded up to
-    64k - 1 bits so that a few cached masks serve every batch.  No shape
-    has more than width beads, so the entries past b = width, never read,
-    are not built, however large e is."""
-    width = max(shapes, default=0).bit_length() | 63
-    return [_residue_mask(e, (b - shift) % e, width)
+def removable_cells(i: int, e: int, width: int) -> list[int]:
+    """The masks of the beads that can move down one position by removing
+    a cell of residue i, entry b for the shapes with b beads mod e, as
+    ``addable_cells`` gives them: a shape s moves the beads of ``s & ~(s <<
+    1) & masks[s.bit_count() % e]``, and moving the bead at p to the empty
+    position p - 1 gives ``s - (1 << (p - 1))``, shifted right once when
+    that leaves bit 0 set (the last row emptied).  The removed cell (r,
+    lam_r) has residue (len(lam) - p) mod e.  The caller validates i and
+    e."""
+    width |= 63
+    return [_residue_mask(e, (b - i) % e, width)
             for b in range(min(e, width + 1))]
 
 

@@ -29,7 +29,9 @@ BENCH_DIGESTS = json.loads(
 #: the cross-model and generation-to-15 ones before every word suite moved
 #: onto the level walk over distinct images, the n = 40 chess table and
 #: e = 3 scan before factorize skipped blocks of primes by one gcd, the two
-#: text-mode verify runs before the CLI printed the suites' records as is.
+#: text-mode verify runs before the CLI printed the suites' records as is,
+#: the e = 1 and e = 5 scans before every add-cell step took one mask per
+#: class of shapes.
 GOLDEN = [
     ("chess_table_24_csv", "chess-table --n-max 24", 0),
     ("chess_table_24_json", "chess-table --n-max 24 --format json", 0),
@@ -52,6 +54,8 @@ GOLDEN = [
     ("scan_e3_40", "scan --n-max 40 --e 3 --p 3", 0),
     ("verify_all_text", "verify --suite all", 0),
     ("verify_q_image_9_text", "verify --suite q-image --n-max 9 --degree 2", 0),
+    ("scan_e1_30", "scan --n-max 30 --e 1 --p 2", 0),
+    ("scan_e5_30", "scan --n-max 30 --e 5 --p 5", 0),
 ]
 
 

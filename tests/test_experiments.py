@@ -1,6 +1,8 @@
+import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, isqrt
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chessfock import experiments
+from chessfock import delta, experiments, fock, partitions, polyrep
 from chessfock.arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from chessfock.delta import ValuationReport
 from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
@@ -21,8 +23,8 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
                                    cross_model_reports, exhaustive_bound_check,
                                    factorial_check, factorize, general_e_scan,
                                    rows_to_csv, rows_to_jsonl, scan_row)
-from chessfock.fock import (_half_f, apply_f, apply_word, basis, gram_rows,
-                            inner, read_slots)
+from chessfock.fock import (apply_f, apply_word, basis, gram_rows, half_step,
+                            inner, pair_sum, read_slots)
 from chessfock.partitions import conjugate_beads, to_beads
 from chessfock.polyrep import (IMAGE_ONE, _pack, _unpack, apply_word_poly,
                                inner_poly, z_key)
@@ -231,10 +233,84 @@ def test_chess_table_values():
 
 def test_chess_table_matches_pair_sum():
     rows = chess_table(6)
-    from chessfock.fock import pair_sum
     for row in rows:
         w = alternating_word(row.n)
         assert row.value == pair_sum(w, w)
+
+
+def counting(monkeypatch, originals):
+    """Counters of the calls to each function of ``originals`` (key ->
+    function), bound in every chessfock module that holds it, as the
+    benchmark's tracer binds its wrappers."""
+    calls = Counter()
+
+    def wrap(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "chessfock"]
+    for key, original in originals.items():
+        wrapper = wrap(key, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_table_commands_keep_the_layers_the_benchmark_traces(monkeypatch):
+    """The benchmark's table workload (chess-table and the e = 3 scan) must
+    reach the traced ``fock.apply_f`` and ``partitions.addable_cells``, and
+    no polyrep or delta function, or its layer self-check marks every traced
+    run incorrect."""
+    originals = {"fock.apply_f": fock.apply_f,
+                 "partitions.addable_cells": partitions.addable_cells}
+    for module in (polyrep, delta):
+        for name, value in vars(module).items():
+            if (callable(value) and not inspect.isclass(value)
+                    and getattr(value, "__module__", None) == module.__name__):
+                originals[f"{module.__name__}.{name}"] = value
+    calls = counting(monkeypatch, originals)
+    assert general_e_scan(8, 3, 3)
+    assert calls["fock.apply_f"] == 8
+    assert calls["partitions.addable_cells"] == 8
+    calls.clear()
+    # the e = 2 table grows its class vector, whose step takes its masks
+    # from addable_cells once per row
+    assert chess_table(8)
+    assert calls == {"partitions.addable_cells": 8}
+
+
+@pytest.fixture
+def fresh_half_moves():
+    """An empty half-step memo around a case, so that no step taken under
+    an injected defect reaches another test."""
+    fock._half_moves.cache_clear()
+    yield
+    fock._half_moves.cache_clear()
+
+
+def test_chess_table_fails_without_the_dropped_conjugate(fresh_half_moves,
+                                                         monkeypatch):
+    """A class step that drops the transpose of a diagonal new row (from
+    lam_1 - len(lam) = 1) loses a term the full vector has: the table no
+    longer matches the published values or the full-vector pair sums."""
+    step = fock._class_f
+
+    def dropped(x, i):
+        out = step(x, i)
+        for s, c in x[i].items():
+            if s.bit_length() == 2 * s.bit_count() + 1:
+                out[3 - i][conjugate_beads((s << 1) | 2)] -= c
+        return out
+
+    monkeypatch.setattr(fock, "_class_f", dropped)
+    values = [row.value for row in chess_table(10)]
+    assert values != CHESS_VALUES[:10]
+    assert values != [pair_sum(w, w) for w in map(alternating_word, range(1, 11))]
 
 
 def test_csv_and_jsonl_golden():
@@ -315,7 +391,7 @@ def naive_bound_report(n, level):
 def test_grouped_bound_check_matches_a_naive_fold():
     # claimed at its own n the check passes; claimed at n + 3 the same
     # level fails on pairs from several letter contents
-    levels = check_levels(12, _half_f, basis(()), lambda n, level: (n, level))
+    levels = check_levels(12, half_step, basis(()), lambda n, level: (n, level))
     for n, level in levels:
         for claimed in (n, n + 3):
             report = exhaustive_bound_check(claimed, level)

@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from chessfock.fock import (_half_f, apply_e, apply_f, apply_word, basis,
-                            cyclic_sums, decode, gram_rows, half_step,
+from chessfock.fock import (_class_f, _classes, apply_e, apply_f, apply_word,
+                            basis, cyclic_sums, decode, gram_rows, half_step,
                             half_weight, inner, pair_sum, random_vector,
                             read_slots)
 from chessfock.partitions import (_addable_corners, _removable_corners,
@@ -221,27 +221,38 @@ def halved(x):
 
 
 def test_half_walk_matches_the_full_walk():
+    # the class step keeps every shape of the half in its class: rows mod
+    # 2, strict or diagonal
     sums = cyclic_sums(30, 2)
-    x = half = basis(())
+    x, classes = basis(()), _classes(basis(()))
     for n in range(1, 31):
         x = apply_f(x, (n - 1) % 2, 2)
-        half = _half_f(half, (n - 1) % 2)
-        assert half == halved(x)
+        classes = _class_f(classes, (n - 1) % 2)
+        assert classes == _classes(halved(x))
         assert sums[n - 1] == inner(x, x)
     # the bound suite steps every binary word's image, not only the
     # alternating one's, with either letter
     for level in fock_levels(12):
         for _, image, _ in level:
             for i in range(2):
-                assert (_half_f(halved(image), i)
-                        == halved(apply_f(image, i, 2)))
+                assert (_class_f(_classes(halved(image)), i)
+                        == _classes(halved(apply_f(image, i, 2))))
+
+
+def test_classes_split_the_half_by_row_parity_and_diagonal():
+    shapes = [(), (1,), (2,), (2, 1), (3, 1), (2, 2), (3, 1, 1), (4, 1, 1)]
+    x = {to_beads(lam): k for k, lam in enumerate(shapes, start=1)}
+    assert [sorted(decode(part)) for part in _classes(x)] == [
+        [(3, 1)], [(2,), (4, 1, 1)], [(), (2, 1), (2, 2)], [(1,), (3, 1, 1)]]
 
 
 def test_half_step_matches_the_direct_step():
     for level in fock_levels(12):
         for _, image, _ in level:
             for i in range(2):
-                assert half_step(halved(image), i) == _half_f(halved(image), i)
+                direct = _class_f(_classes(halved(image)), i)
+                assert half_step(halved(image), i) == {
+                    s: c for part in direct for s, c in part.items()}
     # letter 1 takes (2) and its dropped conjugate (1, 1) both to (2, 1)
     assert half_step({to_beads((2,)): 3}, 1) == {to_beads((2, 1)): 6}
 

@@ -115,16 +115,26 @@ def bead_cells(s, beads, column_shift):
             if beads >> (part - r + len(lam)) & 1]
 
 
+def up(s, i, e):
+    """The beads of s that adding a cell of residue i moves, read off the
+    mask of its class."""
+    return s & ~(s >> 1) & addable_cells(i, e, s.bit_length())[s.bit_count() % e]
+
+
+def down(s, i, e):
+    return s & ~(s << 1) & removable_cells(i, e, s.bit_length())[s.bit_count() % e]
+
+
 def added_cells(lam, i, e):
     """Every addable cell of residue i, read off the bead masks."""
     s = to_beads(lam)
     new_row = [(len(lam) + 1, 1)] if len(lam) % e == i else []
-    return bead_cells(s, addable_cells([s], i, e)[0], 1) + new_row
+    return bead_cells(s, up(s, i, e), 1) + new_row
 
 
 def removed_cells(lam, i, e):
     s = to_beads(lam)
-    return bead_cells(s, removable_cells([s], i, e)[0], 0)
+    return bead_cells(s, down(s, i, e), 0)
 
 
 def test_beads_round_trip():
@@ -146,13 +156,19 @@ def test_beads_round_trip():
 
 
 def test_boundary_cells_examples():
-    assert addable_cells([to_beads(())], 0, 2) == [0]     # only the new row
+    assert up(to_beads(()), 0, 2) == 0                 # only the new row
     assert added_cells((), 0, 2) == [(1, 1)]
     assert added_cells((), 1, 2) == []
     assert added_cells((1,), 0, 2) == []
-    assert addable_cells([to_beads((1,))], 1, 2) == [0b10]
+    assert up(to_beads((1,)), 1, 2) == 0b10
     assert added_cells((1,), 1, 2) == [(1, 2), (2, 1)]
-    assert removable_cells([to_beads((2, 1))], 1, 2) == [0b1010]
+    assert down(to_beads((2, 1)), 1, 2) == 0b1010
+    # at e = 2 residue 1 is added at the odd positions of an even number of
+    # beads and at the even ones of an odd number, and removed the other
+    # way round
+    odd, even = _residue_mask(2, 1, 63), _residue_mask(2, 0, 63)
+    assert addable_cells(1, 2, 5) == removable_cells(0, 2, 5) == [even, odd]
+    assert addable_cells(0, 2, 5) == removable_cells(1, 2, 5) == [odd, even]
     assert removed_cells((2, 1), 1, 2) == [(1, 2), (2, 1)]
     assert removed_cells((2, 1), 0, 2) == []
     with pytest.raises(ValueError):
@@ -187,9 +203,10 @@ def test_addable_cells_match_the_corner_filter():
 def test_a_large_modulus_builds_masks_only_for_bead_counts_that_occur():
     # a shape has at most width beads, so a call needs at most width + 1
     # masks, not one per residue class mod e
-    width = 63                      # the masks of a batch of small shapes
+    width = 63                      # the masks of small shapes
     before = _residue_mask.cache_info().currsize
-    addable_cells([to_beads((5, 3, 1))], 1, 10**5)
+    masks = addable_cells(1, 10**5, to_beads((5, 3, 1)).bit_length())
+    assert len(masks) == width + 1
     assert _residue_mask.cache_info().currsize - before <= width + 1
 
 
@@ -199,29 +216,37 @@ def test_add_remove_are_inverse():
             s = to_beads(lam)
             for e in (2, 3):
                 for i in range(e):
-                    free = addable_cells([s], i, e)[0]
+                    free = up(s, i, e)
                     for p in range(s.bit_length()):
                         if not free >> p & 1:
                             continue
                         bigger = s ^ (3 << p)
+                        assert bigger == s + (1 << p)
                         assert sum(from_beads(bigger)) == n + 1
-                        assert removable_cells([bigger], i, e)[0] >> (p + 1) & 1
+                        assert down(bigger, i, e) >> (p + 1) & 1
                         assert bigger ^ (3 << p) == s
 
 
-def test_a_batch_gives_each_shape_its_own_masks():
-    # shapes of many widths, past the 63-bit masks, in one batch
-    shapes = [to_beads(lam) for n in range(9) for lam in enumerate_partitions(n)]
-    shapes += [to_beads(lam) for lam in ((70,), (1,) * 70, (40, 30, 3, 1), (64,))]
+def test_one_mask_list_serves_shapes_of_every_width():
+    # the masks built for the widest shape, past the 63-bit masks, give
+    # every narrower shape the cells of the corner filter
+    shapes = [lam for n in range(9) for lam in enumerate_partitions(n)]
+    shapes += [(70,), (1,) * 70, (40, 30, 3, 1), (64,)]
+    width = max(map(to_beads, shapes)).bit_length()
     for e in (1, 2, 3, 4):
         for i in range(e):
-            up = addable_cells(shapes, i, e)
-            down = removable_cells(shapes, i, e)
-            assert len(up) == len(down) == len(shapes)
-            for s, free, gone in zip(shapes, up, down):
-                assert addable_cells([s], i, e) == [free]
-                assert removable_cells([s], i, e) == [gone]
-    assert addable_cells([], 0, 2) == removable_cells([], 0, 2) == []
+            masks = addable_cells(i, e, width), removable_cells(i, e, width)
+            assert len(masks[0]) == len(masks[1]) == e
+            for lam in shapes:
+                s = to_beads(lam)
+                mask_up, mask_down = (m[s.bit_count() % e] for m in masks)
+                assert bead_cells(s, s & ~(s >> 1) & mask_up, 1) == [
+                    c for c in _addable_corners(lam)[:-1]
+                    if cell_residue(c, e) == i]
+                assert bead_cells(s, s & ~(s << 1) & mask_down, 0) == [
+                    c for c in _removable_corners(lam) if cell_residue(c, e) == i]
+    # the empty vector's step still indexes the class of no beads
+    assert len(addable_cells(0, 2, 0)) == len(removable_cells(0, 2, 0)) == 2
 
 
 def test_conjugate_beads():
