@@ -18,11 +18,12 @@ and the four generator operators assembled from two series:
 
 The series act locally in degree, so on any given input only finitely
 many terms survive and the truncated sum below is exactly the operator.
-``op_series`` evaluates them on Fraction polynomials, through the vertex
-operator components A_-1 and A_1 of ``op_a``; it is the definition and
-the public reference that ``op_generator`` is checked against, and its
-``terms`` argument pushes the truncation further to show that the cut is
-exact.
+``op_series`` evaluates them through the vertex operator components A_-1
+and A_1 of ``op_a``; it is the definition and the public reference that
+``op_generator`` is checked against, and its ``terms`` argument pushes the
+truncation further to show that the cut is exact.  ``op_a`` sums in
+integers: q_n^* p_tau over the sub-multisets of tau of degree n
+(``_sub_monomials``), q_n * over q_n's lcm denominator (``_q_column``).
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
@@ -52,7 +53,7 @@ each holds the state dict of one shared memo of the states 2 A_j p_mu
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, perm
+from math import comb, gcd, lcm, perm
 
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          z_mu)
@@ -61,9 +62,6 @@ from .tableaux import ResidueWord
 OddPoly = dict[Partition, Fraction]
 
 GENERATORS = ("f0", "f1", "e0", "e1")
-
-#: A monomial as (k, m, k**m) for each distinct part k, m its multiplicity.
-Runs = tuple[tuple[int, int, int], ...]
 
 #: A polynomial as (den, ((key, numerator), ...)): the sum of
 #: numerator / den * p_key over packed keys, with no zero numerator.
@@ -93,19 +91,12 @@ def top_degree(f: OddPoly) -> int:
     return max((sum(mu) for mu in f), default=-1)
 
 
-def _add_into(out: OddPoly, g: OddPoly, sign: int = 1) -> OddPoly:
-    """out += sign * g in place, for sign +1 or -1, dropping zeros."""
-    for mu, c in g.items():
-        s = out.get(mu, 0) + (c if sign > 0 else -c)
-        if s:
-            out[mu] = s
-        elif mu in out:
-            del out[mu]
-    return out
-
-
 def poly_add(f: OddPoly, g: OddPoly) -> OddPoly:
-    return _add_into(dict(f), g)
+    """f + g, dropping zeros."""
+    out = dict(f)
+    for mu, c in g.items():
+        out[mu] = out.get(mu, 0) + c
+    return {mu: c for mu, c in out.items() if c}
 
 
 def poly_scale(f: OddPoly, c: Fraction) -> OddPoly:
@@ -120,14 +111,11 @@ def mul_monomial(f: OddPoly, mu) -> OddPoly:
     return {tuple(sorted(tau + mu, reverse=True)): c for tau, c in f.items()}
 
 
-def _runs(mu: Partition) -> Runs:
-    return tuple((k, mu.count(k), k ** mu.count(k)) for k in dict.fromkeys(mu))
-
-
-def _adjoint_runs(f: OddPoly, runs: Runs) -> OddPoly:
-    """The adjoint of multiplication by the monomial whose parts are
-    given as ``_runs``; the keys of f are partitions, so removing whole
-    runs of a part leaves them sorted, and distinct, so no terms add up."""
+def _adjoint_runs(f: OddPoly, runs) -> OddPoly:
+    """The adjoint of multiplication by the monomial whose parts are given
+    as runs (k, m, k**m), m the multiplicity of the part k; the keys of f
+    are partitions, so removing whole runs of a part leaves them sorted,
+    and distinct, so no terms add up."""
     out: OddPoly = {}
     for tau, c in f.items():
         rest = list(tau)
@@ -151,7 +139,9 @@ def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
     monomial of f survives only if it contains mu, and its coefficient
     picks up k^(m_k) times a falling factorial of the multiplicities.
     """
-    return _adjoint_runs(f, _runs(check_odd_partition(mu)))
+    mu = check_odd_partition(mu)
+    return _adjoint_runs(f, tuple((k, mu.count(k), k ** mu.count(k))
+                                  for k in dict.fromkeys(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -163,28 +153,64 @@ def _q_items(n: int) -> tuple[tuple[Partition, Fraction], ...]:
     )
 
 
-def _q_times(n: int, f: OddPoly) -> OddPoly:
-    """q_n * f."""
-    out: OddPoly = {}
-    for mu, c in _q_items(n):
-        for tau, v in f.items():
-            key = tuple(sorted(tau + mu, reverse=True))
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+@lru_cache(maxsize=None)
+def _q_column(n: int) -> Column:
+    """q_n in integers, (Z_n, ((key, weight), ...)), read from ``_q_items``."""
+    return _ints(dict(_q_items(n)))
 
 
 @lru_cache(maxsize=None)
-def _q_star_items(n: int) -> tuple[tuple[Runs, Fraction], ...]:
-    return tuple((_runs(mu), c) for mu, c in _q_items(n))
+def _sub_monomials(key: int) -> dict[int, list[tuple[int, int]]]:
+    """q_n^* p_tau as {n: [(key of tau minus nu, weight), ...]} over the
+    sub-multisets nu of tau = ``_unpack(key)``: 2^len(nu) / z_nu times
+    prod_k k^m perm(t, m) is the integer 2^len(nu) prod_k C(t, m), where the
+    part k is m times in nu and t times in tau."""
+    subs = [(0, 0, 1)]  # (|nu|, key of nu, weight) over the parts so far
+    for i, t in enumerate(key.to_bytes((key.bit_length() + 7) // 8, "little")):
+        subs = [(n + (2 * i + 1) * m, nu + (m << 8 * i), w * comb(t, m) << m)
+                for n, nu, w in subs for m in range(t + 1)]
+    out: dict[int, list[tuple[int, int]]] = {}
+    for n, nu, w in subs:
+        out.setdefault(n, []).append((key - nu, w))
+    return out
 
 
-def _q_star(n: int, f: OddPoly) -> OddPoly:
-    """The adjoint of multiplication by q_n, applied to f."""
-    out: OddPoly = {}
-    for runs, c in _q_star_items(n):
-        for key, v in _adjoint_runs(f, runs).items():
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+def _q_star(n: int, f):
+    """q_n^* f, the adjoint of q_n *, for an OddPoly or a packed form."""
+    den, items = _ints(f) if isinstance(f, dict) else f
+    acc: dict[int, int] = {}
+    for key, num in items:
+        for rest, w in _sub_monomials(key).get(n, ()):
+            acc[rest] = acc.get(rest, 0) + w * num
+    items = [(key, v) for key, v in acc.items() if v]
+    return _poly(den, items) if isinstance(f, dict) else (den, items)
+
+
+def _q_times(n: int, f):
+    """q_n * f for an OddPoly or a packed form (den, items): over den * Z_n."""
+    den, items = _ints(f, n) if isinstance(f, dict) else f
+    q_den, q_items = _q_column(n)
+    acc: dict[int, int] = {}
+    for key, num in items:
+        for mu, w in q_items:
+            acc[key + mu] = acc.get(key + mu, 0) + w * num
+    den, items = den * q_den, [(key, v) for key, v in acc.items() if v]
+    return _poly(den, items) if isinstance(f, dict) else (den, items)
+
+
+def _ints(f: OddPoly, reach: int = 0) -> Column:
+    """f packed over the lcm of its denominators; refused if ``reach`` more
+    degrees would overflow a slot (see ``_pack``)."""
+    if top_degree(f) + reach > MAX_DEGREE:
+        raise ValueError(f"degree {top_degree(f) + reach} is above {MAX_DEGREE}")
+    den = lcm(*(c.denominator for c in f.values()))
+    return den, [(_pack(mu), c.numerator * (den // c.denominator))
+                 for mu, c in f.items()]
+
+
+def _poly(den: int, items) -> OddPoly:
+    """The OddPoly of packed items over den, nonzero numerators only."""
+    return {_unpack(key): Fraction(v, den) for key, v in items if v}
 
 
 _z = lru_cache(maxsize=None)(z_mu)  # validated on the first call per key
@@ -217,8 +243,8 @@ def op_series(gen: str, f: OddPoly, terms: int | None = None) -> OddPoly:
     else:
         base = adjoint_monomial(f, (1,))
         a = op_a(1, f, terms)
-    sign = 1 if gen in ("f1", "e0") else -1
-    return poly_scale(_add_into(base, a, sign), Fraction(1, 2))
+    sign = Fraction(1 if gen in ("f1", "e0") else -1, 2)
+    return poly_add(poly_scale(base, Fraction(1, 2)), poly_scale(a, sign))
 
 
 @lru_cache(maxsize=None)
@@ -282,12 +308,7 @@ def op_generator(gen: str, f):
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     poly = isinstance(f, dict)
-    if poly:
-        den = lcm(*(c.denominator for c in f.values()))
-        items = [(_pack(mu), c.numerator * (den // c.denominator))
-                 for mu, c in f.items()]
-    else:
-        den, items = f
+    den, items = _ints(f) if poly else f
     cols = [(num, _column(gen, key)) for key, num in items]
     step = lcm(*(col[0] for _, col in cols))
     acc: dict[int, int] = {}
@@ -301,7 +322,7 @@ def op_generator(gen: str, f):
     g = gcd(den * step, *acc.values())
     den, items = den * step // g, [(k, v // g) for k, v in acc.items() if v]
     if poly:
-        return {_unpack(key): Fraction(v, den) for key, v in items}
+        return _poly(den, items)
     return (den, tuple(sorted(items))) if items else ()
 
 
@@ -317,13 +338,17 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
     d.  ``terms`` overrides the last a, so the checks can confirm that
     pushing the sum further never changes the result.
     """
-    d = top_degree(f)
     lo = max(0, -j)
-    hi = d - j if terms is None else terms
-    out: OddPoly = {}
+    hi = top_degree(f) - j if terms is None else terms
+    packed = _ints(f, lo)
+    step = lcm(*(_q_column(a)[0] for a in range(lo, hi + 1)))
+    acc: dict[int, int] = {}
     for a in range(lo, hi + 1):
-        _add_into(out, _q_times(a, _q_star(a + j, f)), -1 if a % 2 else 1)
-    return poly_scale(out, Fraction(1, 2))
+        den, items = _q_times(a, _q_star(a + j, packed))
+        scale = step * packed[0] // den * (-1) ** a
+        for key, v in items:
+            acc[key] = acc.get(key, 0) + scale * v
+    return _poly(2 * packed[0] * step, acc.items())
 
 
 def apply_letter(f, letter: int):
@@ -343,7 +368,7 @@ def apply_word_poly(word: ResidueWord) -> OddPoly:
         f = apply_letter(f, letter)
         if not f:
             return {}
-    return {_unpack(key): Fraction(num, f[0]) for key, num in f[1]}
+    return _poly(*f)
 
 
 def random_poly(rng, max_degree: int) -> OddPoly:

@@ -3,16 +3,19 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from chessfock import delta, experiments, polyrep
 from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
 from chessfock.delta import delta_valuation
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _a_state, _column,
-                               _pack, _q_items, _q_star, _q_times, _unpack,
+                               _ints, _pack, _poly, _q_items, _q_star,
+                               _q_times, _unpack,
                                adjoint_monomial, apply_letter,
                                apply_word_poly, inner_poly, mul_monomial, op_a,
                                op_generator, op_series, poly_add, poly_scale,
@@ -197,6 +200,85 @@ def test_cancelled_terms_are_dropped_not_kept_as_zero():
     assert op_a(3, {(1, 1, 1): F(1), (3,): F(-4)}) == {}   # (1/2) q_3^* f
 
 
+def _q_oracle(n, f, op):
+    """sum over the terms c_mu p_mu of q_n of c_mu * op(f, mu): q_n^* from
+    adjoint_monomial, or q_n * from mul_monomial, by the definition."""
+    out = {}
+    for mu, c in _q_items(n):
+        out = poly_add(out, poly_scale(op(f, mu), c))
+    return out
+
+
+def test_q_kernels_match_the_monomial_definitions():
+    # every odd monomial to degree 12, against every q_n to n = 14, n above
+    # the degree included (q_n^* is then 0); then random Fraction inputs;
+    # the packed form, decoded, gives the same as the OddPoly form
+    inputs = [{mu: F(-3, 2 * deg + 1)} for deg in range(13)
+              for mu in enumerate_partitions(deg, "odd")]
+    rng = random.Random(17)
+    inputs += [random_poly(rng, 10) for _ in range(12)]
+    for f in inputs:
+        for n in range(15):
+            star, times = _q_star(n, f), _q_times(n, f)
+            assert star == _q_oracle(n, f, adjoint_monomial)
+            assert times == _q_oracle(n, f, mul_monomial)
+            assert _poly(*_q_star(n, _ints(f))) == star
+            assert _poly(*_q_times(n, _ints(f))) == times
+        assert _q_star(top_degree(f) + 1, f) == {}
+
+
+def test_q_times_refuses_a_product_above_degree_255():
+    # the product's keys would carry a slot over; the input alone is fine
+    f = {(1,) * 250: F(1)}
+    assert _q_star(5, f) == {(1,) * 245: F(2 ** 5 * comb(250, 5))}
+    with pytest.raises(ValueError, match="degree 256 is above 255"):
+        _q_times(6, f)
+    with pytest.raises(ValueError, match="degree 256 is above 255"):
+        op_a(-6, f)
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty sub-monomial, q_n, column and state memos around a case, so
+    that no weight built under an injected defect reaches another test."""
+    caches = (polyrep._sub_monomials, polyrep._q_column, polyrep._column,
+              polyrep._a_state)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _without_binomials(monkeypatch):
+    monkeypatch.setattr(polyrep, "comb", lambda t, m: 1)
+
+
+def _without_powers_of_two(monkeypatch):
+    subs = polyrep._sub_monomials
+    monkeypatch.setattr(polyrep, "_sub_monomials", lambda key: {
+        n: [(rest, w >> len(_unpack(key - rest))) for rest, w in terms]
+        for n, terms in subs(key).items()})
+
+
+@pytest.mark.parametrize("defect, q_image", [(_without_binomials, "PASS"),
+                                             (_without_powers_of_two, "FAIL")])
+def test_a_wrong_sub_monomial_weight_fails_properties(fresh_memos, monkeypatch,
+                                                      defect, q_image):
+    """q_n^* p_tau with its weights 2^len(nu) * prod_k C(t_k, m_k) losing
+    the binomials or the power of 2: the reference series no longer
+    matches the columns (``series-truncation``) and A_j is no longer
+    contravariant; the checks of the columns alone still pass.  ``q-image``
+    fails only on the lost power of 2: without the binomials, every
+    valuation it bounds stays at or above its bound."""
+    defect(monkeypatch)
+    for seed in range(3):
+        failed = {name for name, ok, _ in experiments.property_checks(seed)
+                  if not ok}
+        assert failed == {"series-truncation", "vertex-contravariance"}
+    assert delta.verify_q_image(3, 8, "adjoint").verdict == q_image
+
+
 def test_state_memo_is_the_vertex_operator_component():
     # 2 A_j p_mu by the commutation rule against op_a, the definition: the
     # deep states (j <= -2) and j = 0 as well as the columns' j = -1 and 1
@@ -340,13 +422,13 @@ def test_import_builds_no_cache():
     code = ("import chessfock.cli\n"
             "from chessfock import delta, polyrep\n"
             "caches = (polyrep._column, polyrep._a_state, polyrep._q_items,\n"
-            "          polyrep._q_star_items, polyrep._unpack, polyrep._z,\n"
-            "          delta._key_shift)\n"
+            "          polyrep._q_column, polyrep._sub_monomials,\n"
+            "          polyrep._unpack, polyrep._z, delta._key_shift)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
