@@ -71,7 +71,7 @@ def is_prime(p: int) -> bool:
 
 
 def vp(q: Fraction | int, p: int) -> Valuation:
-    """The p-adic valuation of a rational number.
+    """The p-adic valuation of a rational number, an int or a Fraction.
 
     vp(q, p) is the exponent of p in q, negative when p divides the
     denominator, and INFINITY for q = 0.  Raises ValueError if p is not
@@ -79,7 +79,6 @@ def vp(q: Fraction | int, p: int) -> Valuation:
     """
     if not is_prime(p):
         raise ValueError(f"valuations need a prime, got p={p}")
-    q = Fraction(q)
     if q == 0:
         return INFINITY
     num = q.numerator

@@ -4,21 +4,22 @@ its valuation, and the machine verifiers built on it.
 A polynomial lies in 2^t times the lattice exactly when its
 ``delta_valuation`` is >= t, so each verifier reduces a containment claim
 to a minimum of integer valuations over a finite set of inputs and reports
-the outcome with witnesses.  The generation suite (``generation_reports``)
-is one ``tableaux.check_levels`` walk over the distinct images of the
-binary words, with the per-length check ``verify_generation``.
+the outcome with witnesses.  The verifiers read it off packed integer
+images (``_lattice_v2``), q-image and stability in one basis scan
+(``_basis_scan``).  The generation suite (``generation_reports``) is one
+``tableaux.check_levels`` walk over the distinct images of the binary
+words, with the per-length check ``verify_generation``.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
-                         format_partition)
+                         format_partition, z_mu)
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column, OddPoly,
                       _column, _pack, _q_star, _q_times, _unpack,
-                      apply_letter, inner_poly)
+                      apply_letter)
 from .tableaux import check_levels
 
 
@@ -38,15 +39,6 @@ def delta_valuation(f: OddPoly) -> Valuation:
     """min over monomials of v2(coeff) - _shift(mu); INFINITY for 0."""
     return min((vp(c, 2) - _shift(check_odd_partition(mu))
                 for mu, c in f.items()), default=INFINITY)
-
-
-def delta_basis(n: int) -> list[tuple[Partition, OddPoly]]:
-    """The degree-n slice of the lattice basis: (mu, 2^_shift(mu) p_mu)
-    for each odd-part mu of n, in enumeration order."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return [(mu, {mu: Fraction(2 ** _shift(mu))})
-            for mu in enumerate_partitions(n, "odd")]
 
 
 def _basis_desc(mu: Partition) -> str:
@@ -121,36 +113,6 @@ def _scan_report(claim, degree_bound, required, require_tight, observations):
     )
 
 
-def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
-    """Check one instance of the q_n image bounds on the lattice.
-
-    side="multiply": q_n * f stays in 2^(-(n + eps - 4)/2) times the
-    lattice; side="adjoint": q_n^* f stays in 2^((n - eps + 2)/2) times it,
-    where eps = n mod 2.  Exercised on every lattice basis monomial of
-    degree <= degree_bound (enough, since both maps are linear over the
-    odd-denominator integers).
-    """
-    if n < 1:
-        raise ValueError(f"q-image check needs n >= 1, got {n}")
-    eps = n % 2
-    if side == "multiply":
-        required = -(n + eps - 4) // 2
-        image = lambda b: _q_times(n, b)
-    elif side == "adjoint":
-        required = (n - eps + 2) // 2
-        image = lambda b: _q_star(n, b)
-    else:
-        raise ValueError(f"side must be 'multiply' or 'adjoint', got {side!r}")
-
-    def observations():
-        for d in range(degree_bound + 1):
-            for mu, b in delta_basis(d):
-                yield f"q{n} {side} {_basis_desc(mu)}", delta_valuation(image(b))
-
-    return _scan_report(f"q-image[{side},n={n}]", degree_bound, required,
-                        False, observations())
-
-
 def _lattice_v2(image: Column) -> dict[int, int]:
     """{key: v} over the nonzero (key, num) of an image, unreduced and in
     any order: v = v2(num) - v2(den) - _key_shift(key) is the 2-adic
@@ -171,27 +133,54 @@ def _column_v2(gen: str, key: int) -> dict[int, int]:
     return _lattice_v2((den, state.items()))
 
 
-def verify_stability(degree_bound: int) -> ValuationReport:
-    """Check that all four generator operators preserve the lattice, on
-    every basis monomial of degree <= degree_bound.
+def _basis_scan(degree_bound: int, reach: int, images):
+    """(description, valuation) of the named images of each basis monomial
+    2^_shift(mu) p_mu of degree <= degree_bound: ``images(key)`` yields
+    (name, ``_lattice_v2`` of the image of p_key), whose least value plus
+    ``_shift(mu)`` is the valuation.  Raises at once if ``reach`` more
+    degrees would overflow a packed key."""
+    if degree_bound + reach > MAX_DEGREE:
+        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    for d in range(degree_bound + 1):
+        for mu in enumerate_partitions(d, "odd"):
+            desc, shift = _basis_desc(mu), _shift(mu)
+            for name, v in images(_pack(mu)):
+                v = min(v.values(), default=INFINITY)
+                yield f"{name} {desc}", v + shift
 
-    The ``delta_valuation`` of a basis monomial's image is the least v that
-    ``_column_v2`` reads off its column, plus the monomial's own
-    ``_shift`` (INFINITY for an empty column).  A degree bound >=
+
+def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
+    """Check one instance of the q_n image bounds on the lattice.
+
+    side="multiply": q_n * f stays in 2^(-(n + eps - 4)/2) times the
+    lattice; side="adjoint": q_n^* f stays in 2^((n - eps + 2)/2) times it,
+    where eps = n mod 2.  Exercised on every lattice basis monomial of
+    degree <= degree_bound (enough, since both maps are linear over the
+    odd-denominator integers), each image packed.  A product above
     MAX_DEGREE raises at once.
     """
-    if degree_bound + 1 > MAX_DEGREE:
-        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    if n < 1:
+        raise ValueError(f"q-image check needs n >= 1, got {n}")
+    eps = n % 2
+    if side == "multiply":
+        required, reach, image = -(n + eps - 4) // 2, n, _q_times
+    elif side == "adjoint":
+        required, reach, image = (n - eps + 2) // 2, 0, _q_star
+    else:
+        raise ValueError(f"side must be 'multiply' or 'adjoint', got {side!r}")
+    name = f"q{n} {side}"
+    images = lambda key: ((name, _lattice_v2(image(n, (1, ((key, 1),))))),)
+    return _scan_report(f"q-image[{side},n={n}]", degree_bound, required,
+                        False, _basis_scan(degree_bound, reach, images))
 
-    def observations():
-        for d in range(degree_bound + 1):
-            for mu in enumerate_partitions(d, "odd"):
-                desc, key, shift = _basis_desc(mu), _pack(mu), _shift(mu)
-                for gen in GENERATORS:
-                    v = _column_v2(gen, key).values()
-                    yield f"{gen} {desc}", min(v, default=INFINITY) + shift
 
-    return _scan_report("stability", degree_bound, 0, False, observations())
+def verify_stability(degree_bound: int) -> ValuationReport:
+    """Check that all four generator operators preserve the lattice, on
+    every basis monomial of degree <= degree_bound, each image read off
+    its column.  A degree bound >= MAX_DEGREE raises at once."""
+    images = lambda key: ((gen, _column_v2(gen, key)) for gen in GENERATORS)
+    return _scan_report("stability", degree_bound, 0, False,
+                        _basis_scan(degree_bound, 1, images))
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -263,15 +252,17 @@ def verify_pairing(n: int) -> ValuationReport:
     bound is attained (tightness).
 
     Distinct monomials are orthogonal, so only the diagonal pairings are
-    nonzero and only they are computed.
+    nonzero and only they are read, straight from z_mu; no key is packed,
+    so no degree limit applies.
     """
     if n < 1:
         raise ValueError(f"pairing check needs n >= 1, got {n}")
     required = n - tri_count(n)
 
     def observations():
-        for mu, b in delta_basis(n):
+        for mu in enumerate_partitions(n, "odd"):
             desc = _basis_desc(mu)
-            yield f"({desc}, {desc})", vp(inner_poly(b, b), 2)
+            # (2^s p_mu, 2^s p_mu) = 4^s z_mu, with s = _shift(mu)
+            yield f"({desc}, {desc})", 2 * _shift(mu) + vp(z_mu(mu), 2)
 
     return _scan_report(f"pairing[n={n}]", n, required, True, observations())

@@ -22,8 +22,9 @@ many terms survive and the truncated sum below is exactly the operator.
 and A_1 of ``op_a``; it is the definition and the public reference that
 ``op_generator`` is checked against, and its ``terms`` argument pushes the
 truncation further to show that the cut is exact.  ``op_a`` sums in
-integers: q_n^* p_tau over the sub-multisets of tau of degree n
-(``_sub_monomials``), q_n * over q_n's lcm denominator (``_q_column``).
+integers on packed forms: q_n^* p_tau over the sub-multisets of tau of
+degree n (``_sub_monomials``), q_n * over q_n's one table ``_q_column``,
+which ``_a_state`` and ``random_poly`` read too.
 
 Each generator is linear, so ``op_generator`` applies it as a sparse
 matrix-vector product over the images of single monomials (columns),
@@ -145,18 +146,12 @@ def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
 
 
 @lru_cache(maxsize=None)
-def _q_items(n: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """q_n as its (mu, 2^len(mu) / z_mu) terms, computed once per n."""
-    return tuple(
-        (mu, Fraction(2 ** len(mu), z_mu(mu)))
-        for mu in enumerate_partitions(n, "odd")
-    )
-
-
-@lru_cache(maxsize=None)
 def _q_column(n: int) -> Column:
-    """q_n in integers, (Z_n, ((key, weight), ...)), read from ``_q_items``."""
-    return _ints(dict(_q_items(n)))
+    """q_n in integers, (Z_n, ((key, weight), ...)) in enumeration order:
+    Z_n the lcm of the reduced denominators of the 2^len(mu) / z_mu."""
+    terms = [(mu, z_mu(mu)) for mu in enumerate_partitions(n, "odd")]
+    den = lcm(*(z // gcd(z, 1 << len(mu)) for mu, z in terms))
+    return den, tuple((_pack(mu), (den << len(mu)) // z) for mu, z in terms)
 
 
 @lru_cache(maxsize=None)
@@ -175,27 +170,26 @@ def _sub_monomials(key: int) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def _q_star(n: int, f):
-    """q_n^* f, the adjoint of q_n *, for an OddPoly or a packed form."""
-    den, items = _ints(f) if isinstance(f, dict) else f
+def _q_star(n: int, f: Column) -> Column:
+    """q_n^* f, the adjoint of q_n *, on a packed form (den, items)."""
+    den, items = f
     acc: dict[int, int] = {}
     for key, num in items:
         for rest, w in _sub_monomials(key).get(n, ()):
             acc[rest] = acc.get(rest, 0) + w * num
-    items = [(key, v) for key, v in acc.items() if v]
-    return _poly(den, items) if isinstance(f, dict) else (den, items)
+    return den, [(key, v) for key, v in acc.items() if v]
 
 
-def _q_times(n: int, f):
-    """q_n * f for an OddPoly or a packed form (den, items): over den * Z_n."""
-    den, items = _ints(f, n) if isinstance(f, dict) else f
+def _q_times(n: int, f: Column) -> Column:
+    """q_n * f on a packed form (den, items), over den * Z_n; the caller
+    keeps the product's degree within MAX_DEGREE."""
+    den, items = f
     q_den, q_items = _q_column(n)
     acc: dict[int, int] = {}
     for key, num in items:
         for mu, w in q_items:
             acc[key + mu] = acc.get(key + mu, 0) + w * num
-    den, items = den * q_den, [(key, v) for key, v in acc.items() if v]
-    return _poly(den, items) if isinstance(f, dict) else (den, items)
+    return den * q_den, [(key, v) for key, v in acc.items() if v]
 
 
 def _ints(f: OddPoly, reach: int = 0) -> Column:
@@ -257,11 +251,9 @@ def _a_state(j: int, key: int) -> tuple[int, dict[int, int]]:
     if not key:
         if j > 0:
             return 1, {}
-        items = _q_items(-j)
-        den = lcm(*(c.denominator for _, c in items))
+        den, items = _q_column(-j)
         sign = -1 if j % 2 else 1
-        return den, {_pack(mu): sign * c.numerator * (den // c.denominator)
-                     for mu, c in items}
+        return den, {k: sign * w for k, w in items}
     i = (key.bit_length() - 1) // 8  # slot i holds the largest part, 2i + 1
     part = 1 << 8 * i
     rest = key - part
@@ -377,8 +369,8 @@ def random_poly(rng, max_degree: int) -> OddPoly:
     out: OddPoly = {}
     for _ in range(6):
         n = rng.randrange(max_degree + 1)
-        items = _q_items(n)
-        mu, _ = items[rng.randrange(len(items))]
+        items = _q_column(n)[1]
+        mu = _unpack(items[rng.randrange(len(items))][0])
         coeff = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
         out[mu] = out.get(mu, Fraction(0)) + coeff
     return {k: v for k, v in out.items() if v}

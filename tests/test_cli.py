@@ -128,6 +128,11 @@ def test_usage_errors_exit_two(capsys):
          "error: primality is decided only below"),
         (["verify", "--suite", "stability", "--degree", "300"],
          "error: degree 256 is above 255"),
+        # q-image refuses before its first basis monomial, also within all
+        (["verify", "--suite", "q-image", "--degree", "300"],
+         "error: degree 256 is above 255"),
+        (["verify", "--suite", "all", "--degree", "300"],
+         "error: degree 256 is above 255"),
         # the word walks refuse before walking, not at a degree-255 column
         (["verify", "--suite", "generation", "--n-max", "256"],
          "error: degree 256 is above 255"),

@@ -7,15 +7,15 @@ import pytest
 
 from chessfock import delta, experiments, polyrep
 from chessfock.arith import INFINITY, tri_count, vp
-from chessfock.delta import (ValuationReport, _basis_desc, _column_v2,
-                             _lattice_v2, _scan_report, delta_basis,
+from chessfock.delta import (ValuationReport, _basis_desc, _basis_scan,
+                             _column_v2, _lattice_v2, _scan_report, _shift,
                              delta_valuation, generation_reports, gf2_rank,
                              verify_generation, verify_pairing,
                              verify_q_image, verify_stability)
-from chessfock.partitions import (enumerate_partitions,
-                                  glaisher_odd_to_distinct, z_mu)
-from chessfock.polyrep import (GENERATORS, _pack, _q_items, apply_word_poly,
-                               inner_poly, op_series, poly_scale, random_poly)
+from chessfock.partitions import enumerate_partitions, glaisher_odd_to_distinct
+from chessfock.polyrep import (GENERATORS, _pack, _poly, _q_column, _unpack,
+                               apply_word_poly, inner_poly, op_series,
+                               poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
 F = Fraction
@@ -27,7 +27,7 @@ def test_delta_valuation_basics():
     assert delta_valuation({(3,): F(1)}) == -1
     assert delta_valuation({(3,): F(2)}) == 0
     assert delta_valuation({(5,): F(1)}) == -2
-    assert delta_valuation(dict(_q_items(3))) == 0
+    assert delta_valuation(_poly(*_q_column(3))) == 0
     assert delta_valuation({(3, 1, 1): F(6)}) == 0
     with pytest.raises(ValueError):
         delta_valuation({(2,): F(1)})
@@ -46,28 +46,49 @@ def test_delta_valuation_scaling_and_min():
         assert v == min(delta_valuation({mu: c}) for mu, c in f.items())
 
 
-def test_delta_basis():
-    assert delta_basis(0) == [((), {(): F(1)})]
-    assert delta_basis(3) == [((3,), {(3,): F(2)}),
-                              ((1, 1, 1), {(1, 1, 1): F(1)})]
-    for n in range(10):
-        for mu, b in delta_basis(n):
-            assert delta_valuation(b) == 0
+def _itself(key):
+    """p_key read as its own image under the identity."""
+    return (("b", _lattice_v2((1, ((key, 1),)))),)
 
 
-def test_basis_and_pairing_reject_sizes_below_range():
-    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
-        delta_basis(-1)
+def test_basis_scan_reads_each_basis_monomial_as_itself():
+    # degree by degree, in enumeration order, each at valuation 0
+    assert list(_basis_scan(3, 0, _itself)) == [
+        ("b p[]", 0), ("b p[1]", 0), ("b p[1,1]", 0), ("b 2^1*p[3]", 0),
+        ("b p[1,1,1]", 0)]
+    descs = [f"b {_basis_desc(mu)}" for d in range(11)
+             for mu in enumerate_partitions(d, "odd")]
+    assert list(_basis_scan(10, 0, _itself)) == [(d, 0) for d in descs]
+    # the zero image reads INFINITY, and each name is one observation
+    two = lambda key: (("x", {}), ("y", {key: -1}))
+    assert list(_basis_scan(1, 0, two)) == [
+        ("x p[]", INFINITY), ("y p[]", -1), ("x p[1]", INFINITY),
+        ("y p[1]", -1)]
+
+
+def test_basis_scan_and_pairing_reject_sizes_out_of_range():
+    # the scan refuses a reach past the packed degree before any image
+    for degree, reach in ((256, 0), (255, 1), (250, 6)):
+        with pytest.raises(ValueError, match="degree 256 is above 255"):
+            next(_basis_scan(degree, reach, None))
+    assert list(_basis_scan(-1, 0, None)) == []
     with pytest.raises(ValueError, match="needs n >= 1, got 0"):
         verify_pairing(0)
 
 
-def test_basis_diagonal_valuations_follow_glaisher():
-    # v2 of the self-pairing of a basis monomial is n - len(glaisher(mu))
-    for n in range(1, 13):
-        for mu, b in delta_basis(n):
+def test_basis_diagonal_valuations_follow_glaisher(scanned):
+    # v2 of the self-pairing of a basis monomial is n - len(glaisher(mu)):
+    # verify_pairing's reading off z_mu against inner_poly, monomial by
+    # monomial
+    for n in range(1, 17):
+        verify_pairing(n)
+        expected = []
+        for mu in enumerate_partitions(n, "odd"):
+            b = {mu: F(2 ** _shift(mu))}
             val = vp(inner_poly(b, b), 2)
             assert val == n - len(glaisher_odd_to_distinct(mu))
+            expected.append((f"({_basis_desc(mu)}, {_basis_desc(mu)})", val))
+        assert scanned.pop() == expected
 
 
 def test_report_verdicts():
@@ -156,9 +177,11 @@ def test_verify_stability_matches_a_fold_of_the_series():
     # the integer columns against the Fraction series, witnesses and all
     observations = []
     for d in range(13):
+        basis = [(mu, {mu: F(2 ** _shift(mu))})
+                 for mu in enumerate_partitions(d, "odd")]
         observations += [(f"{gen} {_basis_desc(mu)}",
                           delta_valuation(op_series(gen, b)))
-                         for mu, b in delta_basis(d) for gen in GENERATORS]
+                         for mu, b in basis for gen in GENERATORS]
         expected = _scan_report("stability", d, 0, False, observations)
         assert verify_stability(d).to_json() == expected.to_json()
 
@@ -187,18 +210,7 @@ def test_column_v2_reads_each_coordinate_of_a_column():
     assert _lattice_v2((5, ())) == {}
 
 
-@pytest.fixture
-def fresh_columns():
-    """Empty column and state memos around a case, so that no column built
-    under an injected defect reaches another test."""
-    for cache in (polyrep._column, polyrep._a_state):
-        cache.cache_clear()
-    yield
-    for cache in (polyrep._column, polyrep._a_state):
-        cache.cache_clear()
-
-
-def test_stability_fails_without_the_base_term(fresh_columns, monkeypatch):
+def test_stability_fails_without_the_base_term(fresh_memos, monkeypatch):
     """A column that loses its base term p1 p_mu or p1^* p_mu (``extra``
     set to 0) leaves f0 1 = -p1/2 off the lattice: ``stability`` catches
     it, with the witness f0 on the constant."""
@@ -209,7 +221,7 @@ def test_stability_fails_without_the_base_term(fresh_columns, monkeypatch):
     assert r.verdict == "FAIL" and r.witnesses[0] == ("f0 p[]", -1)
 
 
-def test_a_sign_swap_passes_stability_and_fails_properties(fresh_columns,
+def test_a_sign_swap_passes_stability_and_fails_properties(fresh_memos,
                                                             monkeypatch):
     """A sign error in a column is invisible to a valuation claim: with the
     sign of f1 and e1 swapped they become f0 and e0, which keep the lattice,
@@ -226,6 +238,58 @@ def test_a_sign_swap_passes_stability_and_fails_properties(fresh_columns,
     assert verify_stability(8).verdict == "PASS"
     checks = {name: ok for name, ok, _ in experiments.property_checks(0)}
     assert checks["series-truncation"] is False
+
+
+def _q_without_powers_of_two(monkeypatch):
+    """q_n with the weights 1 / z_mu in place of 2^len(mu) / z_mu."""
+    q_column = polyrep._q_column
+
+    def dropped(n):
+        den, items = q_column(n)
+        top = max(len(_unpack(key)) for key, _ in items)
+        return den << top, tuple((key, w << top - len(_unpack(key)))
+                                 for key, w in items)
+
+    monkeypatch.setattr(polyrep, "_q_column", dropped)
+
+
+def _columns_over_twice_their_denominator(monkeypatch):
+    column = polyrep._column
+    for module in (delta, polyrep):
+        monkeypatch.setattr(module, "_column", lambda gen, key: (
+            2 * column(gen, key)[0],) + column(gen, key)[1:])
+
+
+def _pairing_without_z(monkeypatch):
+    monkeypatch.setattr(delta, "z_mu", lambda mu: 1)
+
+
+@pytest.mark.parametrize("defect, failed", [
+    (_q_without_powers_of_two,
+     {f"q-image[multiply,n={n}]" for n in range(1, 9)} | {"stability"}),
+    (_columns_over_twice_their_denominator, {"stability"}),
+    (_pairing_without_z, {f"pairing[n={n}]" for n in range(2, 13)}),
+])
+def test_each_lattice_suite_fails_under_the_defect_it_covers(
+        fresh_memos, monkeypatch, defect, failed):
+    """Which of q-image, stability and pairing (at degree 8, n <= 8, and
+    n <= 12) sees which injected defect.  q_n losing the 2^len(mu) of its
+    weights fails q-image on the multiply side, where q_n's table is read,
+    and stability, whose columns start from q_n (``_a_state``); the
+    adjoint side reads ``_sub_monomials``, which is right.  A column over
+    twice its denominator is seen by stability alone, the one suite that
+    reads the columns.  Pairing alone reads z_mu, and z = 1 leaves it
+    short of tight at every n >= 2 (at n = 1, z = 1 is right).  Each
+    failing report names its witnesses below the bound."""
+    defect(monkeypatch)
+    reports = [verify_q_image(n, 8, side) for n in range(1, 9)
+               for side in ("multiply", "adjoint")]
+    reports.append(verify_stability(8))
+    reports += [verify_pairing(n) for n in range(1, 13)]
+    assert {r.claim for r in reports if r.verdict == "FAIL"} == failed
+    for r in reports:
+        if r.claim in failed:
+            assert r.witnesses and r.witnesses[0][1] < r.required
 
 
 def test_gf2_rank():

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -14,8 +14,8 @@ from chessfock.delta import delta_valuation
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _a_state, _column,
-                               _ints, _pack, _poly, _q_items, _q_star,
-                               _q_times, _unpack,
+                               _ints, _pack, _poly, _q_column, _q_star,
+                               _q_times, _sub_monomials, _unpack,
                                adjoint_monomial, apply_letter,
                                apply_word_poly, inner_poly, mul_monomial, op_a,
                                op_generator, op_series, poly_add, poly_scale,
@@ -67,10 +67,38 @@ def test_odd_part_checks_reject_even_parts():
 
 
 def test_q_small():
-    assert dict(_q_items(0)) == {(): F(1)}
-    assert dict(_q_items(1)) == {(1,): F(2)}
-    assert dict(_q_items(2)) == {(1, 1): F(2)}
-    assert dict(_q_items(3)) == {(3,): F(2, 3), (1, 1, 1): F(4, 3)}
+    # q_n's one table: its terms 2^len(mu) / z_mu, in enumeration order,
+    # over the lcm of their reduced denominators
+    p1, p3 = _pack((1,)), _pack((3,))
+    assert _q_column(0) == (1, ((0, 1),))
+    assert _q_column(1) == (1, ((p1, 2),))
+    assert _q_column(2) == (1, ((2 * p1, 2),))
+    assert _q_column(3) == (3, ((p3, 2), (3 * p1, 4)))
+    for n in range(21):
+        den, items = _q_column(n)
+        q = {mu: F(2 ** len(mu), z_mu(mu))
+             for mu in enumerate_partitions(n, "odd")}
+        assert [_unpack(key) for key, _ in items] == list(q)
+        assert _poly(den, items) == q
+        assert den == lcm(*(c.denominator for c in q.values()))
+
+
+def test_random_poly_draws_are_pinned():
+    # each monomial is drawn from q_n's table, in its enumeration order
+    draws = {
+        (0, 9): {(1,): F(8, 5), (1, 1): F(-6), (1,) * 6: F(-4),
+                 (3, 3, 1): F(9), (3, 3, 1, 1): F(3, 2)},
+        (1, 9): {(1, 1): F(-1), (1,) * 6: F(-3), (3,): F(6), (3, 1): F(9),
+                 (3, 1, 1, 1, 1): F(2), (5,): F(-9)},
+        (2, 9): {(): F(-17, 6), (1, 1): F(-1, 5), (1,) * 6: F(7, 2),
+                 (3,): F(9), (3, 3, 1, 1): F(7, 2)},
+        (5, 0): {(): F(12)},
+        (5, 12): {(): F(-2), (1, 1): F(2, 3), (1, 1, 1): F(8),
+                  (3, 1, 1, 1): F(-4, 3), (3, 3, 3): F(2, 5),
+                  (5, 1, 1, 1, 1): F(-9)},
+    }
+    for (seed, max_degree), f in draws.items():
+        assert random_poly(random.Random(seed), max_degree) == f
 
 
 def test_inner_poly():
@@ -194,9 +222,10 @@ def test_series_truncation_is_exact():
 
 def test_cancelled_terms_are_dropped_not_kept_as_zero():
     # q_3 = 2/3 p3 + 4/3 p1^3, so q_3^* sends p3 to 2 and p1^3 to 8
-    assert _q_star(3, {(3,): F(4), (1, 1, 1): F(-1)}) == {}
-    assert _q_times(3, {(1, 1, 1): F(2), (3,): F(-1)}) == {
-        (3, 3): F(-2, 3), (1,) * 6: F(8, 3)}
+    p3, p111 = _pack((3,)), _pack((1, 1, 1))
+    assert _q_star(3, (5, ((p3, 4), (p111, -1)))) == (5, [])
+    den, items = _q_times(3, (1, ((p111, 2), (p3, -1))))
+    assert den == 3 and sorted(items) == [(2 * p111, 8), (2 * p3, -2)]
     assert op_a(3, {(1, 1, 1): F(1), (3,): F(-4)}) == {}   # (1/2) q_3^* f
 
 
@@ -204,50 +233,55 @@ def _q_oracle(n, f, op):
     """sum over the terms c_mu p_mu of q_n of c_mu * op(f, mu): q_n^* from
     adjoint_monomial, or q_n * from mul_monomial, by the definition."""
     out = {}
-    for mu, c in _q_items(n):
-        out = poly_add(out, poly_scale(op(f, mu), c))
+    for mu in enumerate_partitions(n, "odd"):
+        out = poly_add(out, poly_scale(op(f, mu), F(2 ** len(mu), z_mu(mu))))
     return out
 
 
 def test_q_kernels_match_the_monomial_definitions():
     # every odd monomial to degree 12, against every q_n to n = 14, n above
     # the degree included (q_n^* is then 0); then random Fraction inputs;
-    # the packed form, decoded, gives the same as the OddPoly form
+    # each packed once and the result decoded
     inputs = [{mu: F(-3, 2 * deg + 1)} for deg in range(13)
               for mu in enumerate_partitions(deg, "odd")]
     rng = random.Random(17)
     inputs += [random_poly(rng, 10) for _ in range(12)]
     for f in inputs:
+        packed = _ints(f)
         for n in range(15):
-            star, times = _q_star(n, f), _q_times(n, f)
-            assert star == _q_oracle(n, f, adjoint_monomial)
-            assert times == _q_oracle(n, f, mul_monomial)
-            assert _poly(*_q_star(n, _ints(f))) == star
-            assert _poly(*_q_times(n, _ints(f))) == times
-        assert _q_star(top_degree(f) + 1, f) == {}
+            star, times = _q_star(n, packed), _q_times(n, packed)
+            assert _poly(*star) == _q_oracle(n, f, adjoint_monomial)
+            assert _poly(*times) == _q_oracle(n, f, mul_monomial)
+        assert _q_star(top_degree(f) + 1, packed) == (packed[0], [])
 
 
-def test_q_times_refuses_a_product_above_degree_255():
-    # the product's keys would carry a slot over; the input alone is fine
+def test_q_image_reads_the_valuation_of_each_image(scanned):
+    # q-image's packed read-off against delta_valuation of the image of
+    # each basis monomial 2^_shift(mu) p_mu by the definition
+    for n in range(1, 9):
+        for side, op in (("multiply", mul_monomial),
+                         ("adjoint", adjoint_monomial)):
+            delta.verify_q_image(n, 10, side)
+            assert scanned.pop() == [
+                (f"q{n} {side} {delta._basis_desc(mu)}", delta_valuation(
+                    _q_oracle(n, {mu: F(2 ** delta._shift(mu))}, op)))
+                for d in range(11) for mu in enumerate_partitions(d, "odd")]
+
+
+def test_op_a_and_q_image_refuse_a_product_above_degree_255():
+    # the packed kernels take what their callers guard: op_a packs its
+    # input with room for q_lo, and q-image refuses before its first image
     f = {(1,) * 250: F(1)}
-    assert _q_star(5, f) == {(1,) * 245: F(2 ** 5 * comb(250, 5))}
-    with pytest.raises(ValueError, match="degree 256 is above 255"):
-        _q_times(6, f)
+    assert _poly(*_q_star(5, _ints(f))) == {
+        (1,) * 245: F(2 ** 5 * comb(250, 5))}
     with pytest.raises(ValueError, match="degree 256 is above 255"):
         op_a(-6, f)
-
-
-@pytest.fixture
-def fresh_memos():
-    """Empty sub-monomial, q_n, column and state memos around a case, so
-    that no weight built under an injected defect reaches another test."""
-    caches = (polyrep._sub_monomials, polyrep._q_column, polyrep._column,
-              polyrep._a_state)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    before = _q_column.cache_info(), _sub_monomials.cache_info()
+    for n, degree, side in ((1, 255, "multiply"), (6, 250, "multiply"),
+                            (1, 256, "adjoint")):
+        with pytest.raises(ValueError, match="degree 256 is above 255"):
+            delta.verify_q_image(n, degree, side)
+    assert (_q_column.cache_info(), _sub_monomials.cache_info()) == before
 
 
 def _without_binomials(monkeypatch):
@@ -421,14 +455,14 @@ def test_import_builds_no_cache():
     # a fresh process, so that no other test has filled the caches
     code = ("import chessfock.cli\n"
             "from chessfock import delta, polyrep\n"
-            "caches = (polyrep._column, polyrep._a_state, polyrep._q_items,\n"
-            "          polyrep._q_column, polyrep._sub_monomials,\n"
-            "          polyrep._unpack, polyrep._z, delta._key_shift)\n"
+            "caches = (polyrep._column, polyrep._a_state, polyrep._q_column,\n"
+            "          polyrep._sub_monomials, polyrep._unpack, polyrep._z,\n"
+            "          delta._key_shift)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
