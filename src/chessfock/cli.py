@@ -4,9 +4,16 @@ suites.
 Exit status: 0 when everything requested passes, 1 when any verifier or
 table row reports FAIL, 2 for usage errors.  Output is byte-deterministic
 for a fixed command line (including --seed).
+
+``entry`` (the console script and ``python -m``) freezes the heap with
+``gc.freeze()`` once ``main`` returns or raises, so the closing
+collections of the exiting interpreter do not walk every object only to
+free it with the process; atexit handlers, flushes and profilers still
+run.  ``main`` does not freeze: tests and tracers call it in-process.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -230,8 +237,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

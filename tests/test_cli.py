@@ -394,3 +394,40 @@ def test_a_closed_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) in (0, 1, 2)
     assert "Traceback" not in err, err
+
+
+def test_entry_freezes_the_heap_once_on_every_exit(capsys, monkeypatch):
+    # the counter stands in for gc.freeze, so pytest's own heap stays
+    # collectable
+    from chessfock import cli as cli_module
+
+    freezes = []
+    monkeypatch.setattr(cli_module.gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(experiments, "factorial_check", lambda n: n != 2)
+    for argv, code in (("chess-table --n-max 3", 0),
+                       ("verify --suite factorial --n-max 3", 1),
+                       ("verify --suite nope", 2)):
+        freezes.clear()
+        monkeypatch.setattr(sys, "argv", ["chessfock", *argv.split()])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.entry()
+        assert exc.value.code == code, argv
+        assert freezes == [1], argv
+    out = capsys.readouterr()
+    assert "FAIL factorial[n=2]" in out.out
+    assert "nope" in out.err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("chess_table_24_csv", "chess-table --n-max 24"),
+    ("verify_bound_12_json", "verify --suite bound --n-max 12 --format json"),
+], ids=["chess_table_24_csv", "verify_bound_12_json"])
+def test_a_fresh_process_prints_the_golden(name, argv):
+    # through entry() and the frozen heap at exit, as a user's run ends
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "chessfock.cli", *argv.split()],
+        capture_output=True, cwd=src, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.out").read_bytes()
