@@ -256,8 +256,9 @@ def _pair_text(v, w) -> str:
 def bound_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``exhaustive_bound_check(n, level)`` for n = 1..n_max from one
     ``check_levels`` pass over the distinct Fock images of the words as
-    half vectors (see ``fock``), stepped by ``half_step``."""
-    return check_levels(n_max, half_step, basis(()), exhaustive_bound_check)
+    half vectors (see ``fock``), stepped one by one by ``half_step``."""
+    return check_levels(n_max, lambda xs, i: [half_step(x, i) for x in xs],
+                        basis(()), exhaustive_bound_check)
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
@@ -371,11 +372,11 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     return _row(len(v), pair_sum(v, w), v.e, p)
 
 
-def _both_models(state: tuple[dict, Column], letter: int) -> tuple[dict, Column] | None:
-    """One letter applied in both models; None once both images vanish."""
-    x, f = state
-    y, g = apply_f(x, letter, 2), f and apply_letter(f, letter)
-    return (y, g) if y or g else None
+def _both_models(states: list[tuple[dict, Column]], letter: int) -> list:
+    """One letter applied to a level of pairs; None where both images vanish."""
+    ys = [apply_f(x, letter, 2) for x, _ in states]
+    gs = apply_letter([f for _, f in states], letter)
+    return [(y, g) if y or g else None for y, g in zip(ys, gs)]
 
 
 def _both_keys(state: tuple[dict, Column]) -> tuple:

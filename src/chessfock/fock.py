@@ -231,32 +231,38 @@ def gram_rows(vectors: list[FockVector],
     diagonal on as one integer: slot b - a holds sum_k weight(k) * x_a[k] *
     x_b[k] for x_a = vectors[a], b >= a, in two's complement (read back by
     ``read_slots``), for integer coefficients of either sign and a positive
-    weight (1 when None).  Each key's column is packed into one integer,
-    col_k = sum_b x_b[k] * 2^(b*bits), so the big-int sum of weight(k) *
-    x_a[k] * col_k holds the pairing of x_a and x_b in slot b.  A bias of
-    2^(bits-1) in every slot makes it nonnegative, with no borrow between
-    slots, while each coefficient and each pairing is below 2^(bits-1) in
-    absolute value: by Cauchy-Schwarz none exceeds the largest weighted
-    norm, and bits has two more.  So a column is written as the bytes of
-    x_b[k] + 2^(bits-1), slot by slot, less the bias; a row sum gets the
-    bias added, and xor-ing it back leaves two's complement.
+    weight (1 when None).  Over the columns col_k of ``pack_columns``, the
+    sum of weight(k) * x_a[k] * col_k holds the pairing of x_a and x_b in
+    slot b; by Cauchy-Schwarz no coefficient or pairing exceeds the largest
+    weighted norm, and bits has two more.  The row plus the bias, xor the
+    bias, is the row in two's complement.
     """
     weights = {k: weight(k) if weight else 1 for k in set().union(*vectors)}
     largest = max((sum(weights[k] * c * c for k, c in x.items())
                    for x in vectors), default=0)
     width = (largest.bit_length() + 9) // 8      # bytes per slot
-    bits, m = 8 * width, len(vectors)
-    half = 1 << bits - 1
-    slots = half.to_bytes(width, "little") * m
-    bias = int.from_bytes(slots, "little")
-    packed = {k: bytearray(slots) for k in weights}
-    for at, x in zip(range(0, m * width, width), vectors):
-        for k, c in x.items():
-            packed[k][at:at + width] = (c + half).to_bytes(width, "little")
-    cols = {k: int.from_bytes(b, "little") - bias for k, b in packed.items()}
+    bits = 8 * width
+    bias, cols = pack_columns(vectors, width)
     return bits, ((sum(c * weights[k] * cols[k] for k, c in x.items())
                    + bias >> a * bits) ^ (bias >> a * bits)
                   for a, x in enumerate(vectors))
+
+
+def pack_columns(vectors: list[dict], width: int) -> tuple[int, dict]:
+    """The bias, 2^(bits-1) in each slot of bits = 8 * width, and per key k
+    of the vectors the column sum_b x_b[k] * 2^(b*bits), for |x_b[k]| <
+    2^(bits-1): the bytes of x_b[k] + 2^(bits-1), slot by slot, less the
+    bias.  A sum of columns with every slot below 2^(bits-1) in absolute
+    value, plus the bias, is nonnegative in each slot: no borrow crosses."""
+    half = 1 << 8 * width - 1
+    slots = half.to_bytes(width, "little") * len(vectors)
+    bias = int.from_bytes(slots, "little")
+    packed = {k: bytearray(slots) for k in set().union(*vectors)}
+    for at, x in zip(range(0, len(slots), width), vectors):
+        for k, c in x.items():
+            packed[k][at:at + width] = (c + half).to_bytes(width, "little")
+    return bias, {k: int.from_bytes(b, "little") - bias
+                  for k, b in packed.items()}
 
 
 def read_slots(row: int, count: int, bits: int) -> list[int]:

@@ -26,10 +26,10 @@ integers on packed forms: q_n^* p_tau over the sub-multisets of tau of
 degree n (``_sub_monomials``), q_n * over q_n's one table ``_q_column``,
 which ``_a_state`` and ``random_poly`` read too.
 
-Each generator is linear, so ``op_generator`` applies it as a sparse
-matrix-vector product over the images of single monomials (columns),
-computed in integers.  A column comes from the commutation rule of the
-vertex operator, [q_m^*, p_k] = 2 q_(m-k)^*, which peels one part k at a time:
+Each generator is linear, so ``op_generator`` steps a whole level of
+images at once, in big-int sums over the images of single monomials
+(columns).  A column comes from the commutation rule of the vertex
+operator, [q_m^*, p_k] = 2 q_(m-k)^*, which peels one part k at a time:
 
     A_j(p_k g) = p_k A_j(g) + 2 A_(j-k)(g),   A_j(1) = (1/2) (-1)^j q_(-j),
 
@@ -42,9 +42,9 @@ the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
 monomials is a sum of keys and p_(mu minus nu) a difference.  A slot could
 overflow above degree 255, where ``_pack`` and the columns raise
 ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
-with the cached ``_unpack``, and packed images (den, ((key, int), ...)) to
-packed images, which every word walk carries from ``IMAGE_ONE`` (their
-numerators pair in ``fock.gram_rows``, weighted by ``z_key``).  The
+with the cached ``_unpack``, and packed images (den, ((key, int), ...)),
+and lists of them, to the same: the word walks step levels from
+``IMAGE_ONE`` (numerators pair in ``fock.gram_rows``, by ``z_key``).  The
 column views are cached on first use, one per (generator, monomial), and
 each holds the state dict of one shared memo of the states 2 A_j p_mu
 (``_a_state``, which peels the largest part first), not a copy.
@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
 
+from .fock import pack_columns, read_slots
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          z_mu)
 from .tableaux import ResidueWord
@@ -289,33 +290,51 @@ def _column(gen: str, key: int) -> View:
 
 
 def op_generator(gen: str, f):
-    """Apply one of the generator operators f0, f1, e0, e1 to f.
+    """Apply one of the generator operators f0, f1, e0, e1 to f, an OddPoly,
+    a packed image or a level (a list of packed images, () the zero one),
+    equal to ``op_series`` by linearity and of the same form as f.
 
-    f is an OddPoly or a packed image, and so is the result: the sum of the
-    coefficients times the column views ``_column`` of the monomials, equal
-    to ``op_series`` by linearity, in integers over the input's denominator
-    times the lcm of the columns'.  A packed result is canonical: the gcd is
-    divided out, the items are sorted by key, and the zero image is ().
+    One pass steps a level, and the other forms as a level of one: the
+    columns ``fock.pack_columns`` of the input monomials' numerators, over
+    the lcm ``step`` of the denominators of their views ``_column``, give
+    each output monomial as one big-int sum, slot a over image a's den *
+    step.  No slot value reaches half a slot: each is at most the largest
+    l1 norm of an image's numerators times the largest column coefficient,
+    and a slot has at least two bits more.  A packed result is canonical:
+    the gcd is divided out, the items are sorted by key, the zero image ().
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     poly = isinstance(f, dict)
-    den, items = _ints(f) if poly else f
-    cols = [(num, _column(gen, key)) for key, num in items]
-    step = lcm(*(col[0] for _, col in cols))
+    level = [image or (1, ()) for image in (
+        f if isinstance(f, list) else [_ints(f) if poly else f])]
+    nums = [dict(items) for _, items in level]
+    cols = {key: _column(gen, key) for key in set().union(*nums)}
+    step = lcm(*(col[0] for col in cols.values()))
+    reach = max((step // den * (max(map(abs, state.values()), default=0) + extra)
+                 for den, _, state, _, extra in cols.values()), default=0)
+    largest = max((sum(map(abs, image.values())) for image in nums), default=0)
+    width = (max(reach, 1) * largest).bit_length() + 9 >> 3  # bytes per slot
+    bias, packed = pack_columns(nums, width)
     acc: dict[int, int] = {}
-    for num, (col_den, sign, state, base, extra) in cols:
-        scale = num * (step // col_den)
+    for key, (den, sign, state, base, extra) in cols.items():
+        scale = step // den * packed[key]
         if extra:
-            acc[base] = acc.get(base, 0) + scale * extra
+            acc[base] = acc.get(base, 0) + extra * scale
         scale *= sign
-        for key, v in state.items():
-            acc[key] = acc.get(key, 0) + scale * v
-    g = gcd(den * step, *acc.values())
-    den, items = den * step // g, [(k, v // g) for k, v in acc.items() if v]
+        for k, v in state.items():
+            acc[k] = acc.get(k, 0) + v * scale
+    keys = sorted(k for k, row in acc.items() if row)
+    m = len(level)
+    rows = zip(*(read_slots(acc[k] + bias ^ bias, m, 8 * width) for k in keys))
+    out = []
+    for (den, _), row in zip(level, rows if keys else [()] * m):
+        g = gcd(den * step, *row)
+        items = tuple((k, v // g) for k, v in zip(keys, row) if v)
+        out.append((den * step // g, items) if items else ())
     if poly:
-        return _poly(den, items)
-    return (den, tuple(sorted(items))) if items else ()
+        return _poly(*out[0]) if out[0] else {}
+    return out if isinstance(f, list) else out[0]
 
 
 def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
@@ -325,18 +344,21 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
 
     A_{-1} and A_1 are the differences f1 - f0 and e0 - e1; general j is
     exposed for the contravariance self-checks.  The sum stops at a = d - j
-    on input of top degree d, and that is exact: the later terms
-    annihilate f, because their adjoint factor lowers degree by more than
-    d.  ``terms`` overrides the last a, so the checks can confirm that
-    pushing the sum further never changes the result.
+    on input of top degree d, and that is exact: the later terms annihilate
+    f, as their adjoint factor lowers degree by more than d; so do terms
+    with q_{a+j}^* f = 0, which are skipped.  ``terms`` overrides the last
+    a, so the checks can confirm that pushing the sum further never changes
+    the result.
     """
     lo = max(0, -j)
     hi = top_degree(f) - j if terms is None else terms
     packed = _ints(f, lo)
-    step = lcm(*(_q_column(a)[0] for a in range(lo, hi + 1)))
+    stars = [(a, star) for a in range(lo, hi + 1)
+             if (star := _q_star(a + j, packed))[1]]
+    step = lcm(*(_q_column(a)[0] for a, _ in stars))
     acc: dict[int, int] = {}
-    for a in range(lo, hi + 1):
-        den, items = _q_times(a, _q_star(a + j, packed))
+    for a, star in stars:
+        den, items = _q_times(a, star)
         scale = step * packed[0] // den * (-1) ** a
         for key, v in items:
             acc[key] = acc.get(key, 0) + scale * v

@@ -84,15 +84,15 @@ def check_levels(n_max: int, step: Callable, start, check: Callable,
     the length-n words that reach the image.  This is the one walk of the
     three word suites.  n_max < 1 raises on the first ``next``.
 
-    The image of a word is ``start`` acted on by ``step(image, letter)``
-    for each letter in turn, and a falsy step result is the zero image.
+    Words act on ``start`` a level at a time: ``step(images, letter)``
+    lists the images of the images, and a falsy one is the zero image.
     Images are told apart by ``key`` (by default the sorted item tuple of
     a dict image).  Level n + 1 applies letters 0 and 1 in turn to each
     image of level n, in order, and keeps the first word that reaches each
-    new image.  The least word reaching an image y is min over the pairs
-    (x, i) with step(x, i) = y of (least word of x) + (i,), and that is
-    the order of the visits, so the kept word is the least one.  The walk
-    visits images, not words: words with equal images share all their
+    new image.  The least word reaching an image y is min over the images
+    x and letters i that take x to y of (least word of x) + (i,), and that
+    is the order of the visits, so the kept word is the least one.  The
+    walk visits images, not words: words with equal images share all their
     extensions, and their counts add up.
     """
     if n_max < 1:
@@ -102,9 +102,10 @@ def check_levels(n_max: int, step: Callable, start, check: Callable,
     level = [((), start, 1)]
     for n in range(1, n_max + 1):
         seen: dict = {}
-        for letters, x, words in level:
-            for i in range(2):
-                y = step(x, i)
+        images = [x for _, x, _ in level]
+        for (letters, _, words), ys in zip(level, zip(step(images, 0),
+                                                      step(images, 1))):
+            for i, y in enumerate(ys):
                 if y:
                     seen.setdefault(key(y), [letters + (i,), y, 0])[2] += words
         level = [tuple(state) for state in seen.values()]

@@ -292,6 +292,28 @@ def test_each_lattice_suite_fails_under_the_defect_it_covers(
             assert r.witnesses and r.witnesses[0][1] < r.required
 
 
+def test_the_word_walk_suites_fail_without_the_p1_term_of_f1(fresh_memos,
+                                                             monkeypatch):
+    """With the p1 term of every f1 column negated (``_column``'s extra),
+    f1 1 = -p1 and the images of the length-2 words cancel: ``generation``
+    passes at n = 1 and fails at n = 2..6 with no image left, and
+    ``cross-model`` fails at every n <= 6 on a word that is zero in the
+    polynomial model alone.  Both walks step levels through
+    ``op_generator``."""
+    column = polyrep._column
+
+    def negated(gen, key):
+        den, sign, state, base, extra = column(gen, key)
+        return den, sign, state, base, -extra if gen == "f1" else extra
+
+    monkeypatch.setattr(polyrep, "_column", negated)
+    verdicts = [r.verdict for r in generation_reports(6)]
+    assert verdicts == ["PASS"] + ["FAIL"] * 5
+    for summary in experiments.cross_model_reports(6):
+        assert not summary["ok"] and not summary["support_match"]
+        assert summary["mismatches"][0].startswith("support:")
+
+
 def test_gf2_rank():
     assert gf2_rank([]) == 0
     assert gf2_rank([0b001, 0b010, 0b100]) == 3

@@ -26,8 +26,8 @@ from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
 from chessfock.fock import (apply_f, apply_word, basis, gram_rows, half_step,
                             inner, pair_sum, read_slots)
 from chessfock.partitions import conjugate_beads, to_beads
-from chessfock.polyrep import (IMAGE_ONE, _pack, _unpack, apply_word_poly,
-                               inner_poly, z_key)
+from chessfock.polyrep import (IMAGE_ONE, _pack, _unpack, apply_letter,
+                               apply_word_poly, inner_poly, z_key)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
 
 # The first 18 alternating-word pair sums, written as they factor:
@@ -391,7 +391,8 @@ def naive_bound_report(n, level):
 def test_grouped_bound_check_matches_a_naive_fold():
     # claimed at its own n the check passes; claimed at n + 3 the same
     # level fails on pairs from several letter contents
-    levels = check_levels(12, half_step, basis(()), lambda n, level: (n, level))
+    levels = check_levels(12, lambda xs, i: [half_step(x, i) for x in xs],
+                          basis(()), lambda n, level: (n, level))
     for n, level in levels:
         for claimed in (n, n + 3):
             report = exhaustive_bound_check(claimed, level)
@@ -566,8 +567,11 @@ def test_cross_model_check_reports_a_one_sided_zero():
     assert not summary["support_match"] and not summary["ok"]
     assert summary["mismatches"] == [f"support:{','.join(map(str, word))}"]
     assert summary["pairs"] == 0
-    # the walk steps a one-sided zero on, so the next level reports it too
-    assert _both_models((x, ()), 0) == (apply_f(x, 0, 2), ())
+    # the walk steps a one-sided zero on, so the next level reports it too,
+    # beside the pairs it is stepped with
+    y, f = level[0][1]
+    assert _both_models([(x, ()), (y, f)], 0) == [
+        (apply_f(x, 0, 2), ()), (apply_f(y, 0, 2), apply_letter(f, 0))]
 
 
 def test_cross_model_check_reports_a_scaled_image():

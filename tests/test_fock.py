@@ -98,8 +98,8 @@ def test_modulus_one_gives_factorials():
 
 
 def fock_levels(n_max):
-    return check_levels(n_max, lambda x, i: apply_f(x, i, 2), basis(()),
-                        lambda n, level: level)
+    return check_levels(n_max, lambda xs, i: [apply_f(x, i, 2) for x in xs],
+                        basis(()), lambda n, level: level)
 
 
 def test_word_images_agree_with_apply_word():

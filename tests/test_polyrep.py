@@ -384,6 +384,11 @@ def series_walk(n, f=ONE, prefix=(), step=_series_step):
             yield from series_walk(n, g, prefix + (letter,), step)
 
 
+def per_image(step):
+    """A level step of ``check_levels`` from a step of one image."""
+    return lambda images, letter: [step(f, letter) for f in images]
+
+
 def deduplicated(words):
     """(least word, image, words) per distinct image of a word-order walk."""
     seen = {}
@@ -394,7 +399,8 @@ def deduplicated(words):
 
 def test_word_images_match_a_walk_on_the_series():
     # the cached-column generators against the series, along every word
-    levels = list(check_levels(9, apply_letter, ONE, lambda n, level: level))
+    levels = list(check_levels(9, per_image(apply_letter), ONE,
+                               lambda n, level: level))
     assert len(levels) == 9
     for n, level in enumerate(levels, start=1):
         assert level == deduplicated(series_walk(n))
@@ -412,7 +418,7 @@ def test_packed_walk_matches_the_fraction_walk():
 
     ints = list(check_levels(10, apply_letter, IMAGE_ONE,
                              lambda n, level: level, key=lambda y: y))
-    fracs = list(check_levels(10, apply_letter, ONE,
+    fracs = list(check_levels(10, per_image(apply_letter), ONE,
                               lambda n, level: level))
     assert len(ints) == len(fracs) == 10
     for a, b in zip(ints, fracs):
@@ -424,10 +430,59 @@ def test_packed_walk_matches_the_fraction_walk():
                 apply_letter((den, items), letter)
 
 
+def packed(f):
+    """The canonical packed image of an OddPoly: numerators over the lcm of
+    the (reduced) denominators, so their gcd with it is 1; () for 0."""
+    den, items = _ints(f)
+    return (den, tuple(sorted(items))) if items else ()
+
+
+def test_a_level_steps_like_the_series_image_by_image():
+    # every generation level to n = 10, stepped whole by f0 and f1, against
+    # the series on each image; and a level of one is the image itself
+    levels = list(check_levels(10, apply_letter, IMAGE_ONE,
+                               lambda n, level: [y for _, y, _ in level],
+                               key=lambda y: y))
+    for level in levels:
+        for gen in ("f0", "f1"):
+            images = op_generator(gen, level)
+            assert images == [packed(op_series(gen, _poly(*x))) for x in level]
+            assert [op_generator(gen, [x])[0] for x in level] == images
+            assert [op_generator(gen, x) for x in level] == images
+    assert [len(level) for level in levels] == [1, 1, 2, 2, 3, 5, 7, 11, 17, 29]
+
+
+def test_a_mixed_level_fits_its_slots():
+    """A level of images of degrees 3 and 4, over coprime denominators, of
+    both signs, with the zero image () and a numerator above 2^200.  A slot
+    is at least two bits wider than the largest l1 norm of an image's numerators
+    times the largest column coefficient, the bound on every numerator and
+    every output; the big numerator's image sits beside small ones, so a
+    borrow or an overflow between slots would show in its neighbours."""
+    big = (1 << 203) + 12345
+    p111, p3, p31, p1111 = (_pack(mu) for mu in ((1, 1, 1), (3,), (3, 1),
+                                                 (1, 1, 1, 1)))
+    level = [(3, ((p111, -1), (p3, 2))),
+             (),
+             (5 ** 7, ((p111, big), (p3, -big - 1))),
+             (7, ((p31, -5), (p1111, 3))),
+             (1, ((p31, 1),)),
+             (2 ** 9, ((p1111, -big),))]
+    for gen in GENERATORS:
+        images = op_generator(gen, level)
+        assert images == [packed(op_series(gen, _poly(*x) if x else {}))
+                          for x in level]
+        assert images[1] == ()
+        assert [op_generator(gen, x) for x in level] == images
+    assert op_generator("f0", []) == []
+    assert op_generator("f1", [(), ()]) == [(), ()]
+
+
 def test_check_levels_is_every_depth_of_the_per_model_walks():
     # levels, least words and word counts against every word of each length
     def levels(n_max, step, start):
-        return list(check_levels(n_max, step, start, lambda n, level: level))
+        return list(check_levels(n_max, per_image(step), start,
+                                 lambda n, level: level))
 
     fock_step = lambda x, i: apply_f(x, i, 2)
     fock_levels = levels(12, fock_step, basis(()))

@@ -193,13 +193,15 @@ def test_check_levels_walks_once_in_word_order():
         return n, level
 
     # with the image the word itself, each level is every word, in order
-    reports = check_levels(3, lambda x, i: x + (i,), (), check, key=lambda y: y)
+    reports = check_levels(3, lambda xs, i: [x + (i,) for x in xs], (),
+                           check, key=lambda y: y)
     assert calls == []
     assert next(reports) == (1, [((0,), (0,), 1), ((1,), (1,), 1)])
     assert [level for _, level in reports] == [
         [(w, w, 1) for w in product(range(2), repeat=n)] for n in (2, 3)]
     assert calls == [1, 2, 3]
     for bad in (0, -1):
-        reports = check_levels(bad, lambda x, i: x + (i,), (), check)
+        reports = check_levels(bad, lambda xs, i: [x + (i,) for x in xs], (),
+                               check)
         with pytest.raises(ValueError, match=f"need n >= 1, got {bad}"):
             next(reports)
