@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from math import factorial, gcd, isqrt, prod
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from .delta import ValuationReport
@@ -39,9 +39,8 @@ _BLOCK = 64
 _FIRST_BLOCK_END = 313
 
 #: Steps _rho takes on one composite before it gives up (less time than
-#: one _prime_blocks build), and the steps between its gcds.
+#: one _prime_blocks build).
 _RHO_STEPS = 1 << 13
-_RHO_BATCH = 64
 
 
 def _odd_primes(limit: int) -> Iterator[int]:
@@ -74,7 +73,7 @@ def _prime_blocks() -> tuple[tuple[int, int, int], ...]:
     return tuple(blocks)
 
 
-def _divide(rest: int, factors: list, divisors: range) -> int:
+def _divide(rest: int, factors: list, divisors: Iterable[int]) -> int:
     """Divide rest by each d of divisors, in order, while d * d <= rest,
     appending (d, exponent) to factors; returns what is left of rest."""
     for d in divisors:
@@ -90,40 +89,30 @@ def _divide(rest: int, factors: list, divisors: range) -> int:
 
 
 def _rho(n: int) -> int | None:
-    """A proper factor of the odd composite n by Brent's rho (BIT 20, 1980)
-    on y -> y * y + c from y = 2, for c = 1, 2, 3; None once _RHO_STEPS
-    steps are spent.  Each round of r steps multiplies x - y, x the y the
-    round began at, with one gcd per batch; a batch whose gcd is n is
-    replayed a step at a time, and if that too gives n, c is dropped."""
+    """A proper factor of the odd composite n by Pollard's rho (BIT 15,
+    1975) with Floyd's cycle finding: x takes one step of y -> y * y + c
+    and y two, from 2, with one gcd of x - y and n per step, for c = 1, 2,
+    3 in turn (a gcd of n drops c); None once _RHO_STEPS steps are spent."""
     budget = _RHO_STEPS
     for c in (1, 2, 3):
-        y, r, g = 2, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            if r > budget:
+            if not budget:
                 return None
-            budget -= r
-            x = y
-            for k in range(0, r, _RHO_BATCH):
-                ys, q = y, 1
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                if (g := gcd(q, n)) != 1:
-                    break
-            r *= 2
-        if g == n:
-            for _ in range(_RHO_BATCH):
-                ys = (ys * ys + c) % n
-                if (g := gcd(x - ys, n)) != 1:
-                    break
+            budget -= 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
     return None
 
 
 def _split(n: int, primes: list) -> bool:
-    """Append the prime factors of odd 1 <= n < psi_13 to primes; False,
-    with some perhaps appended, if ``_rho`` gives up on a piece."""
+    """Append the prime factors of 1 <= n < psi_13, odd or 2, to primes;
+    False, with some perhaps appended, if ``_rho`` gives up on a piece."""
     if n == 1 or is_prime(n):
         primes += [n] * (n > 1)
         return True
@@ -137,23 +126,19 @@ def factorize(value: int) -> tuple[tuple[tuple[int, int], ...], int]:
 
     cofactor == 1 means the factorization is complete; otherwise it is the
     unfactored remainder (all of whose prime factors exceed FACTOR_LIMIT).
-    After the divisors to _FIRST_BLOCK_END, ``_split`` breaks the odd
-    remainder into primes and those <= FACTOR_LIMIT are divided out.  A
-    remainder >= psi_13, or one ``_rho`` gives up on, is instead divided by
-    each of the ``_prime_blocks`` that one gcd shows shares a factor with
-    it.  Either way the remainder R is prime exactly when
+    After one pass over 2 and the odd divisors to _FIRST_BLOCK_END,
+    ``_split`` breaks the remainder into primes, by Pollard's rho with
+    Floyd's cycle finding (``_rho``), and those <= FACTOR_LIMIT are divided
+    out.  A remainder >= psi_13, or one ``_rho`` gives up on, is instead
+    divided by each of the ``_prime_blocks`` that one gcd shows shares a
+    factor with it.  Either way the remainder R is prime exactly when
     1 < R < (FACTOR_LIMIT + 1) ** 2, the least product of two primes past
     the limit.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     factors = []
-    rest = value
-    twos = (rest & -rest).bit_length() - 1
-    if twos:
-        factors.append((2, twos))
-        rest >>= twos
-    rest = _divide(rest, factors, range(3, _FIRST_BLOCK_END + 1, 2))
+    rest = _divide(value, factors, (2, *range(3, _FIRST_BLOCK_END + 1, 2)))
     primes = []
     if rest < PSI_13 and _split(rest, primes):
         for p in sorted(set(primes)):

@@ -113,11 +113,18 @@ def mul_monomial(f: OddPoly, mu) -> OddPoly:
     return {tuple(sorted(tau + mu, reverse=True)): c for tau, c in f.items()}
 
 
-def _adjoint_runs(f: OddPoly, runs) -> OddPoly:
-    """The adjoint of multiplication by the monomial whose parts are given
-    as runs (k, m, k**m), m the multiplicity of the part k; the keys of f
-    are partitions, so removing whole runs of a part leaves them sorted,
-    and distinct, so no terms add up."""
+def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
+    """Apply the adjoint of multiplication by p_mu.
+
+    Each part k of mu acts as k * d/dp_k, once per multiplicity, so a
+    monomial of f survives only if it contains mu, and its coefficient
+    picks up k^(m_k) times a falling factorial of the multiplicities.  Each
+    run of m equal parts k goes at once, as (k, m, k**m); the keys of f
+    are partitions, so removing whole runs leaves them sorted, and
+    distinct, so no terms add up.
+    """
+    mu = check_odd_partition(mu)
+    runs = [(k, mu.count(k), k ** mu.count(k)) for k in dict.fromkeys(mu)]
     out: OddPoly = {}
     for tau, c in f.items():
         rest = list(tau)
@@ -132,18 +139,6 @@ def _adjoint_runs(f: OddPoly, runs) -> OddPoly:
         else:
             out[tuple(rest)] = c * factor
     return out
-
-
-def adjoint_monomial(f: OddPoly, mu) -> OddPoly:
-    """Apply the adjoint of multiplication by p_mu.
-
-    Each part k of mu acts as k * d/dp_k, once per multiplicity, so a
-    monomial of f survives only if it contains mu, and its coefficient
-    picks up k^(m_k) times a falling factorial of the multiplicities.
-    """
-    mu = check_odd_partition(mu)
-    return _adjoint_runs(f, tuple((k, mu.count(k), k ** mu.count(k))
-                                  for k in dict.fromkeys(mu)))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import pytest
 from hypothesis import settings
 
-from chessfock import delta, polyrep
+from chessfock import delta, fock, polyrep
 
 settings.register_profile("fixed", derandomize=True, max_examples=60)
 settings.load_profile("fixed")
@@ -14,10 +14,11 @@ settings.load_profile("fixed")
 
 @pytest.fixture
 def fresh_memos():
-    """Empty sub-monomial, q_n, column and state memos around a case, so
-    that nothing built under an injected defect reaches another test."""
+    """Empty sub-monomial, q_n, column, state and half-step memos around a
+    case, so that nothing built under an injected defect reaches another
+    test."""
     caches = (polyrep._sub_monomials, polyrep._q_column, polyrep._column,
-              polyrep._a_state)
+              polyrep._a_state, fock._half_moves)
     for cache in caches:
         cache.cache_clear()
     yield

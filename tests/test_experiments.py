@@ -180,13 +180,15 @@ def test_odd_primes_match_a_naive_filter():
 
 def test_small_values_build_no_prime_blocks():
     # a fresh process, so that no other test has filled the cache; every
-    # row of the benchmark's table commands is split without the blocks
+    # row of the chess table to n = 46 and of the e = 3, 4, 5 scans to
+    # n = 40 is split without the blocks
     code = ("import chessfock.cli\n"
             "from chessfock.experiments import (_prime_blocks, chess_table,\n"
             "                                   factorize, general_e_scan)\n"
             "factorize(48)\n"
-            "chess_table(40)\n"
-            "general_e_scan(40, 3, 3)\n"
+            "chess_table(46)\n"
+            "for e, p in (3, 3), (4, 2), (5, 5):\n"
+            "    general_e_scan(40, e, p)\n"
             "print(_prime_blocks.cache_info().currsize)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -284,16 +286,7 @@ def test_table_commands_keep_the_layers_the_benchmark_traces(monkeypatch):
     assert calls == {"partitions.addable_cells": 8}
 
 
-@pytest.fixture
-def fresh_half_moves():
-    """An empty half-step memo around a case, so that no step taken under
-    an injected defect reaches another test."""
-    fock._half_moves.cache_clear()
-    yield
-    fock._half_moves.cache_clear()
-
-
-def test_chess_table_fails_without_the_dropped_conjugate(fresh_half_moves,
+def test_chess_table_fails_without_the_dropped_conjugate(fresh_memos,
                                                          monkeypatch):
     """A class step that drops the transpose of a diagonal new row (from
     lam_1 - len(lam) = 1) loses a term the full vector has: the table no
@@ -311,6 +304,26 @@ def test_chess_table_fails_without_the_dropped_conjugate(fresh_half_moves,
     values = [row.value for row in chess_table(10)]
     assert values != CHESS_VALUES[:10]
     assert values != [pair_sum(w, w) for w in map(alternating_word, range(1, 11))]
+
+
+def test_the_bound_suite_fails_with_one_class_step_coefficient_off_by_one(
+        fresh_memos, monkeypatch):
+    """With the first coefficient of every nonzero class step one too large,
+    every shape's ``half_step`` (through the ``_half_moves`` memo) is off,
+    and ``bound`` fails at every n <= 8: no pairing attains the bound."""
+    step = fock._class_f
+
+    def off_by_one(x, i):
+        out = step(x, i)
+        for part in filter(None, out):
+            part[next(iter(part))] += 1
+            break
+        return out
+
+    monkeypatch.setattr(fock, "_class_f", off_by_one)
+    reports = list(bound_reports(8))
+    assert [r.verdict for r in reports] == ["FAIL"] * 8
+    assert all(r.observed_min > r.required for r in reports)
 
 
 def test_csv_and_jsonl_golden():

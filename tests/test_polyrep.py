@@ -478,6 +478,35 @@ def test_a_mixed_level_fits_its_slots():
     assert op_generator("f1", [(), ()]) == [(), ()]
 
 
+def test_a_level_at_the_edge_of_a_slot():
+    """Five degree-12 monomials whose f1 columns each take their largest
+    coefficient at p13, all of one sign, summed with equal numerators N.
+    N is scaled so that reach * N, reach the largest column coefficient,
+    just fits 8k + 6 bits: a slot sized from N alone would have 8k + 8
+    bits, and the p13 sum needs all of them, so it would spill into the
+    next image.  A slot sized from the l1 norm 5N has a byte more."""
+    mus = [(9, 1, 1, 1), (7, 3, 1, 1), (7, 1, 1, 1, 1, 1),
+           (5, 3, 1, 1, 1, 1), (3, 3, 3, 1, 1, 1)]
+    keys = [_pack(mu) for mu in mus]
+    views = [_column("f1", key) for key in keys]
+    step = lcm(*(den for den, *_ in views))
+    reach = max(step // den * (max(map(abs, state.values())) + extra)
+                for den, _, state, _, extra in views)
+    p13 = _pack((13,))
+    n = ((1 << 8 * 25 + 6) - 1) // reach
+    top = sum(n * step // den * sign * state[p13]
+              for den, sign, state, _, _ in views)
+    single = (reach * n).bit_length() + 9 >> 3    # bytes, from n alone
+    assert all(max(map(abs, state.values())) == abs(state[p13])
+               for _, _, state, _, _ in views)
+    assert abs(top) >= 1 << 8 * single - 1
+    small = (3, ((keys[0], 1),))
+    level = [(1, tuple((key, n) for key in keys)), small,
+             (1, tuple((key, -n) for key in keys)), small]
+    images = op_generator("f1", level)
+    assert images == [packed(op_series("f1", _poly(*x))) for x in level]
+
+
 def test_check_levels_is_every_depth_of_the_per_model_walks():
     # levels, least words and word counts against every word of each length
     def levels(n_max, step, start):
