@@ -204,8 +204,7 @@ def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     ``check_levels`` pass over the distinct packed images of the words."""
     if n_max > MAX_DEGREE:
         raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
-    return check_levels(n_max, apply_letter, IMAGE_ONE, verify_generation,
-                        key=lambda image: image)
+    return check_levels(n_max, apply_letter, IMAGE_ONE, verify_generation)
 
 
 def verify_generation(n: int, level: list) -> ValuationReport:

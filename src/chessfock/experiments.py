@@ -8,6 +8,7 @@ Gram-matrix bound check and the cross-model comparison
 (``bound_reports``, ``cross_model_reports``), are each one
 ``tableaux.check_levels`` walk over the distinct binary word images with
 its per-length check (``exhaustive_bound_check``, ``cross_model_check``).
+Both step the Fock images as half vectors by ``fock.half_step``.
 """
 
 import json
@@ -20,8 +21,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from .delta import ValuationReport
-from .fock import (apply_e, apply_f, basis, cyclic_sums, gram_rows, half_step,
-                   half_weight, inner, pair_sum, random_vector, read_slots)
+from .fock import (HALF_VACUUM, HalfImage, apply_e, apply_f, cyclic_sums,
+                   gram_rows, half_step, half_weight, inner, pair_sum,
+                   random_vector, read_slots)
 from .partitions import enumerate_partitions
 from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column,
                       adjoint_monomial, apply_letter, inner_poly, mul_monomial,
@@ -243,7 +245,7 @@ def bound_reports(n_max: int) -> Iterator[ValuationReport]:
     ``check_levels`` pass over the distinct Fock images of the words as
     half vectors (see ``fock``), stepped one by one by ``half_step``."""
     return check_levels(n_max, lambda xs, i: [half_step(x, i) for x in xs],
-                        basis(()), exhaustive_bound_check)
+                        HALF_VACUUM, exhaustive_bound_check)
 
 
 def exhaustive_bound_check(n: int, level: list) -> ValuationReport:
@@ -357,25 +359,23 @@ def scan_row(v: ResidueWord, w: ResidueWord, p: int) -> FactorizationRow:
     return _row(len(v), pair_sum(v, w), v.e, p)
 
 
-def _both_models(states: list[tuple[dict, Column]], letter: int) -> list:
-    """One letter applied to a level of pairs; None where both images vanish."""
-    ys = [apply_f(x, letter, 2) for x, _ in states]
+def _both_models(states: list[tuple[HalfImage, Column]], letter: int) -> list:
+    """One letter applied to a level of pairs, the Fock half vectors one by
+    one by ``half_step`` and the packed polynomial images as one level;
+    None where both images vanish."""
+    ys = [half_step(x, letter) for x, _ in states]
     gs = apply_letter([f for _, f in states], letter)
     return [(y, g) if y or g else None for y, g in zip(ys, gs)]
 
 
-def _both_keys(state: tuple[dict, Column]) -> tuple:
-    return tuple(sorted(state[0].items())), state[1]
-
-
 def cross_model_reports(n_max: int) -> Iterator[dict]:
     """Yield ``cross_model_check(n, level)`` for n = 1..n_max from one
-    ``check_levels`` pass over the (Fock image, packed polynomial image)
-    pairs of the words.  An n_max above MAX_DEGREE raises at once."""
+    ``check_levels`` pass over the (Fock half vector, packed polynomial
+    image) pairs of the words.  An n_max above MAX_DEGREE raises at once."""
     if n_max > MAX_DEGREE:
         raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
-    return check_levels(n_max, _both_models, (basis(()), IMAGE_ONE),
-                        cross_model_check, key=_both_keys)
+    return check_levels(n_max, _both_models, (HALF_VACUUM, IMAGE_ONE),
+                        cross_model_check)
 
 
 def cross_model_check(n: int, level: list) -> dict:
@@ -388,12 +388,14 @@ def cross_model_check(n: int, level: list) -> dict:
     pair of surviving images agrees.
 
     ``level`` is the length-n level of ``check_levels`` over the pairs
-    (Fock image, packed polynomial image), as (least word, pair, words)
-    triples.  Each word pairing is a pairing of two distinct pairs, so only
-    those are compared, in integers: one ``gram_rows`` matrix per model,
-    the polynomial one on the numerators, weighted by z, and the Fock one
-    on each image scaled by its polynomial image's denominator, so that
-    the models agree exactly when their slot widths and rows are equal
+    (Fock half vector, packed polynomial image), as (least word, pair,
+    words) triples.  Each word pairing is a pairing of two distinct pairs,
+    so only those are compared, in integers: one ``gram_rows`` matrix per
+    model, the polynomial one on the numerators, weighted by z, and the
+    Fock one on each half vector scaled by its polynomial image's
+    denominator and weighted by ``half_weight`` (a binary word's image is
+    conjugation-invariant, so that is the full pairing), so that the
+    models agree exactly when their slot widths and rows are equal
     integers; a row is read slot by slot only where they differ.  That is
     as strong as comparing every word: two pairs that share a Fock image
     but not a polynomial image p, p' agree on all three pairings only if
@@ -416,10 +418,9 @@ def cross_model_check(n: int, level: list) -> dict:
         return summary
     mismatches = summary["mismatches"]
     dens = [f[0] for _, (_, f), _ in level]
-    lhs_bits, lhs_rows = gram_rows([{k: d * c for k, c in x.items()}
-                                    for d, (_, (x, _), _) in zip(dens, level)])
-    rhs_bits, rhs_rows = gram_rows([dict(f[1]) for _, (_, f), _ in level],
-                                   z_key)
+    lhs_bits, lhs_rows = gram_rows([[(k, f[0] * c) for k, c in x]
+                                    for _, (x, f), _ in level], half_weight)
+    rhs_bits, rhs_rows = gram_rows([f[1] for _, (_, f), _ in level], z_key)
     for a, (lhs_row, rhs_row) in enumerate(zip(lhs_rows, rhs_rows)):
         if lhs_bits == rhs_bits and lhs_row == rhs_row:
             continue

@@ -20,27 +20,32 @@ shape once, masking it with its class's mask.
 At e = 2 the residue (i - j) mod 2 does not change under transposition,
 so f_0 and f_1 commute with conjugation and every binary word's image of
 the vacuum is conjugation-invariant.  ``cyclic_sums`` grows the
-alternating image, and ``experiments.bound_reports`` every binary word's,
-as a half vector: the same dict restricted to the shapes with lam_1 >=
-len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``.
+alternating image, and the word walks of ``experiments`` every binary
+word's, as a half vector: the vector restricted to the shapes with lam_1
+>= len(lam), the bead ints with ``s.bit_length() >= 2 * s.bit_count()``.
 The table keeps it as four dicts (``_classes``): rows mod 2, times strict
 (lam_1 > len(lam)) or diagonal (lam_1 = len(lam)).  Its step, ``_class_f``,
 masks each class with one constant mask, and its norm is twice the strict
-squares plus the diagonal ones.  The word walks step by ``half_step``,
-which reads each shape's class step from a memo, and pair by
-``half_weight``.  The half vector serves only such conjugation-invariant
-e = 2 walks from the empty partition; everything else uses full vectors.
+squares plus the diagonal ones.  The word walks carry it as a sorted
+item tuple (``HalfImage``), step by ``half_step``, which reads each
+shape's class step from a memo, and pair by ``half_weight``.  The half
+vector serves only such conjugation-invariant e = 2 walks from the empty
+partition; everything else uses full vectors.
 """
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import (Partition, addable_cells, check_residue,
                          conjugate_beads, enumerate_partitions, from_beads,
-                         removable_cells, to_beads)
+                         to_beads)
 from .tableaux import ResidueWord
 
 FockVector = dict[int, int]
+#: A half vector as its (bead int, coefficient) pairs, sorted by bead int,
+#: with no zero coefficient; () is the zero image.
+HalfImage = tuple[tuple[int, int], ...]
+HALF_VACUUM: HalfImage = ((0, 1),)  # the empty partition, where walks start
 
 
 def basis(lam) -> FockVector:
@@ -78,7 +83,8 @@ def apply_e(x: FockVector, i: int, e: int) -> FockVector:
     check_residue(i, e)
     out: FockVector = {}
     get = out.get
-    masks = removable_cells(i, e, max(x, default=0).bit_length())
+    # a bead at p removes a cell of residue one more than the one it adds
+    masks = addable_cells((i - 1) % e, e, max(x, default=0).bit_length())
     for s, c in x.items():
         free = s & ~(s << 1) & masks[s.bit_count() % e]
         while free:
@@ -155,18 +161,18 @@ def _class_f(x: list[FockVector], i: int) -> list[FockVector]:
     return out
 
 
-def half_step(x: FockVector, i: int) -> FockVector:
-    """f_i at e = 2 on a half vector, through a memo of each shape's class
-    step, for walks that meet a shape many times (562 entries to n = 15).
-    ``cyclic_sums`` meets each shape once, so it keeps the class step: at
-    n = 40 a memo there took over 3x the time and 26 MiB for its 58,095
-    entries."""
+def half_step(x: HalfImage, i: int) -> HalfImage:
+    """f_i at e = 2 on a half vector, canonical in and out (``HalfImage``),
+    through a memo of each shape's class step, for walks that meet a shape
+    many times (562 entries to n = 15).  ``cyclic_sums`` meets each shape
+    once, so it keeps the class step: at n = 40 a memo there took over 3x
+    the time and 26 MiB for its 58,095 entries."""
     out: FockVector = {}
     get = out.get
-    for s, c in x.items():
+    for s, c in x:
         for grown, k in _half_moves(s, i):
             out[grown] = get(grown, 0) + c * k
-    return out
+    return tuple(sorted(_nonzero(out).items()))
 
 
 @lru_cache(maxsize=None)
@@ -224,42 +230,46 @@ def inner(x: FockVector, y: FockVector) -> int:
     return total
 
 
-def gram_rows(vectors: list[FockVector],
+def gram_rows(vectors: Sequence[Iterable[tuple[int, int]]],
               weight: Callable[[int], int] | None = None
               ) -> tuple[int, Iterator[int]]:
     """The slot width in bits, and row a of the Gram matrix from the
     diagonal on as one integer: slot b - a holds sum_k weight(k) * x_a[k] *
     x_b[k] for x_a = vectors[a], b >= a, in two's complement (read back by
     ``read_slots``), for integer coefficients of either sign and a positive
-    weight (1 when None).  Over the columns col_k of ``pack_columns``, the
+    weight (1 when None); a vector is its (key, coefficient) pairs, keys
+    distinct, in any order.  Over the columns col_k of ``pack_columns``, the
     sum of weight(k) * x_a[k] * col_k holds the pairing of x_a and x_b in
     slot b; by Cauchy-Schwarz no coefficient or pairing exceeds the largest
     weighted norm, and bits has two more.  The row plus the bias, xor the
     bias, is the row in two's complement.
     """
-    weights = {k: weight(k) if weight else 1 for k in set().union(*vectors)}
-    largest = max((sum(weights[k] * c * c for k, c in x.items())
-                   for x in vectors), default=0)
+    weights = {k: weight(k) if weight else 1
+               for k in {k for x in vectors for k, _ in x}}
+    largest = max((sum(weights[k] * c * c for k, c in x) for x in vectors),
+                  default=0)
     width = (largest.bit_length() + 9) // 8      # bytes per slot
     bits = 8 * width
     bias, cols = pack_columns(vectors, width)
-    return bits, ((sum(c * weights[k] * cols[k] for k, c in x.items())
+    return bits, ((sum(c * weights[k] * cols[k] for k, c in x)
                    + bias >> a * bits) ^ (bias >> a * bits)
                   for a, x in enumerate(vectors))
 
 
-def pack_columns(vectors: list[dict], width: int) -> tuple[int, dict]:
+def pack_columns(vectors: Sequence[Iterable[tuple[int, int]]],
+                 width: int) -> tuple[int, dict]:
     """The bias, 2^(bits-1) in each slot of bits = 8 * width, and per key k
-    of the vectors the column sum_b x_b[k] * 2^(b*bits), for |x_b[k]| <
-    2^(bits-1): the bytes of x_b[k] + 2^(bits-1), slot by slot, less the
-    bias.  A sum of columns with every slot below 2^(bits-1) in absolute
-    value, plus the bias, is nonnegative in each slot: no borrow crosses."""
+    of the vectors (pairs, as in ``gram_rows``) the column sum_b x_b[k] *
+    2^(b*bits), for |x_b[k]| < 2^(bits-1): the bytes of x_b[k] + 2^(bits-1),
+    slot by slot, less the bias.  A sum of columns with every slot below
+    2^(bits-1) in absolute value, plus the bias, is nonnegative in each
+    slot: no borrow crosses."""
     half = 1 << 8 * width - 1
     slots = half.to_bytes(width, "little") * len(vectors)
     bias = int.from_bytes(slots, "little")
-    packed = {k: bytearray(slots) for k in set().union(*vectors)}
+    packed = {k: bytearray(slots) for k in {k for x in vectors for k, _ in x}}
     for at, x in zip(range(0, len(slots), width), vectors):
-        for k, c in x.items():
+        for k, c in x:
             packed[k][at:at + width] = (c + half).to_bytes(width, "little")
     return bias, {k: int.from_bytes(b, "little") - bias
                   for k, b in packed.items()}

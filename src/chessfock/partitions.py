@@ -11,10 +11,10 @@ Polynomials, I.1 Ex. 8): row r of lam is a bead at bit lam_r - r +
 len(lam).  Adding a cell moves one bead up one position and removing one
 moves a bead down.  The residue of the cell that a bead at position p
 adds or removes depends only on p and on the number of beads mod e, so
-``addable_cells``/``removable_cells`` give one constant mask per class of
-shapes with the same bead count mod e, and a step masks each shape with
-its class's mask.  Transposing a shape reverses its complement
-(``conjugate_beads``).
+``addable_cells`` gives one constant mask per class of shapes with the
+same bead count mod e, and a step masks each shape with its class's mask
+(a bead removes a cell of residue one more than the cell it adds).
+Transposing a shape reverses its complement (``conjugate_beads``).
 ``to_beads``/``from_beads`` convert at the edges.
 
 Residue convention
@@ -168,20 +168,6 @@ def addable_cells(i: int, e: int, width: int) -> list[int]:
     """
     width |= 63
     return [_residue_mask(e, (b - 1 - i) % e, width)
-            for b in range(min(e, width + 1))]
-
-
-def removable_cells(i: int, e: int, width: int) -> list[int]:
-    """The masks of the beads that can move down one position by removing
-    a cell of residue i, entry b for the shapes with b beads mod e, as
-    ``addable_cells`` gives them: a shape s moves the beads of ``s & ~(s <<
-    1) & masks[s.bit_count() % e]``, and moving the bead at p to the empty
-    position p - 1 gives ``s - (1 << (p - 1))``, shifted right once when
-    that leaves bit 0 set (the last row emptied).  The removed cell (r,
-    lam_r) has residue (len(lam) - p) mod e.  The caller validates i and
-    e."""
-    width |= 63
-    return [_residue_mask(e, (b - i) % e, width)
             for b in range(min(e, width + 1))]
 
 

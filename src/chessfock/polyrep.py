@@ -151,19 +151,18 @@ def _q_column(n: int) -> Column:
 
 
 @lru_cache(maxsize=None)
-def _sub_monomials(key: int) -> dict[int, list[tuple[int, int]]]:
-    """q_n^* p_tau as {n: [(key of tau minus nu, weight), ...]} over the
-    sub-multisets nu of tau = ``_unpack(key)``: 2^len(nu) / z_nu times
+def _sub_monomials(key: int, n: int) -> tuple[tuple[int, int], ...]:
+    """q_n^* p_tau as ((key of tau minus nu, weight), ...) over the
+    sub-multisets nu of degree n of tau = ``_unpack(key)``, built part by
+    part with every partial degree above n pruned: 2^len(nu) / z_nu times
     prod_k k^m perm(t, m) is the integer 2^len(nu) prod_k C(t, m), where the
     part k is m times in nu and t times in tau."""
     subs = [(0, 0, 1)]  # (|nu|, key of nu, weight) over the parts so far
     for i, t in enumerate(key.to_bytes((key.bit_length() + 7) // 8, "little")):
-        subs = [(n + (2 * i + 1) * m, nu + (m << 8 * i), w * comb(t, m) << m)
-                for n, nu, w in subs for m in range(t + 1)]
-    out: dict[int, list[tuple[int, int]]] = {}
-    for n, nu, w in subs:
-        out.setdefault(n, []).append((key - nu, w))
-    return out
+        subs = [(d + (2 * i + 1) * m, nu + (m << 8 * i), w * comb(t, m) << m)
+                for d, nu, w in subs
+                for m in range(min(t, (n - d) // (2 * i + 1)) + 1)]
+    return tuple((key - nu, w) for d, nu, w in subs if d == n)
 
 
 def _q_star(n: int, f: Column) -> Column:
@@ -171,7 +170,7 @@ def _q_star(n: int, f: Column) -> Column:
     den, items = f
     acc: dict[int, int] = {}
     for key, num in items:
-        for rest, w in _sub_monomials(key).get(n, ()):
+        for rest, w in _sub_monomials(key, n):
             acc[rest] = acc.get(rest, 0) + w * num
     return den, [(key, v) for key, v in acc.items() if v]
 
@@ -303,12 +302,12 @@ def op_generator(gen: str, f):
     poly = isinstance(f, dict)
     level = [image or (1, ()) for image in (
         f if isinstance(f, list) else [_ints(f) if poly else f])]
-    nums = [dict(items) for _, items in level]
-    cols = {key: _column(gen, key) for key in set().union(*nums)}
+    nums = [items for _, items in level]
+    cols = {key: _column(gen, key) for key in {k for x in nums for k, _ in x}}
     step = lcm(*(col[0] for col in cols.values()))
     reach = max((step // den * (max(map(abs, state.values()), default=0) + extra)
                  for den, _, state, _, extra in cols.values()), default=0)
-    largest = max((sum(map(abs, image.values())) for image in nums), default=0)
+    largest = max((sum(abs(v) for _, v in x) for x in nums), default=0)
     width = (max(reach, 1) * largest).bit_length() + 9 >> 3  # bytes per slot
     bias, packed = pack_columns(nums, width)
     acc: dict[int, int] = {}

@@ -76,8 +76,8 @@ def alternating_word(n: int) -> ResidueWord:
     return ResidueWord(2, tuple(k % 2 for k in range(n)))
 
 
-def check_levels(n_max: int, step: Callable, start, check: Callable,
-                 key: Callable | None = None) -> Iterator:
+def check_levels(n_max: int, step: Callable, start,
+                 check: Callable) -> Iterator:
     """Yield ``check(n, level)`` for n = 1..n_max, where ``level`` lists
     the distinct nonzero images of the length-n binary words as (least
     word, image, words) triples, ordered by least word; ``words`` counts
@@ -86,19 +86,18 @@ def check_levels(n_max: int, step: Callable, start, check: Callable,
 
     Words act on ``start`` a level at a time: ``step(images, letter)``
     lists the images of the images, and a falsy one is the zero image.
-    Images are told apart by ``key`` (by default the sorted item tuple of
-    a dict image).  Level n + 1 applies letters 0 and 1 in turn to each
-    image of level n, in order, and keeps the first word that reaches each
-    new image.  The least word reaching an image y is min over the images
-    x and letters i that take x to y of (least word of x) + (i,), and that
-    is the order of the visits, so the kept word is the least one.  The
-    walk visits images, not words: words with equal images share all their
-    extensions, and their counts add up.
+    Every image is canonical and hashable (a sorted item tuple, a packed
+    polynomial image, or a pair of them), so equal images are equal keys.
+    Level n + 1 applies letters 0 and 1 in turn to each image of level n,
+    in order, and keeps the first word that reaches each new image.  The
+    least word reaching an image y is min over the images x and letters i
+    that take x to y of (least word of x) + (i,), and that is the order of
+    the visits, so the kept word is the least one.  The walk visits images,
+    not words: words with equal images share all their extensions, and
+    their counts add up.
     """
     if n_max < 1:
         raise ValueError(f"need n >= 1, got {n_max}")
-    if key is None:
-        key = lambda y: tuple(sorted(y.items()))
     level = [((), start, 1)]
     for n in range(1, n_max + 1):
         seen: dict = {}
@@ -107,9 +106,9 @@ def check_levels(n_max: int, step: Callable, start, check: Callable,
                                                       step(images, 1))):
             for i, y in enumerate(ys):
                 if y:
-                    seen.setdefault(key(y), [letters + (i,), y, 0])[2] += words
+                    seen.setdefault(y, [letters + (i,), y, 0])[2] += words
         level = [tuple(state) for state in seen.values()]
-        del seen                    # the keys are dead weight during the check
+        del seen                    # dead weight during the check
         yield check(n, level)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -431,3 +432,29 @@ def test_a_fresh_process_prints_the_golden(name, argv):
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+def test_the_readme_command_line_names_only_what_the_parser_defines():
+    # every command written out in the README's "Command line" section, in
+    # a code block or a code span, names a subcommand and only its flags,
+    # and every flag named anywhere in the section is one the parser has
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    start = readme.index("\n## Command line\n")
+    section = readme[start:readme.index("\n## ", start + 1)]
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {name: {flag for action in command._actions
+                    for flag in action.option_strings}
+             for name, command in commands.items()}
+    blocks = re.findall(r"^```\n(.*?)^```$", section, re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```$", "", section,
+                                                flags=re.M | re.S))
+    written = [line for block in blocks for line in block.splitlines()]
+    assert len(written) >= 8
+    for text in written + spans:
+        words = text.removeprefix("chessfock ").split()
+        if text.startswith("chessfock "):
+            assert words[0] in commands, text
+        if words and words[0] in commands:
+            assert set(re.findall(r"--[\w-]+", text)) <= flags[words[0]], text
+    assert set(re.findall(r"--[\w-]+", section)) <= set().union(*flags.values())

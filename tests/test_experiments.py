@@ -16,15 +16,16 @@ from chessfock import delta, experiments, fock, partitions, polyrep
 from chessfock.arith import INFINITY, PSI_13, is_prime, tri_count, vp
 from chessfock.delta import ValuationReport
 from chessfock.experiments import (_BLOCK, _FIRST_BLOCK_END, FactorizationRow,
-                                   _both_keys, _both_models, _odd_primes,
+                                   _both_models, _odd_primes,
                                    _prime_blocks, _rho, _row, _split,
                                    bound_reports,
                                    chess_table, cross_model_check,
                                    cross_model_reports, exhaustive_bound_check,
                                    factorial_check, factorize, general_e_scan,
                                    rows_to_csv, rows_to_jsonl, scan_row)
-from chessfock.fock import (apply_f, apply_word, basis, gram_rows, half_step,
-                            inner, pair_sum, read_slots)
+from chessfock.fock import (HALF_VACUUM, apply_f, apply_word, basis,
+                            gram_rows, half_step, half_weight, inner,
+                            pair_sum, read_slots)
 from chessfock.partitions import conjugate_beads, to_beads
 from chessfock.polyrep import (IMAGE_ONE, _pack, _unpack, apply_letter,
                                apply_word_poly, inner_poly, z_key)
@@ -310,7 +311,9 @@ def test_the_bound_suite_fails_with_one_class_step_coefficient_off_by_one(
         fresh_memos, monkeypatch):
     """With the first coefficient of every nonzero class step one too large,
     every shape's ``half_step`` (through the ``_half_moves`` memo) is off,
-    and ``bound`` fails at every n <= 8: no pairing attains the bound."""
+    and ``bound`` fails at every n <= 8: no pairing attains the bound.
+    ``cross-model`` steps its Fock side by the same ``half_step``, and no
+    length's pairings match the polynomial model's."""
     step = fock._class_f
 
     def off_by_one(x, i):
@@ -324,6 +327,9 @@ def test_the_bound_suite_fails_with_one_class_step_coefficient_off_by_one(
     reports = list(bound_reports(8))
     assert [r.verdict for r in reports] == ["FAIL"] * 8
     assert all(r.observed_min > r.required for r in reports)
+    summaries = list(cross_model_reports(8))
+    assert [s["ok"] for s in summaries] == [False] * 8
+    assert all(s["support_match"] and s["mismatches"] for s in summaries)
 
 
 def test_csv_and_jsonl_golden():
@@ -363,7 +369,8 @@ def test_bound_reports_from_one_pass():
 def test_exhaustive_bound_check_names_a_failing_pair():
     # n = 3 needs v2 >= 1; in half vectors (3) stands for (3) + (1,1,1),
     # with self-pairing 2, and the square (2,1) for itself, with 1
-    level = [((0, 1, 0), basis((3,)), 1), ((1, 1, 0), basis((2, 1)), 1)]
+    level = [((0, 1, 0), ((to_beads((3,)), 1),), 1),
+             ((1, 1, 0), ((to_beads((2, 1)), 1),), 1)]
     report = exhaustive_bound_check(3, level)
     assert report.verdict == "FAIL" and report.observed_min == 0
     assert report.witnesses == (("v=1,1,0 w=1,1,0", 0),
@@ -374,7 +381,7 @@ def test_exhaustive_bound_check_names_a_failing_pair():
 
 def full(half):
     """The conjugation-invariant vector whose half vector is ``half``."""
-    return {**half, **{conjugate_beads(s): c for s, c in half.items()}}
+    return {**dict(half), **{conjugate_beads(s): c for s, c in half}}
 
 
 def naive_bound_report(n, level):
@@ -405,7 +412,7 @@ def test_grouped_bound_check_matches_a_naive_fold():
     # claimed at its own n the check passes; claimed at n + 3 the same
     # level fails on pairs from several letter contents
     levels = check_levels(12, lambda xs, i: [half_step(x, i) for x in xs],
-                          basis(()), lambda n, level: (n, level))
+                          HALF_VACUUM, lambda n, level: (n, level))
     for n, level in levels:
         for claimed in (n, n + 3):
             report = exhaustive_bound_check(claimed, level)
@@ -415,10 +422,10 @@ def test_grouped_bound_check_matches_a_naive_fold():
     # the least pair attaining the bound is in the second content group,
     # which the grouped check visits after the first group's own
     # (half vectors: (2) and (3) weigh 2, the squares (2,1) and (2,2) 1)
-    level = [((0, 0, 1), {to_beads((1,)): 2}, 1),
-             ((0, 1, 1), basis((2, 1)) | basis((2, 2)), 1),
-             ((1, 0, 0), basis((2,)), 1),
-             ((1, 0, 1), {to_beads((2, 2)): 2, to_beads((3,)): 1}, 1)]
+    level = [((0, 0, 1), ((to_beads((1,)), 2),), 1),
+             ((0, 1, 1), ((to_beads((2, 1)), 1), (to_beads((2, 2)), 1)), 1),
+             ((1, 0, 0), ((to_beads((2,)), 1),), 1),
+             ((1, 0, 1), ((to_beads((2, 2)), 2), (to_beads((3,)), 1)), 1)]
     report = exhaustive_bound_check(3, level)
     assert report.to_json() == naive_bound_report(3, level).to_json()
     assert report.witnesses[0] == ("v=0,1,1 w=0,1,1", 1)
@@ -430,10 +437,10 @@ def test_bound_check_reads_packed_rows_like_a_naive_fold():
     # -2^(bits - 2) in two's complement; an all-zero row; claims whose
     # bound pass, fail, or reach past the slot width of 16 bits
     one, two = to_beads((1,)), to_beads((2,))      # half weights 1 and 2
-    x = {one: 64, two: 64}
-    minus_x = {k: -c for k, c in x.items()}
-    levels = [[((0, 1), {one: 16}, 1), ((1, 0), {one: 2}, 1)],
-              [((0, 1, 1), x, 1), ((1, 0, 1), minus_x, 1), ((1, 1, 0), {}, 1)]]
+    x = ((one, 64), (two, 64))
+    minus_x = tuple((k, -c) for k, c in x)
+    levels = [[((0, 1), ((one, 16),), 1), ((1, 0), ((one, 2),), 1)],
+              [((0, 1, 1), x, 1), ((1, 0, 1), minus_x, 1), ((1, 1, 0), (), 1)]]
     for level in levels:
         for claimed in (3, 6, 8, 16, 17, 19, 25):
             report = exhaustive_bound_check(claimed, level)
@@ -549,8 +556,32 @@ def test_cross_model_reports_match_per_length_walks():
 
 
 def both_levels(n_max):
-    return list(check_levels(n_max, _both_models, (basis(()), IMAGE_ONE),
-                             lambda n, level: level, key=_both_keys))
+    return list(check_levels(n_max, _both_models, (HALF_VACUUM, IMAGE_ONE),
+                             lambda n, level: level))
+
+
+def test_word_walks_carry_canonical_fock_images():
+    # every level of the bound and cross-model walks to n = 10 holds half
+    # vectors as item tuples: strictly increasing bead ints of the half,
+    # no zero coefficient, no image twice; and its word counts sum to the
+    # nonzero words of a per-word walk
+    bound_levels = check_levels(10, lambda xs, i: [half_step(x, i) for x in xs],
+                                HALF_VACUUM, lambda n, level: level)
+    for n, (bound, cross) in enumerate(zip(bound_levels, both_levels(10)),
+                                       start=1):
+        nonzero = sum(1 for letters in product(range(2), repeat=n)
+                      if apply_word(ResidueWord(2, letters)))
+        for images, counts in (([x for _, x, _ in bound],
+                                 [c for *_, c in bound]),
+                                ([x for _, (x, _), _ in cross],
+                                 [c for *_, c in cross])):
+            assert sum(counts) == nonzero
+            assert len(set(images)) == len(images)
+            for x in images:
+                assert type(x) is tuple and x
+                assert all(a < b for (a, _), (b, _) in zip(x, x[1:]))
+                assert all(c and s.bit_length() >= 2 * s.bit_count()
+                           for s, c in x)
 
 
 def test_gram_rows_pair_packed_images_like_inner_poly():
@@ -563,7 +594,7 @@ def test_gram_rows_pair_packed_images_like_inner_poly():
 
     for level in both_levels(10):
         images = [f for _, (_, f), _ in level]
-        bits, rows = gram_rows([dict(items) for _, items in images], z_key)
+        bits, rows = gram_rows([items for _, items in images], z_key)
         for a, (f, row) in enumerate(zip(images, rows)):
             for g, num in zip(images[a:],
                               read_slots(row, len(images) - a, bits)):
@@ -584,7 +615,12 @@ def test_cross_model_check_reports_a_one_sided_zero():
     # beside the pairs it is stepped with
     y, f = level[0][1]
     assert _both_models([(x, ()), (y, f)], 0) == [
-        (apply_f(x, 0, 2), ()), (apply_f(y, 0, 2), apply_letter(f, 0))]
+        (half_step(x, 0), ()), (half_step(y, 0), apply_letter(f, 0))]
+
+
+def half_norm(x):
+    """The full vector's norm from its half vector x."""
+    return sum(half_weight(s) * c * c for s, c in x)
 
 
 def test_cross_model_check_reports_a_scaled_image():
@@ -594,7 +630,7 @@ def test_cross_model_check_reports_a_scaled_image():
     summary = cross_model_check(7, level)
     assert summary["support_match"] and not summary["ok"]
     text = ",".join(map(str, word))
-    square = inner(x, x)
+    square = half_norm(x)
     assert f"v={text} w={text}: {square} != {4 * square}" in summary["mismatches"]
 
 
@@ -608,7 +644,7 @@ def test_cross_model_check_reports_two_images_on_one_fock_image():
     summary = cross_model_check(7, level)
     assert summary["support_match"] and not summary["ok"]
     v, w = (",".join(map(str, u)) for u in (first, word))
-    square = inner(x, x)
+    square = half_norm(x)
     assert f"v={v} w={w}: {square} != {-square}" in summary["mismatches"]
 
 
@@ -617,8 +653,9 @@ def test_cross_model_check_compares_slot_widths():
     # pairing 0: the rows pack to the same integers, 257 and 1, in slots
     # of one byte and of two
     s = to_beads((1,))
-    level = [((0,), ({s: 1}, (1, ((_pack((1,)), 15), (_pack((1, 1)), 4)))), 1),
-             ((1,), ({s: 1}, (1, ((0, 1),))), 1)]
+    level = [((0,), (((s, 1),), (1, ((_pack((1,)), 15), (_pack((1, 1)), 4)))),
+              1),
+             ((1,), (((s, 1),), (1, ((0, 1),))), 1)]
     summary = cross_model_check(1, level)
     assert summary["support_match"] and not summary["ok"]
     assert summary["mismatches"] == ["v=0 w=0: 1 != 257", "v=0 w=1: 1 != 0"]

@@ -7,8 +7,8 @@ import pytest
 
 from chessfock.fock import (_class_f, _classes, apply_e, apply_f, apply_word,
                             basis, cyclic_sums, decode, gram_rows, half_step,
-                            half_weight, inner, pair_sum, random_vector,
-                            read_slots)
+                            half_weight, inner, pack_columns, pair_sum,
+                            random_vector, read_slots)
 from chessfock.partitions import (_addable_corners, _removable_corners,
                                   cell_residue, enumerate_partitions, to_beads)
 from chessfock.polyrep import _pack, z_key
@@ -97,9 +97,17 @@ def test_modulus_one_gives_factorials():
         assert pair_sum(w, w) == factorial(n)
 
 
+def items(x):
+    """The canonical image of a vector: its items, sorted by bead int."""
+    return tuple(sorted(x.items()))
+
+
 def fock_levels(n_max):
-    return check_levels(n_max, lambda xs, i: [apply_f(x, i, 2) for x in xs],
-                        basis(()), lambda n, level: level)
+    """The word walk on full vectors, stepped by ``apply_f`` as item
+    tuples; each level's images come back as dicts."""
+    return check_levels(
+        n_max, lambda xs, i: [items(apply_f(dict(x), i, 2)) for x in xs],
+        items(basis(())), lambda n, level: [(w, dict(x), c) for w, x, c in level])
 
 
 def test_word_images_agree_with_apply_word():
@@ -230,13 +238,14 @@ def test_half_walk_matches_the_full_walk():
         classes = _class_f(classes, (n - 1) % 2)
         assert classes == _classes(halved(x))
         assert sums[n - 1] == inner(x, x)
-    # the bound suite steps every binary word's image, not only the
-    # alternating one's, with either letter
+    # the bound and cross-model suites step every binary word's image, not
+    # only the alternating one's, with either letter, by half_step
     for level in fock_levels(12):
         for _, image, _ in level:
             for i in range(2):
-                assert (_class_f(_classes(halved(image)), i)
-                        == _classes(halved(apply_f(image, i, 2))))
+                step = halved(apply_f(image, i, 2))
+                assert _class_f(_classes(halved(image)), i) == _classes(step)
+                assert half_step(items(halved(image)), i) == items(step)
 
 
 def test_classes_split_the_half_by_row_parity_and_diagonal():
@@ -251,15 +260,17 @@ def test_half_step_matches_the_direct_step():
         for _, image, _ in level:
             for i in range(2):
                 direct = _class_f(_classes(halved(image)), i)
-                assert half_step(halved(image), i) == {
-                    s: c for part in direct for s, c in part.items()}
+                assert half_step(items(halved(image)), i) == items(
+                    {s: c for part in direct for s, c in part.items()})
     # letter 1 takes (2) and its dropped conjugate (1, 1) both to (2, 1)
-    assert half_step({to_beads((2,)): 3}, 1) == {to_beads((2, 1)): 6}
+    assert half_step(((to_beads((2,)), 3),), 1) == ((to_beads((2, 1)), 6),)
+    assert half_step((), 0) == ()
 
 
 def slot_rows(vectors, weight=None):
-    """gram_rows with each packed row read back as its list of slots."""
-    bits, rows = gram_rows(vectors, weight)
+    """gram_rows of dict vectors, each packed row read back as its list
+    of slots."""
+    bits, rows = gram_rows([x.items() for x in vectors], weight)
     return [read_slots(row, len(vectors) - a, bits)
             for a, row in enumerate(rows)]
 
@@ -277,19 +288,31 @@ def test_gram_rows_match_inner():
     assert slot_rows([]) == []
 
 
+def test_gram_rows_and_columns_take_the_pairs_in_any_form():
+    # one level's images as dict items, as sorted item tuples and as
+    # reversed lists of pairs give the same rows and the same columns
+    for level in fock_levels(10):
+        vectors = [image for _, image, _ in level]
+        results = []
+        for form in ([x.items() for x in vectors], [items(x) for x in vectors],
+                     [list(items(x))[::-1] for x in vectors]):
+            bits, rows = gram_rows(form, half_weight)
+            results.append((bits, list(rows), pack_columns(form, bits // 8)))
+        assert results[0] == results[1] == results[2]
+
+
 def test_gram_rows_pack_twos_complement_slots():
     # a norm of 3 * 2^12 takes two-byte slots, and its negative pairing
     # -3 * 2^12 is near -2^(bits - 2); a zero vector gives an all-zero row
-    x = {to_beads((1,)): 64, to_beads((2,)): 64}
-    bits, rows = gram_rows([x, {k: -c for k, c in x.items()}, {}],
-                           half_weight)
+    x = ((to_beads((1,)), 64), (to_beads((2,)), 64))
+    bits, rows = gram_rows([x, tuple((k, -c) for k, c in x), ()], half_weight)
     assert bits == 16
     assert list(rows) == [3 << 12 | (2 ** 16 - (3 << 12)) << 16,
                           3 << 12, 0]
     assert read_slots(3 << 12 | (2 ** 16 - (3 << 12)) << 16, 3, 16) == [
         3 << 12, -(3 << 12), 0]
     # a multiple of 256 leaves the low byte of its slot zero
-    bits, rows = gram_rows([{1: 16}, {1: 1}])
+    bits, rows = gram_rows([((1, 16),), ((1, 1),)])
     assert bits == 16 and list(rows) == [256 | 16 << 16, 1]
 
 

@@ -8,7 +8,7 @@ from chessfock.partitions import (addable_cells, cell_residue,
                                   conjugate_beads,
                                   enumerate_partitions, format_partition,
                                   from_beads, glaisher_distinct_to_odd,
-                                  glaisher_odd_to_distinct, removable_cells,
+                                  glaisher_odd_to_distinct,
                                   sort_key, to_beads, z_mu,
                                   _addable_corners, _removable_corners,
                                   _residue_mask)
@@ -122,7 +122,10 @@ def up(s, i, e):
 
 
 def down(s, i, e):
-    return s & ~(s << 1) & removable_cells(i, e, s.bit_length())[s.bit_count() % e]
+    """The beads of s that removing a cell of residue i moves: a bead at p
+    removes a cell of residue one more than the one it adds."""
+    masks = addable_cells((i - 1) % e, e, s.bit_length())
+    return s & ~(s << 1) & masks[s.bit_count() % e]
 
 
 def added_cells(lam, i, e):
@@ -167,8 +170,8 @@ def test_boundary_cells_examples():
     # beads and at the even ones of an odd number, and removed the other
     # way round
     odd, even = _residue_mask(2, 1, 63), _residue_mask(2, 0, 63)
-    assert addable_cells(1, 2, 5) == removable_cells(0, 2, 5) == [even, odd]
-    assert addable_cells(0, 2, 5) == removable_cells(1, 2, 5) == [odd, even]
+    assert addable_cells(1, 2, 5) == [even, odd]
+    assert addable_cells(0, 2, 5) == [odd, even]
     assert removed_cells((2, 1), 1, 2) == [(1, 2), (2, 1)]
     assert removed_cells((2, 1), 0, 2) == []
     with pytest.raises(ValueError):
@@ -235,7 +238,8 @@ def test_one_mask_list_serves_shapes_of_every_width():
     width = max(map(to_beads, shapes)).bit_length()
     for e in (1, 2, 3, 4):
         for i in range(e):
-            masks = addable_cells(i, e, width), removable_cells(i, e, width)
+            masks = (addable_cells(i, e, width),
+                     addable_cells((i - 1) % e, e, width))
             assert len(masks[0]) == len(masks[1]) == e
             for lam in shapes:
                 s = to_beads(lam)
@@ -246,7 +250,7 @@ def test_one_mask_list_serves_shapes_of_every_width():
                 assert bead_cells(s, s & ~(s << 1) & mask_down, 0) == [
                     c for c in _removable_corners(lam) if cell_residue(c, e) == i]
     # the empty vector's step still indexes the class of no beads
-    assert len(addable_cells(0, 2, 0)) == len(removable_cells(0, 2, 0)) == 2
+    assert len(addable_cells(0, 2, 0)) == len(addable_cells(1, 2, 0)) == 2
 
 
 def test_conjugate_beads():

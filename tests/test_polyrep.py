@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, perm, prod
 from pathlib import Path
 
 import pytest
@@ -284,15 +284,35 @@ def test_op_a_and_q_image_refuse_a_product_above_degree_255():
     assert (_q_column.cache_info(), _sub_monomials.cache_info()) == before
 
 
+def test_sub_monomials_are_the_sub_multisets_of_one_degree(fresh_memos):
+    # against the definition on every sub-multiset nu of tau, for every
+    # degree n to one past |tau|: the weight 2^len(nu) / z_nu times prod_k
+    # k^m perm(t, m); one entry per (key, n) asked for
+    for deg in range(11):
+        for tau in enumerate_partitions(deg, "odd"):
+            runs = [(k, tau.count(k)) for k in dict.fromkeys(tau)]
+            subs = {}
+            for ms in product(*(range(t + 1) for _, t in runs)):
+                nu = tuple(k for (k, _), m in zip(runs, ms) for _ in range(m))
+                weight = F(2 ** len(nu), z_mu(nu)) * prod(
+                    k ** m * perm(t, m) for (k, t), m in zip(runs, ms))
+                subs.setdefault(sum(nu), []).append(
+                    (_pack(tau) - _pack(nu), weight))
+            for n in range(deg + 2):
+                assert sorted(_sub_monomials(_pack(tau), n)) == sorted(
+                    subs.get(n, []))
+    assert _sub_monomials.cache_info().currsize == sum(
+        (deg + 2) * len(enumerate_partitions(deg, "odd")) for deg in range(11))
+
+
 def _without_binomials(monkeypatch):
     monkeypatch.setattr(polyrep, "comb", lambda t, m: 1)
 
 
 def _without_powers_of_two(monkeypatch):
     subs = polyrep._sub_monomials
-    monkeypatch.setattr(polyrep, "_sub_monomials", lambda key: {
-        n: [(rest, w >> len(_unpack(key - rest))) for rest, w in terms]
-        for n, terms in subs(key).items()})
+    monkeypatch.setattr(polyrep, "_sub_monomials", lambda key, n: [
+        (rest, w >> len(_unpack(key - rest))) for rest, w in subs(key, n)])
 
 
 @pytest.mark.parametrize("defect, q_image", [(_without_binomials, "PASS"),
@@ -384,9 +404,16 @@ def series_walk(n, f=ONE, prefix=(), step=_series_step):
             yield from series_walk(n, g, prefix + (letter,), step)
 
 
-def per_image(step):
-    """A level step of ``check_levels`` from a step of one image."""
-    return lambda images, letter: [step(f, letter) for f in images]
+def dict_levels(n_max, step, start):
+    """The ``check_levels`` walk from the dict image start, stepped image by
+    image by step(image, letter) and carried as sorted item tuples; each
+    level's images come back as dicts."""
+    def canonical(f):
+        return tuple(sorted(f.items()))
+
+    return list(check_levels(
+        n_max, lambda images, i: [canonical(step(dict(f), i)) for f in images],
+        canonical(start), lambda n, level: [(w, dict(y), c) for w, y, c in level]))
 
 
 def deduplicated(words):
@@ -399,8 +426,7 @@ def deduplicated(words):
 
 def test_word_images_match_a_walk_on_the_series():
     # the cached-column generators against the series, along every word
-    levels = list(check_levels(9, per_image(apply_letter), ONE,
-                               lambda n, level: level))
+    levels = dict_levels(9, apply_letter, ONE)
     assert len(levels) == 9
     for n, level in enumerate(levels, start=1):
         assert level == deduplicated(series_walk(n))
@@ -417,9 +443,8 @@ def test_packed_walk_matches_the_fraction_walk():
         return {_unpack(key): F(num, den) for key, num in items}
 
     ints = list(check_levels(10, apply_letter, IMAGE_ONE,
-                             lambda n, level: level, key=lambda y: y))
-    fracs = list(check_levels(10, per_image(apply_letter), ONE,
-                              lambda n, level: level))
+                             lambda n, level: level))
+    fracs = dict_levels(10, apply_letter, ONE)
     assert len(ints) == len(fracs) == 10
     for a, b in zip(ints, fracs):
         assert [(w, decode(y), c) for w, y, c in a] == b
@@ -441,8 +466,7 @@ def test_a_level_steps_like_the_series_image_by_image():
     # every generation level to n = 10, stepped whole by f0 and f1, against
     # the series on each image; and a level of one is the image itself
     levels = list(check_levels(10, apply_letter, IMAGE_ONE,
-                               lambda n, level: [y for _, y, _ in level],
-                               key=lambda y: y))
+                               lambda n, level: [y for _, y, _ in level]))
     for level in levels:
         for gen in ("f0", "f1"):
             images = op_generator(gen, level)
@@ -509,16 +533,12 @@ def test_a_level_at_the_edge_of_a_slot():
 
 def test_check_levels_is_every_depth_of_the_per_model_walks():
     # levels, least words and word counts against every word of each length
-    def levels(n_max, step, start):
-        return list(check_levels(n_max, per_image(step), start,
-                                 lambda n, level: level))
-
     fock_step = lambda x, i: apply_f(x, i, 2)
-    fock_levels = levels(12, fock_step, basis(()))
+    fock_levels = dict_levels(12, fock_step, basis(()))
     assert len(fock_levels) == 12
     for n, level in enumerate(fock_levels, start=1):
         assert level == deduplicated(series_walk(n, basis(()), step=fock_step))
-    for n, level in enumerate(levels(8, _series_step, ONE), start=1):
+    for n, level in enumerate(dict_levels(8, _series_step, ONE), start=1):
         assert level == deduplicated(series_walk(n))
         # each level is in the order of its least words
         assert [letters for letters, _, _ in level] == \

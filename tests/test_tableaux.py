@@ -194,7 +194,7 @@ def test_check_levels_walks_once_in_word_order():
 
     # with the image the word itself, each level is every word, in order
     reports = check_levels(3, lambda xs, i: [x + (i,) for x in xs], (),
-                           check, key=lambda y: y)
+                           check)
     assert calls == []
     assert next(reports) == (1, [((0,), (0,), 1), ((1,), (1,), 1)])
     assert [level for _, level in reports] == [
