@@ -100,11 +100,8 @@ def _validate(args: argparse.Namespace) -> None:
     for name in ("v", "w"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _parse_word(getattr(args, name), args.e))
-    v, w = getattr(args, "v", None), getattr(args, "w", None)
-    if args.command == "scan" and (v is None) != (w is None):
+    if args.command == "scan" and (args.v is None) != (args.w is None):
         raise ValueError("give both words or neither")
-    if v is not None and w is not None and len(v) != len(w):
-        raise ValueError("the two words must have the same length")
 
 
 def _print_rows(rows, fmt) -> int:

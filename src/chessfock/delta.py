@@ -17,9 +17,9 @@ from typing import Iterator, NamedTuple
 from .arith import INFINITY, Valuation, tri_count, vp
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          format_partition, z_mu)
-from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column, OddPoly,
-                      _column, _pack, _q_star, _q_times, _unpack,
-                      apply_letter)
+from .polyrep import (GENERATORS, IMAGE_ONE, Column, OddPoly, _column,
+                      _pack, _q_star, _q_times, _unpack, apply_letter,
+                      check_degree)
 from .tableaux import check_levels
 
 
@@ -139,8 +139,7 @@ def _basis_scan(degree_bound: int, reach: int, images):
     (name, ``_lattice_v2`` of the image of p_key), whose least value plus
     ``_shift(mu)`` is the valuation.  Raises at once if ``reach`` more
     degrees would overflow a packed key."""
-    if degree_bound + reach > MAX_DEGREE:
-        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    check_degree(degree_bound + reach)
     for d in range(degree_bound + 1):
         for mu in enumerate_partitions(d, "odd"):
             desc, shift = _basis_desc(mu), _shift(mu)
@@ -156,8 +155,8 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
     lattice; side="adjoint": q_n^* f stays in 2^((n - eps + 2)/2) times it,
     where eps = n mod 2.  Exercised on every lattice basis monomial of
     degree <= degree_bound (enough, since both maps are linear over the
-    odd-denominator integers), each image packed.  A product above
-    MAX_DEGREE raises at once.
+    odd-denominator integers), each image packed.  A product above degree
+    255 raises at once (``check_degree``).
     """
     if n < 1:
         raise ValueError(f"q-image check needs n >= 1, got {n}")
@@ -177,7 +176,7 @@ def verify_q_image(n: int, degree_bound: int, side: str) -> ValuationReport:
 def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound, each image read off
-    its column.  A degree bound >= MAX_DEGREE raises at once."""
+    its column.  A degree bound >= 255 raises at once."""
     images = lambda key: ((gen, _column_v2(gen, key)) for gen in GENERATORS)
     return _scan_report("stability", degree_bound, 0, False,
                         _basis_scan(degree_bound, 1, images))
@@ -202,8 +201,7 @@ def gf2_rank(rows: list[int]) -> int:
 def generation_reports(n_max: int) -> Iterator[ValuationReport]:
     """Yield ``verify_generation(n, level)`` for n = 1..n_max from one
     ``check_levels`` pass over the distinct packed images of the words."""
-    if n_max > MAX_DEGREE:
-        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    check_degree(n_max)
     return check_levels(n_max, apply_letter, IMAGE_ONE, verify_generation)
 
 

@@ -25,8 +25,8 @@ from .fock import (HALF_VACUUM, HalfImage, apply_e, apply_f, cyclic_sums,
                    gram_rows, half_step, half_weight, inner, pair_sum,
                    random_vector, read_slots)
 from .partitions import enumerate_partitions
-from .polyrep import (GENERATORS, IMAGE_ONE, MAX_DEGREE, Column,
-                      adjoint_monomial, apply_letter, inner_poly, mul_monomial,
+from .polyrep import (GENERATORS, IMAGE_ONE, Column, adjoint_monomial,
+                      apply_letter, check_degree, inner_poly, mul_monomial,
                       op_a, op_generator, op_series, poly_add, random_poly,
                       top_degree, z_key)
 from .tableaux import ResidueWord, check_levels, hook_count
@@ -371,9 +371,8 @@ def _both_models(states: list[tuple[HalfImage, Column]], letter: int) -> list:
 def cross_model_reports(n_max: int) -> Iterator[dict]:
     """Yield ``cross_model_check(n, level)`` for n = 1..n_max from one
     ``check_levels`` pass over the (Fock half vector, packed polynomial
-    image) pairs of the words.  An n_max above MAX_DEGREE raises at once."""
-    if n_max > MAX_DEGREE:
-        raise ValueError(f"degree {MAX_DEGREE + 1} is above {MAX_DEGREE}")
+    image) pairs of the words.  An n_max above 255 raises at once."""
+    check_degree(n_max)
     return check_levels(n_max, _both_models, (HALF_VACUUM, IMAGE_ONE),
                         cross_model_check)
 
@@ -439,67 +438,55 @@ def cross_model_check(n: int, level: list) -> dict:
 
 def property_checks(seed: int) -> list[tuple[str, bool, dict]]:
     """The seeded randomized identities, as (name, ok, detail) triples;
-    exact arithmetic on random inputs."""
+    exact arithmetic on random inputs, each trial drawn from one ``rng``."""
     rng = random.Random(seed)
-    results = []
 
-    ok = True
-    for _ in range(25):
+    def adjointness_fock():
         e = rng.choice((2, 3))
-        x = random_vector(rng, 8)
-        y = random_vector(rng, 8)
+        x, y = random_vector(rng, 8), random_vector(rng, 8)
         i = rng.randrange(e)
-        lhs = inner(apply_f(x, i, e), y)
-        rhs = inner(x, apply_e(y, i, e))
-        ok = ok and lhs == rhs
-    results.append(("adjointness-fock", ok, {"trials": 25}))
+        return inner(apply_f(x, i, e), y) == inner(x, apply_e(y, i, e))
 
-    ok = True
-    for _ in range(25):
-        f = random_poly(rng, 9)
-        g = random_poly(rng, 9)
+    def adjointness_poly():
+        f, g = random_poly(rng, 9), random_poly(rng, 9)
         keys = [(1,), (3,), (1, 1), (3, 1), (5,), (3, 3)]
         mu = keys[rng.randrange(len(keys))]
-        lhs = inner_poly(mul_monomial(f, mu), g)
-        rhs = inner_poly(f, adjoint_monomial(g, mu))
-        ok = ok and lhs == rhs
-    results.append(("adjointness-poly", ok, {"trials": 25}))
+        return (inner_poly(mul_monomial(f, mu), g)
+                == inner_poly(f, adjoint_monomial(g, mu)))
 
-    ok = True
-    for _ in range(10):
+    def generator_sums():
         f = random_poly(rng, 8)
         fsum = poly_add(op_generator("f0", f), op_generator("f1", f))
         esum = poly_add(op_generator("e0", f), op_generator("e1", f))
-        ok = ok and fsum == mul_monomial(f, (1,))
-        ok = ok and esum == adjoint_monomial(f, (1,))
-    results.append(("generator-sums", ok, {"trials": 10}))
+        return (fsum == mul_monomial(f, (1,))
+                and esum == adjoint_monomial(f, (1,)))
 
-    ok = True
-    for _ in range(10):
-        f = random_poly(rng, 6)
-        g = random_poly(rng, 6)
+    def vertex_contravariance():
+        f, g = random_poly(rng, 6), random_poly(rng, 6)
         j = rng.randint(-3, 3)
-        lhs = inner_poly(op_a(j, f), g)
         sign = -1 if j % 2 else 1
-        rhs = sign * inner_poly(f, op_a(-j, g))
-        ok = ok and lhs == rhs
-    results.append(("vertex-contravariance", ok, {"trials": 10}))
+        return inner_poly(op_a(j, f), g) == sign * inner_poly(f, op_a(-j, g))
 
-    ok = True
-    for _ in range(10):
+    def series_truncation():
         f = random_poly(rng, 8)
         deep = 2 * max(top_degree(f), 0) + 4
-        for gen in GENERATORS:
-            ok = ok and op_generator(gen, f) == op_series(gen, f, deep)
-    results.append(("series-truncation", ok, {"trials": 10}))
+        return all(op_generator(gen, f) == op_series(gen, f, deep)
+                   for gen in GENERATORS)
 
-    ok = True
-    for _ in range(40):
+    def valuation_axioms():
         p = rng.choice((2, 3, 5))
         qq = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
         rr = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        if qq and rr:
-            ok = ok and vp(qq * rr, p) == vp(qq, p) + vp(rr, p)
-        ok = ok and vp(qq + rr, p) >= min(vp(qq, p), vp(rr, p))
-    results.append(("valuation-axioms", ok, {"trials": 40}))
-    return results
+        return ((not (qq and rr) or vp(qq * rr, p) == vp(qq, p) + vp(rr, p))
+                and vp(qq + rr, p) >= min(vp(qq, p), vp(rr, p)))
+
+    # a list, not a generator, inside all(): a failed trial must not skip
+    # the draws of the trials after it
+    return [(name, all([identity() for _ in range(trials)]), {"trials": trials})
+            for name, trials, identity in (
+                ("adjointness-fock", 25, adjointness_fock),
+                ("adjointness-poly", 25, adjointness_poly),
+                ("generator-sums", 10, generator_sums),
+                ("vertex-contravariance", 10, vertex_contravariance),
+                ("series-truncation", 10, series_truncation),
+                ("valuation-axioms", 40, valuation_axioms))]

@@ -231,39 +231,36 @@ def inner(x: FockVector, y: FockVector) -> int:
 
 
 def gram_rows(vectors: Sequence[Iterable[tuple[int, int]]],
-              weight: Callable[[int], int] | None = None
-              ) -> tuple[int, Iterator[int]]:
+              weight: Callable[[int], int]) -> tuple[int, Iterator[int]]:
     """The slot width in bits, and row a of the Gram matrix from the
     diagonal on as one integer: slot b - a holds sum_k weight(k) * x_a[k] *
     x_b[k] for x_a = vectors[a], b >= a, in two's complement (read back by
     ``read_slots``), for integer coefficients of either sign and a positive
-    weight (1 when None); a vector is its (key, coefficient) pairs, keys
-    distinct, in any order.  Over the columns col_k of ``pack_columns``, the
-    sum of weight(k) * x_a[k] * col_k holds the pairing of x_a and x_b in
-    slot b; by Cauchy-Schwarz no coefficient or pairing exceeds the largest
-    weighted norm, and bits has two more.  The row plus the bias, xor the
-    bias, is the row in two's complement.
+    weight; a vector is its (key, coefficient) pairs, keys distinct, in any
+    order.  Over the columns col_k of ``pack_columns``, the sum of
+    weight(k) * x_a[k] * col_k holds the pairing of x_a and x_b in slot b;
+    by Cauchy-Schwarz no coefficient or pairing exceeds the largest
+    weighted norm, which is the bound that sizes the slots.  The row plus
+    the bias, xor the bias, is the row in two's complement.
     """
-    weights = {k: weight(k) if weight else 1
-               for k in {k for x in vectors for k, _ in x}}
+    weights = {k: weight(k) for k in {k for x in vectors for k, _ in x}}
     largest = max((sum(weights[k] * c * c for k, c in x) for x in vectors),
                   default=0)
-    width = (largest.bit_length() + 9) // 8      # bytes per slot
-    bits = 8 * width
-    bias, cols = pack_columns(vectors, width)
+    bits, bias, cols = pack_columns(vectors, largest)
     return bits, ((sum(c * weights[k] * cols[k] for k, c in x)
                    + bias >> a * bits) ^ (bias >> a * bits)
                   for a, x in enumerate(vectors))
 
 
 def pack_columns(vectors: Sequence[Iterable[tuple[int, int]]],
-                 width: int) -> tuple[int, dict]:
-    """The bias, 2^(bits-1) in each slot of bits = 8 * width, and per key k
-    of the vectors (pairs, as in ``gram_rows``) the column sum_b x_b[k] *
-    2^(b*bits), for |x_b[k]| < 2^(bits-1): the bytes of x_b[k] + 2^(bits-1),
-    slot by slot, less the bias.  A sum of columns with every slot below
-    2^(bits-1) in absolute value, plus the bias, is nonnegative in each
-    slot: no borrow crosses."""
+                 bound: int) -> tuple[int, int, dict]:
+    """The slot width bits, two over the bit length of ``bound`` in whole
+    bytes; the bias, 2^(bits-1) in each slot; and per key k of the vectors
+    (pairs, as in ``gram_rows``) the column sum_b x_b[k] * 2^(b*bits), for
+    |x_b[k]| <= bound: the bytes of x_b[k] + 2^(bits-1), slot by slot, less
+    the bias.  A sum of columns with every slot at most bound in absolute
+    value, plus the bias, is nonnegative in each slot: no borrow crosses."""
+    width = (bound.bit_length() + 9) // 8       # bytes per slot
     half = 1 << 8 * width - 1
     slots = half.to_bytes(width, "little") * len(vectors)
     bias = int.from_bytes(slots, "little")
@@ -271,8 +268,8 @@ def pack_columns(vectors: Sequence[Iterable[tuple[int, int]]],
     for at, x in zip(range(0, len(slots), width), vectors):
         for k, c in x:
             packed[k][at:at + width] = (c + half).to_bytes(width, "little")
-    return bias, {k: int.from_bytes(b, "little") - bias
-                  for k, b in packed.items()}
+    return 8 * width, bias, {k: int.from_bytes(b, "little") - bias
+                             for k, b in packed.items()}
 
 
 def read_slots(row: int, count: int, bits: int) -> list[int]:

@@ -40,14 +40,14 @@ the state, its sign and the term p1 p_mu or p1^* p_mu, in integers.
 A key packs an odd monomial into one int (``_pack``): the multiplicity of
 the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
 monomials is a sum of keys and p_(mu minus nu) a difference.  A slot could
-overflow above degree 255, where ``_pack`` and the columns raise
-ValueError.  ``op_generator`` maps OddPolys to OddPolys, decoding keys
-with the cached ``_unpack``, and packed images (den, ((key, int), ...)),
-and lists of them, to the same: the word walks step levels from
-``IMAGE_ONE`` (numerators pair in ``fock.gram_rows``, by ``z_key``).  The
-column views are cached on first use, one per (generator, monomial), and
-each holds the state dict of one shared memo of the states 2 A_j p_mu
-(``_a_state``, which peels the largest part first), not a copy.
+overflow above degree 255, which ``check_degree`` refuses, for the packing
+kernels and for each suite before it starts.  ``op_generator`` maps OddPolys
+to OddPolys, decoding keys with the cached ``_unpack``, and packed images
+(den, ((key, int), ...)), and lists of them, to the same: the word walks
+step levels from ``IMAGE_ONE`` (numerators pair in ``fock.gram_rows``, by
+``z_key``).  The column views are cached on first use, one per (generator,
+monomial), and each holds the state dict of one shared memo of the states
+2 A_j p_mu (``_a_state``, which peels the largest part first), not a copy.
 ``op_generator`` and ``delta.verify_stability`` (through
 ``delta._column_v2``) read the same cache; nothing is built at import time.
 """
@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
 
-from .fock import pack_columns, read_slots
+from .fock import _nonzero, pack_columns, read_slots
 from .partitions import (Partition, check_odd_partition, enumerate_partitions,
                          z_mu)
 from .tableaux import ResidueWord
@@ -74,10 +74,15 @@ MAX_DEGREE = 255  # no 8-bit slot of a packed key overflows up to it
 IMAGE_ONE: Column = (1, ((0, 1),))  # the constant 1, where word walks start
 
 
+def check_degree(degree: int) -> None:
+    """Refuse, naming it, a degree at which a packed key could overflow."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above {MAX_DEGREE}")
+
+
 def _pack(mu: Partition) -> int:
     """The packed key of an odd-part partition (see the module docstring)."""
-    if sum(mu) > MAX_DEGREE:
-        raise ValueError(f"degree {sum(mu)} is above {MAX_DEGREE}")
+    check_degree(sum(mu))
     return sum(1 << 4 * k - 4 for k in mu)
 
 
@@ -189,9 +194,8 @@ def _q_times(n: int, f: Column) -> Column:
 
 def _ints(f: OddPoly, reach: int = 0) -> Column:
     """f packed over the lcm of its denominators; refused if ``reach`` more
-    degrees would overflow a slot (see ``_pack``)."""
-    if top_degree(f) + reach > MAX_DEGREE:
-        raise ValueError(f"degree {top_degree(f) + reach} is above {MAX_DEGREE}")
+    degrees would overflow a slot (``check_degree``)."""
+    check_degree(top_degree(f) + reach)
     den = lcm(*(c.denominator for c in f.values()))
     return den, [(_pack(mu), c.numerator * (den // c.denominator))
                  for mu, c in f.items()]
@@ -261,7 +265,7 @@ def _a_state(j: int, key: int) -> tuple[int, dict[int, int]]:
         acc[k] = acc.get(k, 0) + scale * v
     # only the sums above can be zero, and seldom are (44 of 4,161 states
     # to degree 26), so acc is copied only when one is
-    return den, {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
+    return den, _nonzero(acc)
 
 
 @lru_cache(maxsize=None)
@@ -274,9 +278,7 @@ def _column(gen: str, key: int) -> View:
     other monomials of an input do not change a column.
     """
     j = -1 if gen[0] == "f" else 1
-    degree = sum(_unpack(key)) - j
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} is above {MAX_DEGREE}")
+    check_degree(sum(_unpack(key)) - j)
     den, state = _a_state(j, key)
     # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
     base, c = (key + 1, 1) if j < 0 else (key - 1, key & 255)
@@ -292,10 +294,10 @@ def op_generator(gen: str, f):
     columns ``fock.pack_columns`` of the input monomials' numerators, over
     the lcm ``step`` of the denominators of their views ``_column``, give
     each output monomial as one big-int sum, slot a over image a's den *
-    step.  No slot value reaches half a slot: each is at most the largest
-    l1 norm of an image's numerators times the largest column coefficient,
-    and a slot has at least two bits more.  A packed result is canonical:
-    the gcd is divided out, the items are sorted by key, the zero image ().
+    step.  No slot value exceeds the bound that sizes the slots: the
+    largest column coefficient (the reach) times the largest l1 norm of an
+    image's numerators.  A packed result is canonical: the gcd is divided
+    out, the items are sorted by key, the zero image ().
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
@@ -308,8 +310,7 @@ def op_generator(gen: str, f):
     reach = max((step // den * (max(map(abs, state.values()), default=0) + extra)
                  for den, _, state, _, extra in cols.values()), default=0)
     largest = max((sum(abs(v) for _, v in x) for x in nums), default=0)
-    width = (max(reach, 1) * largest).bit_length() + 9 >> 3  # bytes per slot
-    bias, packed = pack_columns(nums, width)
+    bits, bias, packed = pack_columns(nums, max(reach, 1) * largest)
     acc: dict[int, int] = {}
     for key, (den, sign, state, base, extra) in cols.items():
         scale = step // den * packed[key]
@@ -320,7 +321,7 @@ def op_generator(gen: str, f):
             acc[k] = acc.get(k, 0) + v * scale
     keys = sorted(k for k, row in acc.items() if row)
     m = len(level)
-    rows = zip(*(read_slots(acc[k] + bias ^ bias, m, 8 * width) for k in keys))
+    rows = zip(*(read_slots(acc[k] + bias ^ bias, m, bits) for k in keys))
     out = []
     for (den, _), row in zip(level, rows if keys else [()] * m):
         g = gcd(den * step, *row)
@@ -360,8 +361,8 @@ def op_a(j: int, f: OddPoly, terms: int | None = None) -> OddPoly:
 
 
 def apply_letter(f, letter: int):
-    """Apply f0 or f1, named by a residue mod 2, to an OddPoly or a packed
-    image."""
+    """Apply f0 or f1, named by a residue mod 2, to an OddPoly, a packed
+    image or a level (a list of packed images), as ``op_generator`` does."""
     return op_generator(("f0", "f1")[letter], f)
 
 

@@ -119,7 +119,8 @@ def test_pair_sum(capsys):
 def test_usage_errors_exit_two(capsys):
     for argv, message in (
         (["pair-sum", "--v", "0,1"], ""),                # missing --w
-        (["pair-sum", "--v", "0,1", "--w", "0"], ""),    # length mismatch
+        (["pair-sum", "--v", "0,1", "--w", "0"],         # length mismatch
+         "error: words differ in length: 2 vs 1"),
         (["pair-sum", "--v", "0,2", "--w", "0,1"], ""),  # bad letter for e=2
         (["pair-sum", "--v", "zz", "--w", "0,1"], ""),   # unparsable word
         (["verify", "--suite", "nonsense"], ""),         # unknown suite
@@ -127,13 +128,14 @@ def test_usage_errors_exit_two(capsys):
         (["scan", "--p", "1000000000000000001"], ""),    # 101 divides it
         (["scan", "--p", "3317044064679887385961981"],  # past the primality test
          "error: primality is decided only below"),
+        # the lattice suites name the degree their images would reach
         (["verify", "--suite", "stability", "--degree", "300"],
-         "error: degree 256 is above 255"),
+         "error: degree 301 is above 255"),
         # q-image refuses before its first basis monomial, also within all
         (["verify", "--suite", "q-image", "--degree", "300"],
-         "error: degree 256 is above 255"),
+         "error: degree 301 is above 255"),
         (["verify", "--suite", "all", "--degree", "300"],
-         "error: degree 256 is above 255"),
+         "error: degree 301 is above 255"),
         # the word walks refuse before walking, not at a degree-255 column
         (["verify", "--suite", "generation", "--n-max", "256"],
          "error: degree 256 is above 255"),
@@ -282,7 +284,7 @@ def test_verify_records_carry_the_verdict_of_a_bool_check(capsys,
                                "trials": 1, "verdict": "FAIL"}
 
 
-def test_run_config_validation():
+def test_run_config_validation(capsys):
     def validated(*argv):
         args = build_parser().parse_args(list(argv))
         _validate(args)
@@ -296,10 +298,16 @@ def test_run_config_validation():
         validated("scan", "--v", "0,1")
     with pytest.raises(ValueError, match="give both words or neither"):
         validated("scan", "--w", "0,1")
-    with pytest.raises(ValueError, match="the two words must have the same"):
-        validated("scan", "--v", "0,1", "--w", "0")
     args = validated("scan", "--v", "0,1", "--w", "1,0")
     assert len(args.v) == len(args.w) == 2
+    # unequal words pass validation and are refused by fock.pair_sum, which
+    # both pair-sum and scan --v/--w run
+    validated("scan", "--v", "0,1", "--w", "0")
+    for command in ("pair-sum", "scan"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--v", "0,1", "--w", "0"])
+        assert err.value.code == 2
+        assert "error: words differ in length: 2 vs 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite,module,check", [
@@ -393,6 +401,7 @@ def test_a_closed_pipe_ends_quietly():
     assert proc.stdout.readline().startswith("PASS bound[n=1]")
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 1, 2)
     assert "Traceback" not in err, err
 

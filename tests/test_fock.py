@@ -267,7 +267,12 @@ def test_half_step_matches_the_direct_step():
     assert half_step((), 0) == ()
 
 
-def slot_rows(vectors, weight=None):
+def unit(key):
+    """The weight of the plain pairing ``inner``."""
+    return 1
+
+
+def slot_rows(vectors, weight):
     """gram_rows of dict vectors, each packed row read back as its list
     of slots."""
     bits, rows = gram_rows([x.items() for x in vectors], weight)
@@ -278,14 +283,15 @@ def slot_rows(vectors, weight=None):
 def test_gram_rows_match_inner():
     for level in fock_levels(10):
         vectors = [image for _, image, _ in level]
-        rows = slot_rows(vectors)
+        rows = slot_rows(vectors, unit)
         assert len(rows) == len(vectors)
         for a, row in enumerate(rows):
             assert row == [inner(vectors[a], y) for y in vectors[a:]]
     # slots wide enough for a large norm, and an empty support
     big = [{(1,): 2 ** 40}, {(1,): 3, (2,): 2 ** 39}, {}]
-    assert slot_rows(big) == [[2 ** 80, 3 * 2 ** 40, 0], [9 + 2 ** 78, 0], [0]]
-    assert slot_rows([]) == []
+    assert slot_rows(big, unit) == [
+        [2 ** 80, 3 * 2 ** 40, 0], [9 + 2 ** 78, 0], [0]]
+    assert slot_rows([], unit) == []
 
 
 def test_gram_rows_and_columns_take_the_pairs_in_any_form():
@@ -293,11 +299,12 @@ def test_gram_rows_and_columns_take_the_pairs_in_any_form():
     # reversed lists of pairs give the same rows and the same columns
     for level in fock_levels(10):
         vectors = [image for _, image, _ in level]
+        bound = max(abs(c) for x in vectors for c in x.values())
         results = []
         for form in ([x.items() for x in vectors], [items(x) for x in vectors],
                      [list(items(x))[::-1] for x in vectors]):
             bits, rows = gram_rows(form, half_weight)
-            results.append((bits, list(rows), pack_columns(form, bits // 8)))
+            results.append((bits, list(rows), pack_columns(form, bound)))
         assert results[0] == results[1] == results[2]
 
 
@@ -312,8 +319,31 @@ def test_gram_rows_pack_twos_complement_slots():
     assert read_slots(3 << 12 | (2 ** 16 - (3 << 12)) << 16, 3, 16) == [
         3 << 12, -(3 << 12), 0]
     # a multiple of 256 leaves the low byte of its slot zero
-    bits, rows = gram_rows([((1, 16),), ((1, 1),)])
+    bits, rows = gram_rows([((1, 16),), ((1, 1),)], unit)
     assert bits == 16 and list(rows) == [256 | 16 << 16, 1]
+
+
+def test_pack_columns_size_slots_two_bits_over_the_bound():
+    # two bits over the bound's bit length, in whole bytes
+    for length, bits in ((1, 8), (6, 8), (7, 16), (14, 16), (15, 24),
+                         (22, 24), (23, 32)):
+        bound = (1 << length) - 1
+        assert pack_columns([], bound)[0] == bits
+        assert pack_columns([], 1 << length - 1)[0] == bits
+    assert pack_columns([], 0)[0] == 8
+    # a sum of columns reaching exactly +-bound in a slot reads back exactly,
+    # at every width, and so does every coefficient
+    for bound in (63, 64, 2 ** 14 - 1, 2 ** 14, 3 ** 30):
+        vectors = [((1, bound),), ((1, -bound), (2, bound)), ((2, -bound),),
+                   ((1, 1), (2, -1))]
+        bits, bias, cols = pack_columns(vectors, bound)
+        assert bias == sum(1 << bits * b + bits - 1 for b in range(4))
+        assert read_slots(cols[1] + bias ^ bias, 4, bits) == [
+            bound, -bound, 0, 1]
+        assert read_slots(cols[1] + cols[2] + bias ^ bias, 4, bits) == [
+            bound, 0, -bound, 0]
+        assert read_slots(-cols[1] - cols[2] + bias ^ bias, 4, bits) == [
+            -bound, 0, bound, 0]
 
 
 def weighted_inner(x, y, weight):

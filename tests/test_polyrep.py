@@ -8,16 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from chessfock import delta, experiments, polyrep
-from chessfock.fock import apply_f, apply_word, basis, inner, pair_sum
+from chessfock import delta, experiments, fock, polyrep
+from chessfock.fock import (apply_f, apply_word, basis, inner, pack_columns,
+                            pair_sum)
 from chessfock.delta import delta_valuation
 from chessfock.partitions import (enumerate_partitions,
                                   glaisher_odd_to_distinct, z_mu)
 from chessfock.polyrep import (GENERATORS, IMAGE_ONE, _a_state, _column,
                                _ints, _pack, _poly, _q_column, _q_star,
                                _q_times, _sub_monomials, _unpack,
-                               adjoint_monomial, apply_letter,
-                               apply_word_poly, inner_poly, mul_monomial, op_a,
+                               adjoint_monomial, apply_letter, apply_word_poly,
+                               check_degree, inner_poly, mul_monomial, op_a,
                                op_generator, op_series, poly_add, poly_scale,
                                random_poly, top_degree)
 from chessfock.tableaux import ResidueWord, alternating_word, check_levels
@@ -375,6 +376,33 @@ def test_packed_keys_refuse_degrees_above_255():
         assert _a_state.cache_info() == before[1]
 
 
+def test_check_degree_guards_every_packing_site_before_any_work(monkeypatch):
+    assert check_degree(255) is None
+    for degree in (256, 301):
+        with pytest.raises(ValueError, match=f"^degree {degree} is above 255$"):
+            check_degree(degree)
+
+    def work(*args):
+        raise AssertionError(f"work before the degree check: {args}")
+
+    # each site names its own degree, and none builds a state, q_n,
+    # sub-monomial or half step first
+    for module, name in ((polyrep, "_a_state"), (polyrep, "_q_column"),
+                         (polyrep, "_sub_monomials"), (fock, "_half_moves")):
+        monkeypatch.setattr(module, name, work)
+    for site, degree in (
+            (lambda: _pack((1,) * 256), 256),
+            (lambda: _ints({(1,) * 255: F(1)}, 1), 256),
+            (lambda: _ints({(255,): F(1), (1,): F(1)}, 2), 257),
+            (lambda: _column("f1", _pack((255,))), 256),
+            (lambda: delta.verify_stability(255), 256),
+            (lambda: delta.verify_q_image(1, 255, "multiply"), 256),
+            (lambda: delta.generation_reports(256), 256),
+            (lambda: experiments.cross_model_reports(256), 256)):
+        with pytest.raises(ValueError, match=f"^degree {degree} is above 255$"):
+            site()
+
+
 def test_cached_columns_match_the_series():
     # the mat-vec over cached columns against the series, monomial by monomial
     for deg in range(13):
@@ -520,10 +548,10 @@ def test_a_level_at_the_edge_of_a_slot():
     n = ((1 << 8 * 25 + 6) - 1) // reach
     top = sum(n * step // den * sign * state[p13]
               for den, sign, state, _, _ in views)
-    single = (reach * n).bit_length() + 9 >> 3    # bytes, from n alone
+    single = pack_columns([], reach * n)[0]       # bits, from n alone
     assert all(max(map(abs, state.values())) == abs(state[p13])
                for _, _, state, _, _ in views)
-    assert abs(top) >= 1 << 8 * single - 1
+    assert abs(top) >= 1 << single - 1
     small = (3, ((keys[0], 1),))
     level = [(1, tuple((key, n) for key in keys)), small,
              (1, tuple((key, -n) for key in keys)), small]
@@ -543,6 +571,47 @@ def test_check_levels_is_every_depth_of_the_per_model_walks():
         # each level is in the order of its least words
         assert [letters for letters, _, _ in level] == \
             sorted(letters for letters, _, _ in level)
+
+
+def transpose_mismatches(d_max):
+    """(d, i, mu, nu) wherever [f_i p_mu]_nu * z_nu != [e_i p_nu]_mu * z_mu,
+    for odd mu of d - 1, odd nu of d, d <= d_max and i in {0, 1}, each
+    column through ``op_generator``; and the number of comparisons."""
+    out, count = [], 0
+    for d, i in product(range(1, d_max + 1), (0, 1)):
+        lower = enumerate_partitions(d - 1, "odd")
+        upper = enumerate_partitions(d, "odd")
+        e_cols = {nu: op_generator(f"e{i}", {nu: F(1)}) for nu in upper}
+        for mu in lower:
+            f_col = op_generator(f"f{i}", {mu: F(1)})
+            for nu in upper:
+                count += 1
+                lhs = f_col.get(nu, 0) * z_mu(nu)
+                if lhs != e_cols[nu].get(mu, 0) * z_mu(mu):
+                    out.append((d, i, mu, nu))
+    return out, count
+
+
+def test_e_columns_are_the_z_weighted_transpose_of_the_f_columns():
+    # <f_i p_mu, p_nu> = <p_mu, e_i p_nu>: the third per-degree check of
+    # the model equivalence, on every column to degree 14
+    assert transpose_mismatches(14) == ([], 2340)
+
+
+def test_the_transpose_check_fails_with_e1_acting_as_e0(fresh_memos,
+                                                         monkeypatch):
+    """With the sign of every e1 view flipped, e1 is e0, and f1 is no
+    longer its transpose: at d = 5 every one of the 6 pairs mismatches."""
+    column = polyrep._column
+
+    def flipped(gen, key):
+        den, sign, state, base, extra = column(gen, key)
+        return den, -sign if gen == "e1" else sign, state, base, extra
+
+    monkeypatch.setattr(polyrep, "_column", flipped)
+    mismatches, _ = transpose_mismatches(5)
+    assert mismatches and {i for _, i, _, _ in mismatches} == {1}
+    assert len([m for m in mismatches if m[0] == 5]) == 6
 
 
 def test_columns_share_the_state_memo():
