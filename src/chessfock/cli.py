@@ -22,11 +22,6 @@ from . import delta, experiments, fock, polyrep
 from .partitions import format_partition, sort_key
 from .tableaux import ResidueWord
 
-#: Each verify suite's default --n-max (None: no size), in the order of "all".
-_SUITE_N = {"q-image": 8, "stability": None, "generation": 10, "pairing": 16,
-            "bound": 10, "factorial": 12, "cross-model": 8, "properties": None}
-SUITES = (*_SUITE_N, "all")
-
 
 def _parse_word(text: str, e: int) -> ResidueWord:
     try:
@@ -74,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=SUITES, default="all")
     verify.add_argument("--degree", type=int, default=12,
                         help="degree bound for the lattice suites")
-    verify.add_argument("--n-max", type=int, default=None,
-                        help="cap for the per-size suites (defaults vary)")
+    defaults = ", ".join(f"{s} {n}" for s, (n, _) in _SUITES.items() if n)
+    verify.add_argument("--n-max", type=int, default=None, help="cap for the "
+                        f"per-size suites (defaults: {defaults})")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized property suite")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -150,39 +146,47 @@ def _record(claim: str, ok: bool, payload: dict) -> dict:
     return {**payload, "claim": claim, "verdict": "PASS" if ok else "FAIL"}
 
 
+def _q_image(args, n_max):
+    for n in range(1, n_max + 1):  # name the first degree above 255 reached
+        polyrep.check_degree(args.degree + n)
+    return (delta.verify_q_image(n, args.degree, side).to_json()
+            for n in range(1, n_max + 1) for side in ("multiply", "adjoint"))
+
+
+#: Each verify suite, in the order of "all": its default --n-max (None: no
+#: size) and ``records(args, n_max)``, which makes the stream of its JSON
+#: records or refuses the size.  Suite functions are looked up on their
+#: modules as records are made, never held: bench/tracer.py rebinds them.
+_SUITES = {
+    "q-image": (8, _q_image),
+    "stability": (None, lambda args, n_max:
+                  [delta.verify_stability(args.degree).to_json()]),
+    "generation": (10, lambda args, n_max:
+                   (r.to_json() for r in delta.generation_reports(n_max))),
+    "pairing": (16, lambda args, n_max: (delta.verify_pairing(n).to_json()
+                                         for n in range(1, n_max + 1))),
+    "bound": (10, lambda args, n_max:
+              (r.to_json() for r in experiments.bound_reports(n_max))),
+    "factorial": (12, lambda args, n_max: (
+        _record(f"factorial[n={n}]", experiments.factorial_check(n), {"n": n})
+        for n in range(1, n_max + 1))),
+    "cross-model": (8, lambda args, n_max: (
+        _record(f"cross-model[n={s['n']}]", s["ok"], s)
+        for s in experiments.cross_model_reports(n_max))),
+    "properties": (None, lambda args, n_max: (
+        _record(f"properties[{name}]", ok, dict(detail, seed=args.seed))
+        for name, ok, detail in experiments.property_checks(args.seed))),
+}
+SUITES = (*_SUITES, "all")
+
+
 def _run_suite(args):
-    """Yield the JSON record, with claim and verdict, of every check in the
-    requested suites.  Suite functions are looked up on their modules when
-    they run, never stored at import: bench/tracer.py rebinds them to spans."""
-    for suite, default in _SUITE_N.items():
-        if args.suite not in (suite, "all"):
-            continue
-        n_max = default if args.n_max is None else args.n_max
-        sizes = range(1, n_max + 1) if n_max else ()
-        if suite == "q-image":
-            records = (delta.verify_q_image(n, args.degree, side).to_json()
-                       for n in sizes for side in ("multiply", "adjoint"))
-        elif suite == "stability":
-            records = [delta.verify_stability(args.degree).to_json()]
-        elif suite == "generation":
-            records = (r.to_json() for r in delta.generation_reports(n_max))
-        elif suite == "pairing":
-            records = (delta.verify_pairing(n).to_json() for n in sizes)
-        elif suite == "bound":
-            records = (r.to_json() for r in experiments.bound_reports(n_max))
-        elif suite == "factorial":
-            records = (_record(f"factorial[n={n}]",
-                               experiments.factorial_check(n), {"n": n})
-                       for n in sizes)
-        elif suite == "cross-model":
-            records = (_record(f"cross-model[n={s['n']}]", s["ok"], s)
-                       for s in experiments.cross_model_reports(n_max))
-        else:
-            records = (_record(f"properties[{name}]", ok,
-                               dict(detail, seed=args.seed))
-                       for name, ok, detail in
-                       experiments.property_checks(args.seed))
-        yield from records
+    """Yield the records of every requested suite, from streams all made
+    before the first record, so that a refused size prints nothing."""
+    for stream in [records(args, default if args.n_max is None else args.n_max)
+                   for suite, (default, records) in _SUITES.items()
+                   if args.suite in (suite, "all")]:
+        yield from stream
 
 
 def _cmd_verify(args) -> int:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chessfock import delta, experiments
-from chessfock.cli import SUITES, _validate, build_parser, main
+from chessfock.cli import SUITES, _SUITES, _validate, build_parser, main
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -116,7 +116,7 @@ def test_pair_sum(capsys):
     assert code == 0 and out == "1\n"
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
     for argv, message in (
         (["pair-sum", "--v", "0,1"], ""),                # missing --w
         (["pair-sum", "--v", "0,1", "--w", "0"],         # length mismatch
@@ -141,6 +141,12 @@ def test_usage_errors_exit_two(capsys):
          "error: degree 256 is above 255"),
         (["verify", "--suite", "cross-model", "--n-max", "256"],
          "error: degree 256 is above 255"),
+        # q-image refuses the first degree above 255 its scan would reach,
+        # and all makes every suite's stream before it prints a record
+        (["verify", "--suite", "q-image", "--n-max", "256", "--degree", "1"],
+         "error: degree 256 is above 255"),
+        (["verify", "--suite", "all", "--n-max", "256"],
+         "error: degree 256 is above 255"),
         (["word", "--e", "3", "--v", "0,1,2", "--model", "poly"], ""),
         (["nonsense"], ""),
         (["--threads", "4", "chess-table"], ""),         # removed option
@@ -158,7 +164,19 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "", argv
+    # all makes every suite's stream before its first record, so a refusal
+    # by its last suite prints none of the records of the suites before it
+    def refuse(args, n_max):
+        raise ValueError("refused")
+
+    monkeypatch.setitem(_SUITES, "properties", (None, refuse))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "all", "--n-max", "2", "--degree", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_zero_pair_sum_is_a_usage_error(capsys):
@@ -310,26 +328,40 @@ def test_run_config_validation(capsys):
         assert "error: words differ in length: 2 vs 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite,module,check", [
-    ("bound", experiments, "exhaustive_bound_check"),
-    ("generation", delta, "verify_generation"),
-    ("cross-model", experiments, "cross_model_check"),
-], ids=["bound", "generation", "cross-model"])
+@pytest.mark.parametrize("suite,module,check,calls", [
+    ("bound", experiments, "exhaustive_bound_check", [1, 2, 3, 4, 5]),
+    ("generation", delta, "verify_generation", [1, 2, 3, 4, 5]),
+    ("cross-model", experiments, "cross_model_check", [1, 2, 3, 4, 5]),
+    ("q-image", delta, "verify_q_image", [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
+    ("stability", delta, "verify_stability", [3]),
+    ("pairing", delta, "verify_pairing", [1, 2, 3, 4, 5]),
+], ids=["bound", "generation", "cross-model", "q-image", "stability",
+        "pairing"])
 def test_verify_calls_the_per_length_check_once_per_n(capsys, monkeypatch,
-                                                      suite, module, check):
-    # the benchmark's tracer counts these names, so the suites must run
-    # through them
+                                                      suite, module, check,
+                                                      calls):
+    # the benchmark's tracer counts these names and rebinds them on their
+    # modules, so the suites must look them up there as they run: every
+    # record printed is one the patched function returned
     original = getattr(module, check)
     seen = []
 
-    def counting(n, level):
+    def patched(n, *rest):
         seen.append(n)
-        return original(n, level)
+        result = original(n, *rest)
+        if isinstance(result, dict):  # a cross-model summary
+            return dict(result, n=f"patched {result['n']}")
+        return result._replace(claim=f"patched {result.claim}")
 
-    monkeypatch.setattr(module, check, counting)
-    code, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "5")
+    monkeypatch.setattr(module, check, patched)
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n-max", "5",
+                        "--degree", "3")
     assert code == 0
-    assert seen == [1, 2, 3, 4, 5]
+    assert seen == calls
+    lines = out.splitlines()
+    assert len(lines) == len(calls)
+    assert all(line.startswith("PASS ") and "patched" in line
+               for line in lines), out
 
 
 _SMALL = st.integers(-1, 8).map(str)
@@ -467,3 +499,30 @@ def test_the_readme_command_line_names_only_what_the_parser_defines():
         if words and words[0] in commands:
             assert set(re.findall(r"--[\w-]+", text)) <= flags[words[0]], text
     assert set(re.findall(r"--[\w-]+", section)) <= set().union(*flags.values())
+
+
+def test_the_readme_suite_ledger_matches_the_registry_and_ci():
+    # one ledger row per verify suite, in the order of cli._SUITES, with its
+    # default --n-max and the largest --n-max/--degree that a CI step of its
+    # own runs: "`all`" if none does, "no size" if its steps give no size
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text()
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    start = readme.index("\n| suite | statement it checks |")
+    table = readme[start + 1:readme.index("\n\n", start)].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+            for line in table]
+    reach = {}
+    for suite, rest in re.findall(r"verify --suite ([\w-]+)(.*)", workflow):
+        sizes = reach.setdefault(suite, {})
+        for flag, value in re.findall(r"(--n-max|--degree) (\d+)", rest):
+            sizes[flag] = max(sizes.get(flag, 0), int(value))
+    assert [row[0] for row in rows] == [f"`{name}`" for name in _SUITES]
+    for (name, (default, _)), row in zip(_SUITES.items(), rows):
+        assert len(row) == 5, row
+        assert row[2] == (str(default) if default else "—"), name
+        if name not in reach:
+            assert row[3] == "`all`", name
+        else:
+            assert row[3] == (" ".join(f"`{flag} {value}`" for flag, value
+                                       in reach[name].items()) or "no size"), name
