@@ -5,10 +5,10 @@ A polynomial lies in 2^t times the lattice exactly when its
 ``delta_valuation`` is >= t, so each verifier reduces a containment claim
 to a minimum of integer valuations over a finite set of inputs and reports
 the outcome with witnesses.  The verifiers read it off packed integer
-images (``_lattice_v2``), q-image and stability in one basis scan
-(``_basis_scan``).  The generation suite (``generation_reports``) is one
-``tableaux.check_levels`` walk over the distinct images of the binary
-words, with the per-length check ``verify_generation``.
+images (``_lattice_v2``), q-image and stability (on the columns
+``polyrep._column``) in one basis scan (``_basis_scan``).  The generation
+suite is one ``tableaux.check_levels`` walk over the distinct images of
+the binary words, with the per-length check ``verify_generation``.
 """
 
 from functools import lru_cache
@@ -123,16 +123,6 @@ def _lattice_v2(image: Column) -> dict[int, int]:
             for key, num in image[1] if num}
 
 
-def _column_v2(gen: str, key: int) -> dict[int, int]:
-    """``_lattice_v2`` of gen p_key, read off the view ``polyrep._column``.
-    v2 ignores the sign of every term but the base term, so the state is
-    read unsigned, and copied only to add ``extra`` to the base term."""
-    den, sign, state, base, extra = _column(gen, key)
-    if extra:
-        state = {**state, base: sign * state.get(base, 0) + extra}
-    return _lattice_v2((den, state.items()))
-
-
 def _basis_scan(degree_bound: int, reach: int, images):
     """(description, valuation) of the named images of each basis monomial
     2^_shift(mu) p_mu of degree <= degree_bound: ``images(key)`` yields
@@ -177,7 +167,7 @@ def verify_stability(degree_bound: int) -> ValuationReport:
     """Check that all four generator operators preserve the lattice, on
     every basis monomial of degree <= degree_bound, each image read off
     its column.  A degree bound >= 255 raises at once."""
-    images = lambda key: ((gen, _column_v2(gen, key)) for gen in GENERATORS)
+    images = lambda k: ((g, _lattice_v2(_column(g, k))) for g in GENERATORS)
     return _scan_report("stability", degree_bound, 0, False,
                         _basis_scan(degree_bound, 1, images))
 

@@ -34,8 +34,8 @@ operator, [q_m^*, p_k] = 2 q_(m-k)^*, which peels one part k at a time:
     A_j(p_k g) = p_k A_j(g) + 2 A_(j-k)(g),   A_j(1) = (1/2) (-1)^j q_(-j),
 
 with q_n = 0 for n < 0, so A_j(1) = 0 for j > 0.  One state per
-(j, monomial) gives both generators of a pair: each column is a view of
-the state, its sign and the term p1 p_mu or p1^* p_mu, in integers.
+(j, monomial) gives both generators of a pair: a column is the state over
+a den that carries the generator's sign, plus the term p1 p_mu or p1^* p_mu.
 
 A key packs an odd monomial into one int (``_pack``): the multiplicity of
 the part k fills the 8-bit slot at bit 4 * (k - 1), so a product of
@@ -45,11 +45,10 @@ kernels and for each suite before it starts.  ``op_generator`` maps OddPolys
 to OddPolys, decoding keys with the cached ``_unpack``, and packed images
 (den, ((key, int), ...)), and lists of them, to the same: the word walks
 step levels from ``IMAGE_ONE`` (numerators pair in ``fock.gram_rows``, by
-``z_key``).  The column views are cached on first use, one per (generator,
-monomial), and each holds the state dict of one shared memo of the states
-2 A_j p_mu (``_a_state``, which peels the largest part first), not a copy.
-``op_generator`` and ``delta.verify_stability`` (through
-``delta._column_v2``) read the same cache; nothing is built at import time.
+``z_key``).  A column (``_column``) is built per call from the one shared
+memo of the states 2 A_j p_mu (``_a_state``, which peels the largest part
+first), which ``op_generator`` and ``delta.verify_stability`` both read;
+nothing is built at import time.
 """
 
 from fractions import Fraction
@@ -65,10 +64,9 @@ OddPoly = dict[Partition, Fraction]
 
 GENERATORS = ("f0", "f1", "e0", "e1")
 
-#: A polynomial as (den, ((key, numerator), ...)): the sum of
-#: numerator / den * p_key over packed keys, with no zero numerator.
+#: A polynomial as (den, ((key, numerator), ...)), items in any iterable: the
+#: sum of numerator / den * p_key over packed keys, with no zero numerator.
 Column = tuple[int, tuple[tuple[int, int], ...]]
-View = tuple[int, int, dict[int, int], int, int]  # a column, see _column
 
 MAX_DEGREE = 255  # no 8-bit slot of a packed key overflows up to it
 IMAGE_ONE: Column = (1, ((0, 1),))  # the constant 1, where word walks start
@@ -268,21 +266,26 @@ def _a_state(j: int, key: int) -> tuple[int, dict[int, int]]:
     return den, _nonzero(acc)
 
 
-@lru_cache(maxsize=None)
-def _column(gen: str, key: int) -> View:
-    """gen p_key as a view (den, sign, state, base, extra) of the shared,
-    read-only state dict of ``_a_state``: (sign * sum of v p_k over the
-    state + extra p_base) / den, unreduced.  With j = -1 for f and 1 for e,
-    f0, f1 (e0, e1) are (base + j A_j) / 2 and (base - j A_j) / 2, base
-    being p1 p_mu or p1^* p_mu.  By the truncation argument of ``op_a``, the
-    other monomials of an input do not change a column.
+def _column(gen: str, key: int) -> Column:
+    """gen p_key as a packed image (den, items), unreduced.  With j = -1 for
+    f and 1 for e, f0, f1 (e0, e1) are (base + j A_j) / 2 and
+    (base - j A_j) / 2, base being p1 p_mu or p1^* p_mu: the items are the
+    read-only state dict of ``_a_state``, copied only to add a nonzero base
+    term (dropped if it cancels), and the den carries the sign, negative for
+    f0 and e1.  By the truncation argument of ``op_a``, the other monomials
+    of an input do not change a column.
     """
     j = -1 if gen[0] == "f" else 1
     check_degree(sum(_unpack(key)) - j)
     den, state = _a_state(j, key)
+    sign = j if gen[1] == "0" else -j
     # p1 * p_mu, or p1^* p_mu = m_1(mu) * p_(mu minus 1)
     base, c = (key + 1, 1) if j < 0 else (key - 1, key & 255)
-    return 4 * den, j if gen[1] == "0" else -j, state, base, 2 * c * den
+    if c:
+        state = {**state, base: state.get(base, 0) + sign * 2 * c * den}
+        if not state[base]:
+            del state[base]
+    return sign * 4 * den, state.items()
 
 
 def op_generator(gen: str, f):
@@ -292,12 +295,12 @@ def op_generator(gen: str, f):
 
     One pass steps a level, and the other forms as a level of one: the
     columns ``fock.pack_columns`` of the input monomials' numerators, over
-    the lcm ``step`` of the denominators of their views ``_column``, give
-    each output monomial as one big-int sum, slot a over image a's den *
-    step.  No slot value exceeds the bound that sizes the slots: the
-    largest column coefficient (the reach) times the largest l1 norm of an
-    image's numerators.  A packed result is canonical: the gcd is divided
-    out, the items are sorted by key, the zero image ().
+    the lcm ``step`` (positive) of their signed ``_column`` dens, give each
+    output monomial as one big-int sum, slot a over image a's den * step.
+    No slot value exceeds the bound that sizes the slots: the largest
+    column coefficient (the reach) times the largest l1 norm of an image's
+    numerators.  A packed result is canonical: the gcd is divided out, the
+    items are sorted by key, the zero image ().
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
@@ -306,18 +309,15 @@ def op_generator(gen: str, f):
         f if isinstance(f, list) else [_ints(f) if poly else f])]
     nums = [items for _, items in level]
     cols = {key: _column(gen, key) for key in {k for x in nums for k, _ in x}}
-    step = lcm(*(col[0] for col in cols.values()))
-    reach = max((step // den * (max(map(abs, state.values()), default=0) + extra)
-                 for den, _, state, _, extra in cols.values()), default=0)
+    step = lcm(*(den for den, _ in cols.values()))
+    reach = max((step // abs(den) * max((abs(v) for _, v in items), default=0)
+                 for den, items in cols.values()), default=0)
     largest = max((sum(abs(v) for _, v in x) for x in nums), default=0)
     bits, bias, packed = pack_columns(nums, max(reach, 1) * largest)
     acc: dict[int, int] = {}
-    for key, (den, sign, state, base, extra) in cols.items():
+    for key, (den, items) in cols.items():
         scale = step // den * packed[key]
-        if extra:
-            acc[base] = acc.get(base, 0) + extra * scale
-        scale *= sign
-        for k, v in state.items():
+        for k, v in items:
             acc[k] = acc.get(k, 0) + v * scale
     keys = sorted(k for k, row in acc.items() if row)
     m = len(level)

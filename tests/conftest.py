@@ -14,11 +14,10 @@ settings.load_profile("fixed")
 
 @pytest.fixture
 def fresh_memos():
-    """Empty sub-monomial, q_n, column, state and half-step memos around a
-    case, so that nothing built under an injected defect reaches another
-    test."""
-    caches = (polyrep._sub_monomials, polyrep._q_column, polyrep._column,
-              polyrep._a_state, fock._half_moves)
+    """Empty sub-monomial, q_n, state and half-step memos around a case, so
+    that nothing built under an injected defect reaches another test."""
+    caches = (polyrep._sub_monomials, polyrep._q_column, polyrep._a_state,
+              fock._half_moves)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -8,14 +8,14 @@ import pytest
 from chessfock import delta, experiments, polyrep
 from chessfock.arith import INFINITY, tri_count, vp
 from chessfock.delta import (ValuationReport, _basis_desc, _basis_scan,
-                             _column_v2, _lattice_v2, _scan_report, _shift,
+                             _lattice_v2, _scan_report, _shift,
                              delta_valuation, generation_reports, gf2_rank,
                              verify_generation, verify_pairing,
                              verify_q_image, verify_stability)
 from chessfock.partitions import enumerate_partitions, glaisher_odd_to_distinct
-from chessfock.polyrep import (GENERATORS, _pack, _poly, _q_column, _unpack,
-                               apply_word_poly, inner_poly, op_series,
-                               poly_scale, random_poly)
+from chessfock.polyrep import (GENERATORS, _a_state, _column, _pack, _poly,
+                               _q_column, _unpack, apply_word_poly, inner_poly,
+                               op_series, poly_scale, random_poly)
 from chessfock.tableaux import ResidueWord
 
 F = Fraction
@@ -196,7 +196,7 @@ def test_column_v2_reads_each_coordinate_of_a_column():
     for d in range(13):
         for mu in enumerate_partitions(d, "odd"):
             for gen in GENERATORS:
-                assert _column_v2(gen, _pack(mu)) == {
+                assert _lattice_v2(_column(gen, _pack(mu))) == {
                     _pack(nu): vp(c, 2) - (sum(nu) - len(nu)) // 2
                     for nu, c in op_series(gen, {mu: F(1)}).items()}
     # degree-255 keys: the one-term image p_nu reads minus the basis exponent
@@ -211,12 +211,16 @@ def test_column_v2_reads_each_coordinate_of_a_column():
 
 
 def test_stability_fails_without_the_base_term(fresh_memos, monkeypatch):
-    """A column that loses its base term p1 p_mu or p1^* p_mu (``extra``
-    set to 0) leaves f0 1 = -p1/2 off the lattice: ``stability`` catches
-    it, with the witness f0 on the constant."""
+    """A column that loses its base term p1 p_mu or p1^* p_mu (its den over
+    the bare state) leaves f0 1 = -p1/2 off the lattice: ``stability``
+    catches it, with the witness f0 on the constant."""
     column = polyrep._column
-    monkeypatch.setattr(delta, "_column",
-                        lambda gen, key: column(gen, key)[:4] + (0,))
+
+    def bare(gen, key):
+        j = -1 if gen[0] == "f" else 1
+        return column(gen, key)[0], _a_state(j, key)[1].items()
+
+    monkeypatch.setattr(delta, "_column", bare)
     r = verify_stability(4)
     assert r.verdict == "FAIL" and r.witnesses[0] == ("f0 p[]", -1)
 
@@ -228,11 +232,7 @@ def test_a_sign_swap_passes_stability_and_fails_properties(fresh_memos,
     so ``stability`` stays at PASS.  The ``properties`` suite's comparison
     with the series (``series-truncation``) catches it."""
     column = polyrep._column
-
-    def swapped(gen, key):
-        den, sign, state, base, extra = column(gen, key)
-        return den, -sign if gen[1] == "1" else sign, state, base, extra
-
+    swapped = lambda gen, key: column(gen[0] + "0", key)
     for module in (delta, polyrep):
         monkeypatch.setattr(module, "_column", swapped)
     assert verify_stability(8).verdict == "PASS"
@@ -255,9 +255,13 @@ def _q_without_powers_of_two(monkeypatch):
 
 def _columns_over_twice_their_denominator(monkeypatch):
     column = polyrep._column
+
+    def doubled(gen, key):
+        den, items = column(gen, key)
+        return 2 * den, items
+
     for module in (delta, polyrep):
-        monkeypatch.setattr(module, "_column", lambda gen, key: (
-            2 * column(gen, key)[0],) + column(gen, key)[1:])
+        monkeypatch.setattr(module, "_column", doubled)
 
 
 def _pairing_without_z(monkeypatch):
@@ -294,17 +298,21 @@ def test_each_lattice_suite_fails_under_the_defect_it_covers(
 
 def test_the_word_walk_suites_fail_without_the_p1_term_of_f1(fresh_memos,
                                                              monkeypatch):
-    """With the p1 term of every f1 column negated (``_column``'s extra),
-    f1 1 = -p1 and the images of the length-2 words cancel: ``generation``
-    passes at n = 1 and fails at n = 2..6 with no image left, and
-    ``cross-model`` fails at every n <= 6 on a word that is zero in the
-    polynomial model alone.  Both walks step levels through
-    ``op_generator``."""
+    """With the p1 term of every f1 column negated (its den, twice the
+    term, subtracted at the key of p1 p_mu), f1 1 = -p1 and the images of
+    the length-2 words cancel: ``generation`` passes at n = 1 and fails at
+    n = 2..6 with no image left, and ``cross-model`` fails at every n <= 6
+    on a word that is zero in the polynomial model alone.  Both walks step
+    levels through ``op_generator``."""
     column = polyrep._column
 
     def negated(gen, key):
-        den, sign, state, base, extra = column(gen, key)
-        return den, sign, state, base, -extra if gen == "f1" else extra
+        den, items = column(gen, key)
+        if gen != "f1":
+            return den, items
+        items = dict(items)
+        items[key + 1] = items.get(key + 1, 0) - den
+        return den, items.items()
 
     monkeypatch.setattr(polyrep, "_column", negated)
     verdicts = [r.verdict for r in generation_reports(6)]

@@ -361,19 +361,18 @@ def test_packed_keys_refuse_degrees_above_255():
     # (1,) * 256 would carry slot 0 into the slot of p3
     with pytest.raises(ValueError, match="degree 256 is above 255"):
         _pack((1,) * 256)
-    # the input is refused before any column is looked up
-    before = _column.cache_info(), _a_state.cache_info()
+    # the input is refused before any state is looked up
+    before = _a_state.cache_info()
     for gen, mu in (("f0", (1,) * 256), ("e0", (257,))):
         with pytest.raises(ValueError, match="degree 25[67] is above 255"):
             op_generator(gen, {mu: F(1)})
-        assert (_column.cache_info(), _a_state.cache_info()) == before
+        assert _a_state.cache_info() == before
     # f raises the degree, so degree 255 has no f column: the column refuses
-    # before it reads a state, and lru_cache stores no raise
+    # before it reads a state
     for _ in range(2):
         with pytest.raises(ValueError, match="degree 256 is above 255"):
             op_generator("f1", {(1,) * 255: F(1)})
-        assert _column.cache_info().currsize == before[0].currsize
-        assert _a_state.cache_info() == before[1]
+        assert _a_state.cache_info() == before
 
 
 def test_check_degree_guards_every_packing_site_before_any_work(monkeypatch):
@@ -540,17 +539,17 @@ def test_a_level_at_the_edge_of_a_slot():
     mus = [(9, 1, 1, 1), (7, 3, 1, 1), (7, 1, 1, 1, 1, 1),
            (5, 3, 1, 1, 1, 1), (3, 3, 3, 1, 1, 1)]
     keys = [_pack(mu) for mu in mus]
-    views = [_column("f1", key) for key in keys]
-    step = lcm(*(den for den, *_ in views))
-    reach = max(step // den * (max(map(abs, state.values())) + extra)
-                for den, _, state, _, extra in views)
+    columns = [(den, dict(items)) for den, items in
+               (_column("f1", key) for key in keys)]
+    step = lcm(*(den for den, _ in columns))
+    reach = max(step // abs(den) * max(map(abs, col.values()))
+                for den, col in columns)
     p13 = _pack((13,))
     n = ((1 << 8 * 25 + 6) - 1) // reach
-    top = sum(n * step // den * sign * state[p13]
-              for den, sign, state, _, _ in views)
+    top = sum(n * step // den * col[p13] for den, col in columns)
     single = pack_columns([], reach * n)[0]       # bits, from n alone
-    assert all(max(map(abs, state.values())) == abs(state[p13])
-               for _, _, state, _, _ in views)
+    assert all(max(map(abs, col.values())) == abs(col[p13])
+               for _, col in columns)
     assert abs(top) >= 1 << single - 1
     small = (3, ((keys[0], 1),))
     level = [(1, tuple((key, n) for key in keys)), small,
@@ -600,42 +599,51 @@ def test_e_columns_are_the_z_weighted_transpose_of_the_f_columns():
 
 def test_the_transpose_check_fails_with_e1_acting_as_e0(fresh_memos,
                                                          monkeypatch):
-    """With the sign of every e1 view flipped, e1 is e0, and f1 is no
+    """With every e1 column answered by the e0 one, e1 is e0, and f1 is no
     longer its transpose: at d = 5 every one of the 6 pairs mismatches."""
     column = polyrep._column
-
-    def flipped(gen, key):
-        den, sign, state, base, extra = column(gen, key)
-        return den, -sign if gen == "e1" else sign, state, base, extra
-
+    flipped = lambda gen, key: column("e0" if gen == "e1" else gen, key)
     monkeypatch.setattr(polyrep, "_column", flipped)
     mismatches, _ = transpose_mismatches(5)
     assert mismatches and {i for _, i, _, _ in mismatches} == {1}
     assert len([m for m in mismatches if m[0] == 5]) == 6
 
 
-def test_columns_share_the_state_memo():
-    # a column is a view of its state: the memo's own dict, not a copy
-    for deg in range(11):
-        for mu in enumerate_partitions(deg, "odd"):
-            key = _pack(mu)
-            for gen in GENERATORS:
-                j = -1 if gen[0] == "f" else 1
-                assert _column(gen, key)[2] is _a_state(j, key)[1]
+def test_columns_are_the_series_and_leave_the_state_memo_as_it_was(
+        fresh_memos):
+    # every column to degree 12, mu = () and mu with and without a part 1
+    # among them, is the series exactly: sign, base term and den included
+    mus = [mu for d in range(13) for mu in enumerate_partitions(d, "odd")]
+    assert () in mus and {1 in mu for mu in mus} == {True, False}
+    states = {(j, _pack(mu)): _a_state(j, _pack(mu))
+              for j in (-1, 1) for mu in mus}
+    snapshot = {jk: (den, dict(state)) for jk, (den, state) in states.items()}
+    for mu in mus:
+        for gen in GENERATORS:
+            den, items = _column(gen, _pack(mu))
+            assert _poly(den, items) == op_series(gen, {mu: F(1)})
+            # no zero numerator, not even where the base term cancels
+            assert all(v for _, v in items)
+    # f1 1 = 0: the base term p1 cancels the state's whole p1 term
+    assert _a_state(-1, 0)[1].keys() == {1}
+    assert not dict(_column("f1", 0)[1])
+    # the memo's own dicts are read, never written
+    for jk, (den, state) in states.items():
+        assert _a_state(*jk)[1] is state and (den, state) == snapshot[jk]
 
 
 def test_import_builds_no_cache():
     # a fresh process, so that no other test has filled the caches
     code = ("import chessfock.cli\n"
             "from chessfock import delta, polyrep\n"
-            "caches = (polyrep._column, polyrep._a_state, polyrep._q_column,\n"
+            "caches = (polyrep._a_state, polyrep._q_column,\n"
             "          polyrep._sub_monomials, polyrep._unpack, polyrep._z,\n"
             "          delta._key_shift)\n"
             "print([c.cache_info().currsize for c in caches])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout == "[0, 0, 0, 0, 0, 0, 0]\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0]\n"
 
 
 def test_apply_word_poly():
